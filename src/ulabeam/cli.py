@@ -98,14 +98,17 @@ def _pop(d: dict, key: str, ctx: str, required: bool = True, default=None):
 
 def _number(v, ctx: str) -> float:
     # YAML 1.1 reads unsigned exponents like 140.0e9 as strings; accept them.
-    if isinstance(v, str):
-        try:
-            return float(v)
-        except ValueError:
-            raise UsageError(f"{ctx} must be a number") from None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise UsageError(f"{ctx} must be a number")
-    return float(v)
+    try:
+        value = float(v)
+    except ValueError:
+        raise UsageError(f"{ctx} must be a number") from None
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise UsageError(f"{ctx} must be a finite number")
+    return value
 
 
 def _integer(v, ctx: str) -> int:
@@ -319,8 +322,11 @@ def _beam_excitation(cfg: UlaConfig, user: Point2, beam: dict, obstacle, budget:
 
 
 def _write_json(path: str, obj) -> None:
+    # Non-finite floats raise here, before the file is opened: no command
+    # writes Infinity or NaN, which are not JSON.
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        fh.write(text)
 
 
 def _beam_echo(beam: dict) -> dict:

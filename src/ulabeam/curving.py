@@ -5,10 +5,13 @@ user and launched from the array as the envelope of element rays, each ray
 tangent to the parabola. Trajectory parameters are chosen by a small linear
 program over (beta, p_tilde, x_adj) where p_tilde = beta * p and x_adj is a
 relaxed aperture cut; the LP trades obstacle clearance against the number of
-elements kept. The solver enumerates closed-form candidate vertices, filters
-them by primal feasibility and a nonnegative-multiplier certificate, and
-falls back to full vertex enumeration when no tabulated candidate applies.
-The certificate makes an accepted candidate a proven global optimum.
+elements kept. Its optimum lies at a vertex, so the solver intersects every
+triple of the eight constraints in one batched linear solve and keeps the
+feasible vertex of least objective. The relaxed cut is then snapped to an
+element and (beta, p_tilde) re-solved with the cut pinned, by the same
+enumeration over constraint pairs. The paper's nine closed-form KKT
+candidates (`kkt_candidates`) are not used by the solve; they stay as a
+cross-check, and a solution reports which of them its vertex is.
 
 Positive curvature clears the obstacle on its left edge using a prefix of
 the array; negative curvature is solved by mirroring the scenario about the
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .array_geometry import Point2, RectObstacle, UlaConfig
 from .field import Excitation
@@ -48,6 +50,34 @@ __all__ = [
 _FEAS_TOL = 1e-9
 _ACTIVE_TOL = 1e-7
 _BETA_TOL = 1e-10
+# Subsets of k constraints with |det| below this are skipped as singular.
+_DET_TOL = {2: 1e-14, 3: 1e-12}
+
+# Rows of _constraints, in order.
+_CONSTRAINT_NAMES = (
+    "beta non-negativity",
+    "aperture lower bound",
+    "aperture upper bound",
+    "near-corner clearance",
+    "far-corner clearance",
+    "tangent reaches user",
+    "leftmost tangent spans user",
+    "tangent exists at aperture cut",
+)
+# The constraint triple that defines each kkt_candidates row, in row order.
+_KKT_ROWS = (
+    (3, 4, 7),
+    (4, 6, 7),
+    (3, 6, 7),
+    (2, 4, 7),
+    (2, 3, 7),
+    (2, 4, 6),
+    (2, 3, 6),
+    (2, 4, 5),
+    (2, 3, 5),
+)
+# Constraints left once the aperture cut is pinned (the two cut bounds go).
+_PINNED_ROWS = [0, 3, 4, 5, 6, 7]
 
 
 @dataclass(frozen=True)
@@ -181,7 +211,8 @@ def curving_phases(cfg: UlaConfig, t: ParabolicTrajectory, active=None) -> Excit
         phi = k { (p + s) sqrt(c1) / 2 - log(sqrt(c1) - c2) / (4 |beta|) }
 
     with s the tangent height, c1 = 4 beta^2 (p - s)^2 + 1 and
-    c2 = 2 |beta| (p - s). Natural logarithm.
+    c2 = 2 |beta| (p - s). Natural logarithm. active selects the driven
+    elements, as a boolean mask or as integer indices in [0, n_elements).
     """
     if t.beta == 0:
         raise ValueError("curving phases undefined for beta = 0")
@@ -196,6 +227,10 @@ def curving_phases(cfg: UlaConfig, t: ParabolicTrajectory, active=None) -> Excit
                 raise ValueError("boolean active mask must have one entry per element")
             mask = arr.copy()
         else:
+            if arr.size and not (
+                np.issubdtype(arr.dtype, np.integer) and arr.min() >= 0 and arr.max() < n
+            ):
+                raise ValueError(f"active indices must be integers in [0, {n})")
             mask = np.zeros(n, dtype=bool)
             mask[arr.astype(int)] = True
     k = cfg.wavenumber()
@@ -237,10 +272,10 @@ def _objective_grad(s: AvoidanceScenario) -> np.ndarray:
     )
 
 
-def _constraints(s: AvoidanceScenario) -> list[tuple[str, np.ndarray, float]]:
-    """Constraints of the positive-curvature LP as (name, grad, const).
+def _constraints(s: AvoidanceScenario) -> tuple[np.ndarray, np.ndarray]:
+    """Constraints of the positive-curvature LP as (g, c), named by _CONSTRAINT_NAMES.
 
-    Each constraint reads grad . (beta, p_tilde, x_adj) + const <= 0.
+    Row i reads g[i] . (beta, p_tilde, x_adj) + c[i] <= 0.
     """
     y_n, y_f, y_u = s.obstacle.y_n, s.obstacle.y_f, s.user.y
     x_u = s.user.x
@@ -248,24 +283,24 @@ def _constraints(s: AvoidanceScenario) -> list[tuple[str, np.ndarray, float]]:
     r_half = s.cfg.half_aperture()
     a_n, d_n = y_n**2 - y_u**2, y_n - y_u
     a_f, d_f = y_f**2 - y_u**2, y_f - y_u
-    return [
-        ("beta non-negativity", np.array([-1.0, 0.0, 0.0]), 0.0),
-        ("aperture lower bound", np.array([0.0, 0.0, -1.0]), -r_half),
-        ("aperture upper bound", np.array([0.0, 0.0, 1.0]), -r_half),
-        ("near-corner clearance", np.array([a_n, -2.0 * d_n, 0.0]), x_u - x_r2),
-        ("far-corner clearance", np.array([a_f, -2.0 * d_f, 0.0]), x_u - x_r2),
-        ("tangent reaches user", np.array([-2.0 * y_u**2, 2.0 * y_u, -1.0]), x_u),
-        ("leftmost tangent spans user", np.array([2.0 * y_u**2, -2.0 * y_u, 0.0]), -x_u - r_half),
-        ("tangent exists at aperture cut", np.array([y_u**2, -2.0 * y_u, 1.0]), -x_u),
-    ]
+    g = np.array(
+        [
+            [-1.0, 0.0, 0.0],
+            [0.0, 0.0, -1.0],
+            [0.0, 0.0, 1.0],
+            [a_n, -2.0 * d_n, 0.0],
+            [a_f, -2.0 * d_f, 0.0],
+            [-2.0 * y_u**2, 2.0 * y_u, -1.0],
+            [2.0 * y_u**2, -2.0 * y_u, 0.0],
+            [y_u**2, -2.0 * y_u, 1.0],
+        ]
+    )
+    c = np.array([0.0, -r_half, -r_half, x_u - x_r2, x_u - x_r2, x_u, -x_u - r_half, -x_u])
+    return g, c
 
 
-def _scales(cons) -> np.ndarray:
-    return np.array([max(1.0, np.abs(g).max(), abs(c)) for _, g, c in cons])
-
-
-def _violations(z: np.ndarray, cons, scales) -> np.ndarray:
-    return np.array([(g @ z + c) for _, g, c in cons]) / scales
+def _scales(g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return np.maximum(1.0, np.maximum(np.abs(g).max(axis=1), np.abs(c)))
 
 
 def kkt_candidates(s: AvoidanceScenario) -> list[KktCandidate]:
@@ -323,29 +358,46 @@ def kkt_candidates(s: AvoidanceScenario) -> list[KktCandidate]:
     return out
 
 
-def _dual_certificate(z: np.ndarray, cons, scales, grad_f: np.ndarray) -> bool:
-    """Nonnegative-multiplier stationarity certificate at z (KKT check)."""
-    viol = _violations(z, cons, scales)
-    active = np.nonzero(np.abs(viol) <= _ACTIVE_TOL)[0]
-    if active.size == 0:
-        return bool(np.linalg.norm(grad_f) <= 1e-9)
-    mat = np.stack([cons[i][1] for i in active], axis=1)
-    _, resid = nnls(mat, -grad_f)
-    return resid <= 1e-6 * max(1.0, float(np.linalg.norm(grad_f)))
+def _best_vertex(
+    g: np.ndarray, c: np.ndarray, scales: np.ndarray, grad: np.ndarray, k: int
+) -> tuple[np.ndarray | None, bool]:
+    """Best vertex of {z : g z + c <= 0} in k variables, by enumeration.
+
+    Every nonsingular k-subset of rows is solved as equalities in one
+    batched call. Returns (z, True) for the feasible vertex (normalized
+    slack <= 1e-9) of least grad . z, where a later subset displaces an
+    earlier one only when lower by more than 1e-12 relative; (z, False) for
+    the vertex of least worst violation when none is feasible; and
+    (None, False) when every subset is singular.
+    """
+    subsets = np.array(list(combinations(range(c.size), k)))
+    mats = g[subsets]
+    keep = np.abs(np.linalg.det(mats)) >= _DET_TOL[k]
+    if not keep.any():
+        return None, False
+    zs = np.linalg.solve(mats[keep], -c[subsets[keep]][..., None])[..., 0]
+    worst = ((zs @ g.T + c) / scales).max(axis=1)
+    feasible = np.nonzero(worst <= _FEAS_TOL)[0]
+    if feasible.size == 0:
+        return zs[np.argmin(worst)], False
+    best, best_f = None, math.inf
+    for i in feasible:
+        f = float(grad @ zs[i])
+        if f < best_f - 1e-12 * max(1.0, abs(f)):
+            best, best_f = zs[i], f
+    return best, True
 
 
-def _enumerate_vertices(cons, scales):
-    """All nondegenerate intersections of constraint triples with feasibility data."""
-    out = []
-    for combo in combinations(range(len(cons)), 3):
-        g = np.stack([cons[i][1] for i in combo])
-        c = np.array([cons[i][2] for i in combo])
-        if abs(np.linalg.det(g)) < 1e-12:
-            continue
-        z = np.linalg.solve(g, -c)
-        viol = _violations(z, cons, scales)
-        out.append((z, float(viol.max()), combo))
-    return out
+def _kkt_index(s: AvoidanceScenario, z: np.ndarray) -> int | None:
+    """Lowest kkt_candidates row whose defining constraints are all active at z.
+
+    z is a vertex (beta, p_tilde, x_adj) of the positive-curvature LP; a
+    constraint is active when its normalized slack is within 1e-7 of zero.
+    None when no row matches.
+    """
+    g, c = _constraints(s)
+    active = np.abs((g @ z + c) / _scales(g, c)) <= _ACTIVE_TOL
+    return next((i for i, rows in enumerate(_KKT_ROWS, 1) if active[list(rows)].all()), None)
 
 
 def _project_prefix(xs: np.ndarray, x_adj: float, spacing: float) -> float:
@@ -364,136 +416,17 @@ def _resolve_pinned(s: AvoidanceScenario, x_pin: float, z_rel: np.ndarray) -> tu
     leftmost-tangent intercept to min of its relaxed value and x_pin), so
     the witness only backs up degenerate enumeration corner cases.
     """
-    cons3 = _constraints(s)
-    cons2 = []
-    for name, g, c in cons3:
-        if name in ("aperture lower bound", "aperture upper bound"):
-            continue
-        cons2.append((name, g[:2].copy(), c + g[2] * x_pin))
-    scales2 = _scales(cons2)
-    grad2 = _objective_grad(s)[:2]
-    best = None
-    for i, j in combinations(range(len(cons2)), 2):
-        g = np.stack([cons2[i][1], cons2[j][1]])
-        c = np.array([cons2[i][2], cons2[j][2]])
-        if abs(np.linalg.det(g)) < 1e-14:
-            continue
-        z2 = np.linalg.solve(g, -c)
-        viol = np.array([(gg @ z2 + cc) for _, gg, cc in cons2]) / scales2
-        if viol.max() <= _FEAS_TOL:
-            f2 = float(grad2 @ z2)
-            if best is None or f2 < best[0] - 1e-12 * max(1.0, abs(f2)):
-                best = (f2, z2)
-    if best is not None:
-        return float(best[1][0]), float(best[1][1])
+    g, c = _constraints(s)
+    g2 = g[_PINNED_ROWS, :2]
+    c2 = c[_PINNED_ROWS] + g[_PINNED_ROWS, 2] * x_pin
+    z2, feasible = _best_vertex(g2, c2, _scales(g2, c2), _objective_grad(s)[:2], 2)
+    if feasible:
+        return float(z2[0]), float(z2[1])
     y_u, x_u = s.user.y, s.user.x
     beta = float(z_rel[0])
     l_rel = -2.0 * beta * y_u**2 + 2.0 * z_rel[1] * y_u + x_u
     l_w = min(l_rel, x_pin)
     return beta, float((l_w - x_u + 2.0 * beta * y_u**2) / (2.0 * y_u))
-
-
-def _build_solution(
-    s: AvoidanceScenario,
-    z_rel: np.ndarray,
-    index: int | None,
-) -> CurvingResult:
-    xs = s.cfg.element_xs()
-    x_adj_star = float(z_rel[2])
-    x_t_star = _project_prefix(xs, x_adj_star, s.cfg.spacing)
-    beta, p_tilde = _resolve_pinned(s, x_t_star, z_rel)
-    vertex = (float(z_rel[0]), float(z_rel[1]), float(z_rel[2]))
-    if beta <= _BETA_TOL:
-        return CurvingResult(
-            "unnecessary",
-            None,
-            "optimal curvature is zero after aperture projection; a straight beam suffices",
-            relaxed_vertex=vertex,
-        )
-    p = p_tilde / beta
-    q = s.user.x - beta * (s.user.y - p) ** 2
-    active = xs <= x_t_star + s.cfg.spacing * 1e-9
-    sol = CurvingSolution(
-        trajectory=ParabolicTrajectory(beta, p, q),
-        p_tilde=p_tilde,
-        x_adj_star=x_adj_star,
-        x_t_star=x_t_star,
-        curvature_sign=1,
-        objective_value=f_para(s, beta, p_tilde, x_t_star),
-        active_elements=active,
-        kkt_candidate_index=index,
-        relaxed_objective=float(_objective_grad(s) @ z_rel),
-    )
-    return CurvingResult(
-        "solved", sol, "positive-curvature trajectory found", relaxed_vertex=vertex
-    )
-
-
-def optimize_positive(s: AvoidanceScenario) -> CurvingResult:
-    """Solve the positive-curvature avoidance LP and build the trajectory.
-
-    Candidate vertices are filtered by primal feasibility (normalized slack
-    >= -1e-9) and a nonnegative-multiplier certificate; an accepted
-    candidate is a certified global optimum. If none applies, all
-    constraint-triple vertices are enumerated. The relaxed aperture cut is
-    then projected onto the element grid and the two remaining parameters
-    re-optimized with the cut pinned.
-    """
-    cons = _constraints(s)
-    scales = _scales(cons)
-    grad_f = _objective_grad(s)
-
-    best: tuple[float, np.ndarray, int] | None = None
-    for cand in kkt_candidates(s):
-        if not cand.valid:
-            continue
-        z = np.array([cand.beta, cand.p_tilde, cand.x_adj])
-        if _violations(z, cons, scales).max() > _FEAS_TOL:
-            continue
-        if not _dual_certificate(z, cons, scales, grad_f):
-            continue
-        fz = float(grad_f @ z)
-        if best is None or fz < best[0] - 1e-12 * max(1.0, abs(fz)):
-            best = (fz, z, cand.index)
-
-    if best is not None:
-        fz, z_star, index = best
-    else:
-        vertices = _enumerate_vertices(cons, scales)
-        feas = [(float(grad_f @ z), z) for z, maxv, _ in vertices if maxv <= _FEAS_TOL]
-        if not feas:
-            if vertices:
-                z_near, maxv, _ = min(vertices, key=lambda v: v[1])
-                viol = _violations(z_near, cons, scales)
-                worst = cons[int(np.argmax(viol))][0]
-            else:
-                worst = "near-corner clearance"
-            return CurvingResult(
-                "infeasible",
-                None,
-                "no trajectory with this curvature sign clears the obstacle",
-                most_violated=worst,
-            )
-        fz, z_star = min(feas, key=lambda t: t[0])
-        index = None
-
-    r_half = s.cfg.half_aperture()
-    vertex = (float(z_star[0]), float(z_star[1]), float(z_star[2]))
-    if z_star[0] <= _BETA_TOL:
-        return CurvingResult(
-            "unnecessary",
-            None,
-            "optimal curvature is zero; a straight beam already clears the obstacle",
-            relaxed_vertex=vertex,
-        )
-    if z_star[2] <= -r_half + 1e-9 * max(1.0, r_half):
-        return CurvingResult(
-            "degenerate",
-            None,
-            "optimum collapses the aperture to a single edge element; increase weight_w",
-            relaxed_vertex=vertex,
-        )
-    return _build_solution(s, z_star, index)
 
 
 def _mirror_scenario(s: AvoidanceScenario) -> AvoidanceScenario:
@@ -516,81 +449,103 @@ _MIRROR_NAMES = {
 }
 
 
-def _mirror_result(s: AvoidanceScenario, res: CurvingResult) -> CurvingResult:
-    vertex = res.relaxed_vertex
-    if vertex is not None:
-        vertex = (-vertex[0], -vertex[1], -vertex[2])
-    if res.solution is None:
+def _pinned_result(s: AvoidanceScenario, sign: int, z_rel: np.ndarray, x_pin: float) -> CurvingResult:
+    """Result of curvature `sign` from relaxed vertex z_rel with the cut pinned at x_pin.
+
+    z_rel and x_pin are in the positive-curvature frame (the mirrored
+    scenario for sign -1); the trajectory, cut and element set are mapped
+    back to s. The kept elements are a prefix of the array for sign +1 and
+    a suffix for sign -1.
+    """
+    m = s if sign > 0 else _mirror_scenario(s)
+    beta_m, p_tilde_m = _resolve_pinned(m, x_pin, z_rel)
+    vertex = tuple(sign * float(v) for v in z_rel)
+    if beta_m <= _BETA_TOL:
         return CurvingResult(
-            res.status,
+            "unnecessary",
             None,
-            res.message.replace("positive-curvature", "negative-curvature"),
-            most_violated=_MIRROR_NAMES.get(res.most_violated, res.most_violated)
-            if res.most_violated
-            else None,
+            "optimal curvature is zero after aperture projection; a straight beam suffices",
             relaxed_vertex=vertex,
         )
-    m = res.solution
-    xs = s.cfg.element_xs()
-    beta = -m.trajectory.beta
-    p = m.trajectory.p
-    p_tilde = -m.p_tilde
-    x_t_star = -m.x_t_star
+    beta, p_tilde, x_t_star = sign * beta_m, sign * p_tilde_m, sign * x_pin
+    p = p_tilde / beta
     q = s.user.x - beta * (s.user.y - p) ** 2
-    active = xs >= x_t_star - s.cfg.spacing * 1e-9
     sol = CurvingSolution(
         trajectory=ParabolicTrajectory(beta, p, q),
         p_tilde=p_tilde,
-        x_adj_star=-m.x_adj_star,
+        x_adj_star=vertex[2],
         x_t_star=x_t_star,
-        curvature_sign=-1,
+        curvature_sign=sign,
         objective_value=f_para(s, beta, p_tilde, x_t_star),
-        active_elements=active,
-        kkt_candidate_index=m.kkt_candidate_index,
-        relaxed_objective=-m.relaxed_objective,
+        active_elements=sign * s.cfg.element_xs() <= sign * x_t_star + s.cfg.spacing * 1e-9,
+        kkt_candidate_index=_kkt_index(m, z_rel),
+        relaxed_objective=sign * float(_objective_grad(m) @ z_rel),
     )
-    return CurvingResult(
-        "solved", sol, "negative-curvature trajectory found", relaxed_vertex=vertex
-    )
+    side = "positive" if sign > 0 else "negative"
+    return CurvingResult("solved", sol, f"{side}-curvature trajectory found", relaxed_vertex=vertex)
+
+
+def _optimize(s: AvoidanceScenario, sign: int) -> CurvingResult:
+    m = s if sign > 0 else _mirror_scenario(s)
+    g, c = _constraints(m)
+    scales = _scales(g, c)
+    z_star, feasible = _best_vertex(g, c, scales, _objective_grad(m), 3)
+    if not feasible:
+        if z_star is None:
+            worst = "near-corner clearance"
+        else:
+            worst = _CONSTRAINT_NAMES[int(np.argmax((g @ z_star + c) / scales))]
+        return CurvingResult(
+            "infeasible",
+            None,
+            "no trajectory with this curvature sign clears the obstacle",
+            most_violated=worst if sign > 0 else _MIRROR_NAMES.get(worst, worst),
+        )
+    r_half = s.cfg.half_aperture()
+    vertex = tuple(sign * float(v) for v in z_star)
+    if z_star[0] <= _BETA_TOL:
+        return CurvingResult(
+            "unnecessary",
+            None,
+            "optimal curvature is zero; a straight beam already clears the obstacle",
+            relaxed_vertex=vertex,
+        )
+    if z_star[2] <= -r_half + 1e-9 * max(1.0, r_half):
+        return CurvingResult(
+            "degenerate",
+            None,
+            "optimum collapses the aperture to a single edge element; increase weight_w",
+            relaxed_vertex=vertex,
+        )
+    x_pin = _project_prefix(s.cfg.element_xs(), float(z_star[2]), s.cfg.spacing)
+    return _pinned_result(s, sign, z_star, x_pin)
+
+
+def optimize_positive(s: AvoidanceScenario) -> CurvingResult:
+    """Solve the positive-curvature avoidance LP and build the trajectory.
+
+    Every vertex of the LP (each nonsingular triple of its eight
+    constraints) is computed in one batched solve; the feasible one
+    (normalized slack <= 1e-9) of least objective is the relaxed optimum.
+    The relaxed aperture cut is then projected onto the element grid and
+    the two remaining parameters re-optimized with the cut pinned. With no
+    feasible vertex the result is infeasible and names the constraint most
+    violated at the least-violating vertex.
+    """
+    return _optimize(s, 1)
 
 
 def optimize_negative(s: AvoidanceScenario) -> CurvingResult:
     """Solve the negative-curvature problem by mirror reduction.
 
-    The scenario is reflected about the y-axis, solved with the positive
-    machinery, and mapped back (beta, p_tilde, aperture cut and element set
-    all change sign/side; the reported candidate index refers to the
-    mirrored problem's table). The aperture cut keeps a suffix of the array.
+    The scenario is reflected about the y-axis, solved as in
+    optimize_positive, and mapped back (beta, p_tilde, aperture cut and
+    element set all change sign/side; the reported candidate index refers
+    to the mirrored problem's table, and an infeasible result names the
+    violated constraint of the original side). The aperture cut keeps a
+    suffix of the array.
     """
-    return _mirror_result(s, optimize_positive(_mirror_scenario(s)))
-
-
-def _repin_negative(s: AvoidanceScenario, res: CurvingResult, x_pin: float) -> CurvingResult:
-    """Rebuild a solved negative result with its aperture cut moved to x_pin."""
-    m = _mirror_scenario(s)
-    sol = res.solution
-    z_rel = np.array([-sol.trajectory.beta, -sol.p_tilde, -sol.x_adj_star])
-    beta_m, p_tilde_m = _resolve_pinned(m, -x_pin, z_rel)
-    if beta_m <= _BETA_TOL:
-        return CurvingResult("unnecessary", None, "secondary curvature collapsed to zero")
-    xs = s.cfg.element_xs()
-    beta = -beta_m
-    p_tilde = -p_tilde_m
-    p = p_tilde / beta
-    q = s.user.x - beta * (s.user.y - p) ** 2
-    active = xs >= x_pin - s.cfg.spacing * 1e-9
-    sol2 = CurvingSolution(
-        trajectory=ParabolicTrajectory(beta, p, q),
-        p_tilde=p_tilde,
-        x_adj_star=sol.x_adj_star,
-        x_t_star=x_pin,
-        curvature_sign=-1,
-        objective_value=f_para(s, beta, p_tilde, x_pin),
-        active_elements=active,
-        kkt_candidate_index=sol.kkt_candidate_index,
-        relaxed_objective=sol.relaxed_objective,
-    )
-    return CurvingResult("solved", sol2, "negative-curvature trajectory found")
+    return _optimize(s, -1)
 
 
 def plan_with_fallback(s: AvoidanceScenario) -> AvoidancePlan:
@@ -616,7 +571,7 @@ def plan_with_fallback(s: AvoidanceScenario) -> AvoidancePlan:
             )
         x_t_sec = max(neg.solution.x_t_star, float(remaining.min()))
         if x_t_sec != neg.solution.x_t_star:
-            neg = _repin_negative(s, neg, x_t_sec)
+            neg = _pinned_result(s, -1, -np.array(neg.relaxed_vertex), -x_t_sec)
             if neg.status != "solved":
                 return AvoidancePlan(
                     "solved", pos, None, "reverse-curvature secondary collapsed; primary only"

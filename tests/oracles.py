@@ -94,6 +94,28 @@ def grid_bounds(s: AvoidanceScenario) -> tuple[float, float, float]:
     return beta_hi, min(p_candidates) - margin, max(p_candidates) + margin
 
 
+def lp_violation(s: AvoidanceScenario, beta: float, p_tilde: float, x_adj: float) -> float:
+    """Largest constraint violation of the positive-curvature LP at a point.
+
+    <= 0 means feasible. The conditions are the ones grid_search scans:
+    beta >= 0, |x_adj| <= R, both obstacle corners cleared, the leftmost
+    tangent spanning the user, and x_adj between the tangent-reaches-user
+    and tangent-exists-at-cut bounds. Unscaled.
+    """
+    y_n, y_f, y_u, x_u, x_r2, r_half = _lp_data(s)
+    low = -2.0 * beta * y_u**2 + 2.0 * p_tilde * y_u + x_u
+    high = -beta * y_u**2 + 2.0 * p_tilde * y_u + x_u
+    rows = [
+        -beta,
+        abs(x_adj) - r_half,
+        2.0 * beta * y_u**2 - 2.0 * p_tilde * y_u - x_u - r_half,
+        low - x_adj,
+        x_adj - high,
+    ]
+    rows += [beta * (y_e**2 - y_u**2) - 2.0 * p_tilde * (y_e - y_u) + x_u - x_r2 for y_e in (y_n, y_f)]
+    return max(rows)
+
+
 def grid_search(s: AvoidanceScenario, n: int = 400) -> tuple[float, tuple[float, float, float]] | None:
     """Best objective on an n^3 grid of the positive-curvature problem.
 

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Proves:
-- Scenario files parse strictly: unknown keys, bad types, bad ranges and
-  unparseable YAML all exit 2; a missing file exits 4.
+- Scenario files parse strictly: unknown keys, bad types, bad ranges,
+  non-finite numbers and unparseable YAML all exit 2; a missing file
+  exits 4.
+- Importing the CLI does not load scipy.
 - analyze reproduces the printed design numbers (max spacing to five
   significant figures, exact element counts for three spacings), reports
   the steering-failure reason, and embeds self-healing geometry that
@@ -24,6 +26,9 @@ Proves:
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +36,7 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
+import ulabeam
 from ulabeam import (
     BesselDesign,
     CircleObstacle,
@@ -79,6 +85,16 @@ def read_csv_rows(path):
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency: the CLI must start without it
+    src = str(Path(ulabeam.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ulabeam.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_missing_scenario_file_exits_4(tmp_path):
     rc = main(["analyze", "--scenario", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])
     assert rc == 4
@@ -107,6 +123,10 @@ def test_unknown_top_level_key_exits_2(tmp_path, capsys):
         lambda d: d.pop("user"),
         lambda d: d.update(obstacle={"type": "sphere"}),
         lambda d: d.update(grid={"x_range": [0.0], "y_range": [0.1, 1.0], "nx": 4, "ny": 4}),
+        lambda d: d.update(grid={"x_range": [-0.8, math.inf], "y_range": [0.1, 1.0], "nx": 4, "ny": 4}),
+        lambda d: d["user"].update(x=math.nan),
+        lambda d: d["beam"].update(theta_deg=math.inf),
+        lambda d: d["user"].update(x=10**400),
     ],
 )
 def test_bad_scenario_values_exit_2(tmp_path, mangle):
@@ -458,6 +478,9 @@ def test_compare_input_validation(tmp_path):
     data["obstacles"] = [{"type": "none"}]
     path = write_scenario(tmp_path, data)
     assert main(["compare", "--scenario", path, "--out", str(tmp_path), "--levels", "1"]) == 2
+    data["error_box"] = {"half_width_x": math.inf, "half_width_y": 0.1}
+    path = write_scenario(tmp_path, data)
+    assert main(["compare", "--scenario", path, "--out", str(tmp_path)]) == 2
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

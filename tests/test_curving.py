@@ -9,8 +9,11 @@ Proves:
  - each of the nine closed-form KKT candidates satisfies its defining
    active-set equations exactly
  - solved results pass solver-independent geometric checks (anchor,
-   corner clearance, aperture bounds, tangent coverage of the user)
- - mirror reduction is an exact sign map; frozen instances reproduce
+   corner clearance, aperture bounds, tangent coverage of the user), and
+   agree with the closed-form table: the reported row is the relaxed
+   optimum and no feasible row beats it
+ - mirror reduction is an exact sign map, on a fixed case and a seeded
+   random batch; frozen instances reproduce
    pinned numbers including the negative-curvature fallback and the
    unnecessary classification
  - a two-beam plan keeps disjoint element sets and splits the power
@@ -40,7 +43,7 @@ from ulabeam import (
     tangent_y,
     trajectory_eval,
 )
-from oracles import random_feasible_scenarios, solution_geometry_slacks
+from oracles import lp_violation, random_feasible_scenarios, solution_geometry_slacks
 
 
 def frozen_scenario(cfg) -> AvoidanceScenario:
@@ -137,6 +140,10 @@ def test_curving_phases_errors():
     # apex at x = 1.5: elements beyond it have no tangent line
     with pytest.raises(ValueError, match="no tangent"):
         curving_phases(UlaConfig(8, 0.5, 140e9), t)
+    # index lists name elements 0..7 exactly: no wrapping, truncation or IndexError
+    for active in ([-1], [1.7], [8]):
+        with pytest.raises(ValueError, match="active indices"):
+            curving_phases(cfg, t, active)
 
 
 # -------------------------------------------------------------- KKT table
@@ -212,26 +219,65 @@ def test_solved_results_pass_geometric_checks(cfg1024):
         assert sol.objective_value >= sol.relaxed_objective - 1e-9
         assert res.relaxed_vertex is not None
         assert_allclose(f_para(s, *res.relaxed_vertex), sol.relaxed_objective, rtol=1e-12)
+        # cross-check against the paper's closed-form KKT table: the reported
+        # row is the optimum, and no feasible row does better
+        cands = kkt_candidates(s)
+        if sol.kkt_candidate_index is not None:
+            row = cands[sol.kkt_candidate_index - 1]
+            assert_allclose((row.beta, row.p_tilde, row.x_adj), res.relaxed_vertex, rtol=1e-9)
+        floor = sol.relaxed_objective - 1e-12 * max(1.0, abs(sol.relaxed_objective))
+        for cand in cands:
+            z = (cand.beta, cand.p_tilde, cand.x_adj)
+            if cand.valid and lp_violation(s, *z) <= 1e-9:
+                assert f_para(s, *z) >= floor
     assert solved >= 15
+
+
+def mirror_pair_status(s: AvoidanceScenario) -> str:
+    """Solve s with positive and its mirror image with negative curvature.
+
+    Solved pairs must be an exact sign map of each other; other outcomes
+    must agree in status (and in the violated constraint, sides swapped).
+    """
+    mirrored = AvoidanceScenario(
+        Point2(-s.user.x, s.user.y),
+        RectObstacle(-s.obstacle.x_r2, -s.obstacle.x_r1, s.obstacle.y_n, s.obstacle.y_f),
+        s.cfg,
+        s.weight_w,
+    )
+    pos = optimize_positive(s)
+    neg = optimize_negative(mirrored)
+    assert neg.status == pos.status
+    swap = {"aperture lower bound": "aperture upper bound", "aperture upper bound": "aperture lower bound"}
+    assert neg.most_violated == swap.get(pos.most_violated, pos.most_violated)
+    if pos.relaxed_vertex is None:
+        assert neg.relaxed_vertex is None
+    else:
+        assert neg.relaxed_vertex == tuple(-v for v in pos.relaxed_vertex)
+    if pos.status != "solved":
+        return pos.status
+    p_sol, n_sol = pos.solution, neg.solution
+    assert n_sol.trajectory.beta == -p_sol.trajectory.beta
+    assert n_sol.trajectory.p == p_sol.trajectory.p
+    assert n_sol.p_tilde == -p_sol.p_tilde
+    assert n_sol.x_t_star == -p_sol.x_t_star
+    assert n_sol.x_adj_star == -p_sol.x_adj_star
+    assert n_sol.objective_value == -p_sol.objective_value
+    assert n_sol.relaxed_objective == -p_sol.relaxed_objective
+    assert n_sol.kkt_candidate_index == p_sol.kkt_candidate_index
+    assert n_sol.curvature_sign == -1
+    anchor, side = solution_geometry_slacks(mirrored, n_sol)
+    assert anchor < 1e-9 and max(side) < 1e-9
+    assert np.array_equal(n_sol.active_elements, p_sol.active_elements[::-1])
+    return pos.status
 
 
 def test_mirror_reduction_is_exact_sign_map(cfg1024):
     s = AvoidanceScenario(Point2(0.05, 1.2), RectObstacle(0.10, -0.05, 0.2, 0.6), cfg1024, 1.5)
-    mirrored = AvoidanceScenario(
-        Point2(-0.05, 1.2), RectObstacle(0.05, -0.10, 0.2, 0.6), cfg1024, 1.5
-    )
-    pos = optimize_positive(s)
-    neg = optimize_negative(mirrored)
-    assert pos.status == neg.status == "solved"
-    assert neg.solution.trajectory.beta == -pos.solution.trajectory.beta
-    assert neg.solution.trajectory.p == pos.solution.trajectory.p
-    assert neg.solution.p_tilde == -pos.solution.p_tilde
-    assert neg.solution.x_t_star == -pos.solution.x_t_star
-    assert neg.solution.curvature_sign == -1
-    assert neg.relaxed_vertex == tuple(-v for v in pos.relaxed_vertex)
-    anchor, side = solution_geometry_slacks(mirrored, neg.solution)
-    assert anchor < 1e-9 and max(side) < 1e-9
-    assert np.array_equal(neg.solution.active_elements, pos.solution.active_elements[::-1])
+    assert mirror_pair_status(s) == "solved"
+    rng = np.random.default_rng(4242)
+    statuses = [mirror_pair_status(t) for t in random_feasible_scenarios(cfg1024, rng, 20)]
+    assert statuses.count("solved") >= 15
 
 
 def test_weight_trades_clearance_for_aperture(cfg1024):
