@@ -16,6 +16,7 @@ import math
 import os
 import sys
 
+import numpy as np
 import yaml
 
 from .array_geometry import (
@@ -49,9 +50,9 @@ from .metrics import (
     ErrorBox,
     ScenarioSet,
     amplitude_at_user,
-    area_average,
+    box_amplitudes,
     empirical_cdf,
-    pooled_box_amplitudes,
+    mean_amplitude,
     write_cdf_csv,
 )
 
@@ -509,17 +510,12 @@ def cmd_compare(scenario: dict, out: str, levels: int) -> int:
             occ = OcclusionModel(obstacle=obstacle)
             exc, _ = _beam_excitation(cfg, user, beam, obstacle, budget)
             entries.append((exc, occ))
-        pool = pooled_box_amplitudes(ScenarioSet(cfg, tuple(entries)), box)
-        write_cdf_csv(empirical_cdf(pool, levels), os.path.join(out, f"cdf_{label}.csv"))
-        for j, (exc, occ) in enumerate(entries):
-            rows.append(
-                (
-                    label,
-                    f"scenario_{j}",
-                    amplitude_at_user(cfg, exc, user, occ),
-                    area_average(cfg, exc, box, occ),
-                )
-            )
+        # Each box is evaluated once: the pooled CDF and its area average
+        # both read these amplitudes.
+        amps = [box_amplitudes(cfg, exc, box, occ) for exc, occ in ScenarioSet(cfg, entries).entries]
+        write_cdf_csv(empirical_cdf(np.concatenate(amps), levels), os.path.join(out, f"cdf_{label}.csv"))
+        for j, ((exc, occ), box_amps) in enumerate(zip(entries, amps)):
+            rows.append((label, f"scenario_{j}", amplitude_at_user(cfg, exc, user, occ), mean_amplitude(box_amps)))
     lines = ["beam,scenario,point_amplitude,area_average"]
     lines += [f"{b},{s},{_fmt(p)},{_fmt(a)}" for b, s, p, a in rows]
     with open(os.path.join(out, "compare.csv"), "w", encoding="ascii") as fh:

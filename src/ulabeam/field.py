@@ -14,6 +14,24 @@ touching the obstacle boundary counts as blocked; a field point on the
 obstacle boundary counts as interior. Interior points evaluate to a
 non-finite sentinel (NaN) on grids and raise for single-point queries.
 
+Kernel
+------
+``field_points`` folds the phase into one real array: with
+arg_n = phi_n - k r_n and w_n = gamma_n * visible_n / r_n, each point is
+sum_n w_n cos(arg_n) + j sum_n w_n sin(arg_n). The obstacle is convex, so
+the elements a point cannot see form one contiguous index run: the central
+projection, from the point onto y = 0, of the obstacle below the point's
+height. Each point gets that run [lo, hi) from O(1) geometry and a binary
+search, and w is zeroed on it (a point level with the obstacle has a run
+that reaches one end of the array).
+
+Points are processed in chunks of about ``_CHUNK_PAIRS`` point-element pairs,
+whose temporaries stay in cache. Chunks run on a thread pool with one thread
+per CPU this process may use (there is no setting); a batch of one chunk
+runs in the calling thread. Each chunk writes its own slice of the output and
+each point's sum is taken over its own row of elements, so the values are
+bit-identical whatever the chunk size and the number of threads.
+
 File formats
 ------------
 ``write_field_csv`` emits ``x,y,re,im,abs`` rows, sweeping x fastest with y
@@ -27,6 +45,7 @@ non-finite values map to 0.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +60,16 @@ __all__ = [
     "focusing_excitation",
     "field_at",
     "field_grid",
+    "field_points",
     "line_cut",
     "normalize_power",
     "write_field_csv",
     "write_field_pgm",
 ]
 
-# Grid/point batches are processed in chunks of roughly this many
-# point-element pairs to bound temporary-array memory.
-_CHUNK_PAIRS = 4_000_000
+# Point batches are processed in chunks of about this many point-element
+# pairs: each chunk's few float64 temporaries (1 MB apiece) stay in cache.
+_CHUNK_PAIRS = 131_072
 
 
 @dataclass(frozen=True)
@@ -167,71 +187,127 @@ def _interior_mask(obstacle, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported obstacle type {type(obstacle).__name__}")
 
 
-def _visible_mask(obstacle, ex: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Visibility of each element (ex, 0) from each point (px, py).
+def _shadow_interval(obstacle, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed x-interval [a, b] on y = 0 hidden from each point (px, py).
 
-    ex has shape (N,), px/py shape (M,); the result has shape (M, N).
+    The element at (x, 0) is blocked iff its sight segment meets the
+    obstacle, i.e. iff x lies in the central projection, from the point onto
+    y = 0, of the obstacle clipped to y < py. The obstacle is convex, so that
+    projection is one interval; a side whose obstacle points reach the
+    height py projects to -inf or +inf. No shadow gives a = +inf, b = -inf.
+    Points inside the obstacle get an arbitrary interval.
     """
-    if obstacle is None:
-        return np.ones((px.shape[0], ex.shape[0]), dtype=bool)
-    exr = ex[np.newaxis, :]
-    pxr = px[:, np.newaxis]
-    pyr = py[:, np.newaxis]
     if isinstance(obstacle, RectObstacle):
-        # The sight segment rises monotonically from y=0 to y=py. Its x-extent
-        # across the band [y_n, min(y_f, py)] is an interval; the segment is
-        # blocked iff that interval overlaps the obstacle's x-extent.
-        reaches = pyr > obstacle.y_n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac_lo = obstacle.y_n / pyr
-            frac_hi = np.minimum(obstacle.y_f, pyr) / pyr
-        x_lo = exr + (pxr - exr) * frac_lo
-        x_hi = exr + (pxr - exr) * frac_hi
-        lo = np.minimum(x_lo, x_hi)
-        hi = np.maximum(x_lo, x_hi)
-        blocked = reaches & (hi >= obstacle.x_r2) & (lo <= obstacle.x_r1)
-        return ~blocked
+        # A corner (qx, qy) with qy < py projects to px + (qx - px) * py / (py - qy).
+        reaches = py > obstacle.y_n
+        above = py > obstacle.y_f
+        s_n = np.divide(py, py - obstacle.y_n, out=np.ones_like(py), where=reaches)
+        s_f = np.divide(py, py - obstacle.y_f, out=np.ones_like(py), where=above)
+        left_n = px + (obstacle.x_r2 - px) * s_n
+        right_n = px + (obstacle.x_r1 - px) * s_n
+        a = np.where(
+            above,
+            np.minimum(left_n, px + (obstacle.x_r2 - px) * s_f),
+            np.where(px < obstacle.x_r2, left_n, -np.inf),
+        )
+        b = np.where(
+            above,
+            np.maximum(right_n, px + (obstacle.x_r1 - px) * s_f),
+            np.where(px > obstacle.x_r1, right_n, np.inf),
+        )
+        return np.where(reaches, a, np.inf), np.where(reaches, b, -np.inf)
     if isinstance(obstacle, CircleObstacle):
-        cx, cy, r = obstacle.center.x, obstacle.center.y, obstacle.radius
-        dx = pxr - exr
-        dy = pyr
-        wx = cx - exr
-        wy = np.broadcast_to(np.float64(cy), dy.shape)
-        denom = dx * dx + dy * dy
-        t = np.clip((wx * dx + wy * dy) / denom, 0.0, 1.0)
-        qx = exr + t * dx - cx
-        qy = t * dy - cy
-        blocked = qx * qx + qy * qy <= r * r
-        return ~blocked
+        # The tangent directions from the point, u_lo = L d - R perp(d) and
+        # u_hi = L d + R perp(d), with d the offset to the center,
+        # perp(d) = (-dy, dx) and L the tangent length, bound the hidden
+        # cone clockwise and counter-clockwise. A tangent that points down
+        # (uy < 0) meets y = 0 at px - py * ux / uy; one that does not
+        # leaves that side of the run unbounded.
+        r = obstacle.radius
+        dx = obstacle.center.x - px
+        dy = obstacle.center.y - py
+        tangent = np.sqrt(np.maximum(dx * dx + dy * dy - r * r, 0.0))
+        ux_lo, uy_lo = tangent * dx + r * dy, tangent * dy - r * dx
+        ux_hi, uy_hi = tangent * dx - r * dy, tangent * dy + r * dx
+        down_lo, down_hi = uy_lo < 0, uy_hi < 0
+        a = px - py * np.divide(ux_lo, uy_lo, out=np.zeros_like(px), where=down_lo)
+        b = px - py * np.divide(ux_hi, uy_hi, out=np.zeros_like(px), where=down_hi)
+        a = np.where(down_lo, a, -np.inf)
+        b = np.where(down_hi, b, np.inf)
+        hidden = down_lo | down_hi
+        return np.where(hidden, a, np.inf), np.where(hidden, b, -np.inf)
     raise TypeError(f"unsupported obstacle type {type(obstacle).__name__}")
 
 
-def _field_many(
-    cfg: UlaConfig, exc: Excitation, px: np.ndarray, py: np.ndarray, occ: OcclusionModel | None
+def _blocked_runs(obstacle, xs: np.ndarray, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the index run [lo, hi) of ascending xs hidden by the obstacle."""
+    a, b = _shadow_interval(obstacle, px, py)
+    lo = np.searchsorted(xs, a, side="left")
+    hi = np.searchsorted(xs, b, side="right")
+    return lo, np.maximum(lo, hi)
+
+
+def _workers() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+def field_points(
+    cfg: UlaConfig, exc: Excitation, px: np.ndarray, py: np.ndarray, occ: OcclusionModel | None = None
 ) -> np.ndarray:
-    """Field at many points; interior points yield NaN sentinels."""
+    """Complex field at the points (px[i], py[i]); interior points yield NaN."""
+    px = np.asarray(px, dtype=float)
+    py = np.asarray(py, dtype=float)
     if exc.n_elements != cfg.n_elements:
         raise ValueError("excitation length does not match array size")
+    if px.ndim != 1 or px.shape != py.shape:
+        raise ValueError("px and py must be equal-length 1-D arrays")
+    if not (np.all(np.isfinite(px)) and np.all(np.isfinite(py))):
+        raise ValueError("field points must be finite")
     if np.any(py <= 0):
         raise ValueError("field points must lie strictly in front of the array (y > 0)")
     obstacle = occ.obstacle if occ is not None else None
     xs = cfg.element_xs()
     k = cfg.wavenumber()
-    coef = exc.magnitudes * np.exp(1j * exc.phases)
-    coef = np.where(exc.active, coef, 0.0)
+    gamma, phi = exc.magnitudes, exc.phases
+    if obstacle is not None:
+        lo, hi = _blocked_runs(obstacle, xs, px, py)
 
     out = np.empty(px.shape[0], dtype=complex)
-    chunk = max(1, _CHUNK_PAIRS // max(1, cfg.n_elements))
-    for start in range(0, px.shape[0], chunk):
-        sl = slice(start, min(start + chunk, px.shape[0]))
-        cpx, cpy = px[sl], py[sl]
-        dx = cpx[:, np.newaxis] - xs[np.newaxis, :]
-        r = np.sqrt(dx * dx + cpy[:, np.newaxis] ** 2)
-        vis = _visible_mask(obstacle, xs, cpx, cpy)
-        contrib = (coef[np.newaxis, :] * vis) * np.exp(-1j * k * r) / r
-        out[sl] = contrib.sum(axis=1)
-    interior = _interior_mask(obstacle, px, py)
-    out[interior] = complex(np.nan, np.nan)
+    step = max(1, _CHUNK_PAIRS // max(1, cfg.n_elements))
+
+    def chunk(start: int) -> None:
+        sl = slice(start, start + step)
+        cpy = py[sl]
+        rr = np.subtract.outer(px[sl], xs)
+        rr *= rr
+        rr += (cpy * cpy)[:, np.newaxis]
+        r = np.sqrt(rr, out=rr)
+        w = gamma / r
+        if obstacle is not None:
+            clo, chi = lo[sl], hi[sl]
+            for i in np.flatnonzero(chi > clo):
+                w[i, clo[i] : chi[i]] = 0.0
+        arg = np.multiply(r, k, out=r)
+        np.subtract(phi, arg, out=arg)
+        term = np.cos(arg)
+        term *= w
+        out.real[sl] = term.sum(axis=1)
+        np.sin(arg, out=term)
+        term *= w
+        out.imag[sl] = term.sum(axis=1)
+
+    starts = range(0, px.shape[0], step)
+    workers = min(len(starts), _workers())
+    if workers <= 1:
+        for start in starts:
+            chunk(start)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(chunk, starts))
+    out[_interior_mask(obstacle, px, py)] = complex(np.nan, np.nan)
     return out
 
 
@@ -240,7 +316,7 @@ def field_at(cfg: UlaConfig, exc: Excitation, p: Point2, occ: OcclusionModel | N
     obstacle = occ.obstacle if occ is not None else None
     if _interior_mask(obstacle, np.array([p.x]), np.array([p.y]))[0]:
         raise ValueError("field point lies inside the obstacle")
-    return complex(_field_many(cfg, exc, np.array([p.x]), np.array([p.y]), occ)[0])
+    return complex(field_points(cfg, exc, np.array([p.x]), np.array([p.y]), occ)[0])
 
 
 def field_grid(
@@ -256,7 +332,7 @@ def field_grid(
     x = np.linspace(x_range[0], x_range[1], nx)
     y = np.linspace(y_range[0], y_range[1], ny)
     gx, gy = np.meshgrid(x, y, indexing="ij")
-    values = _field_many(cfg, exc, gx.ravel(), gy.ravel(), occ).reshape(nx, ny)
+    values = field_points(cfg, exc, gx.ravel(), gy.ravel(), occ).reshape(nx, ny)
     return FieldGrid((float(x_range[0]), float(x_range[1])), (float(y_range[0]), float(y_range[1])), nx, ny, values)
 
 
@@ -280,7 +356,7 @@ def line_cut(
     d = d_max_plot * np.arange(1, samples + 1) / samples
     px = d * math.sin(theta_a)
     py = d * math.cos(theta_a)
-    vals = _field_many(cfg, exc, px, py, occ)
+    vals = field_points(cfg, exc, px, py, occ)
     return [(float(di), float(abs(v))) for di, v in zip(d, vals)]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_geometry import Point2, UlaConfig
-from .field import Excitation, OcclusionModel, _field_many, field_at
+from .field import Excitation, OcclusionModel, field_at, field_points
 
 __all__ = [
     "ErrorBox",
@@ -22,6 +22,7 @@ __all__ = [
     "amplitude_at_user",
     "area_average",
     "box_amplitudes",
+    "mean_amplitude",
     "pooled_box_amplitudes",
     "scenario_averages",
     "empirical_cdf",
@@ -88,7 +89,7 @@ def box_amplitudes(
 ) -> np.ndarray:
     """|E| at every box sample outside the obstacle interior."""
     px, py = box.sample_points()
-    amps = np.abs(_field_many(cfg, exc, px, py, occ))
+    amps = np.abs(field_points(cfg, exc, px, py, occ))
     return amps[np.isfinite(amps)]
 
 
@@ -96,7 +97,11 @@ def area_average(
     cfg: UlaConfig, exc: Excitation, box: ErrorBox, occ: OcclusionModel | None = None
 ) -> float:
     """Mean |E| over the box sample grid, obstacle-interior samples excluded."""
-    amps = box_amplitudes(cfg, exc, box, occ)
+    return mean_amplitude(box_amplitudes(cfg, exc, box, occ))
+
+
+def mean_amplitude(amps: np.ndarray) -> float:
+    """Mean of one box's amplitudes from box_amplitudes; raises if it has none."""
     if amps.size == 0:
         raise ValueError("every box sample lies inside the obstacle")
     return float(amps.mean())

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ulabeam import AvoidanceScenario, tangent_y, trajectory_eval
+from ulabeam import AvoidanceScenario, CircleObstacle, RectObstacle, tangent_y, trajectory_eval
 
 
 def polyline_min_distances(points_x: np.ndarray, curve_x: np.ndarray, curve_y: np.ndarray) -> np.ndarray:
@@ -264,3 +264,68 @@ def random_feasible_scenarios(cfg, rng: np.random.Generator, count: int) -> list
         if ok:
             out.append(scen)
     return out
+
+
+def visible_pairs(obstacle, ex: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Visibility of each element (ex, 0) from each point (px, py), pair by pair.
+
+    ex has shape (N,), px/py shape (M,); the result has shape (M, N). A sight
+    segment that touches the obstacle counts as blocked.
+    """
+    if obstacle is None:
+        return np.ones((px.shape[0], ex.shape[0]), dtype=bool)
+    exr = ex[np.newaxis, :]
+    pxr = px[:, np.newaxis]
+    pyr = py[:, np.newaxis]
+    if isinstance(obstacle, RectObstacle):
+        # The sight segment rises monotonically from y=0 to y=py. Its x-extent
+        # across the band [y_n, min(y_f, py)] is an interval; the segment is
+        # blocked iff that interval overlaps the obstacle's x-extent.
+        reaches = pyr > obstacle.y_n
+        frac_lo = obstacle.y_n / pyr
+        frac_hi = np.minimum(obstacle.y_f, pyr) / pyr
+        x_lo = exr + (pxr - exr) * frac_lo
+        x_hi = exr + (pxr - exr) * frac_hi
+        lo = np.minimum(x_lo, x_hi)
+        hi = np.maximum(x_lo, x_hi)
+        blocked = reaches & (hi >= obstacle.x_r2) & (lo <= obstacle.x_r1)
+        return ~blocked
+    if isinstance(obstacle, CircleObstacle):
+        # Closest point of the segment to the center, against the radius.
+        cx, cy, r = obstacle.center.x, obstacle.center.y, obstacle.radius
+        dx = pxr - exr
+        dy = pyr
+        wx = cx - exr
+        t = np.clip((wx * dx + cy * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+        qx = exr + t * dx - cx
+        qy = t * dy - cy
+        return qx * qx + qy * qy > r * r
+    raise TypeError(f"unsupported obstacle type {type(obstacle).__name__}")
+
+
+def inside_obstacle(obstacle, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """True where a point lies inside or on the boundary of the obstacle."""
+    if obstacle is None:
+        return np.zeros(px.shape, dtype=bool)
+    if isinstance(obstacle, RectObstacle):
+        return (px >= obstacle.x_r2) & (px <= obstacle.x_r1) & (py >= obstacle.y_n) & (py <= obstacle.y_f)
+    return np.hypot(px - obstacle.center.x, py - obstacle.center.y) <= obstacle.radius
+
+
+def field_by_elements(ex, k, gamma, phi, obstacle, px, py) -> tuple[np.ndarray, np.ndarray]:
+    """Field at points (px, py), one element at a time, and sum(gamma / r) per point.
+
+    Each element adds gamma e^(j phi) e^(-j k r) / r where it is visible by
+    ``visible_pairs``; interior points are NaN. The second array is the
+    free-space scale sum(gamma_n / r_n) against which the drift of a faster
+    kernel is measured.
+    """
+    field = np.zeros(px.shape, dtype=complex)
+    scale = np.zeros(px.shape)
+    for x_n, g_n, phi_n in zip(ex, gamma, phi):
+        r = np.hypot(px - x_n, py)
+        visible = visible_pairs(obstacle, np.array([x_n]), px, py)[:, 0]
+        field += np.where(visible, g_n * np.exp(1j * phi_n) * np.exp(-1j * k * r) / r, 0.0)
+        scale += g_n / r
+    field[inside_obstacle(obstacle, px, py)] = complex(np.nan, np.nan)
+    return field, scale

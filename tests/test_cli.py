@@ -17,8 +17,8 @@ Proves:
   contents equal an in-process recomputation bit for bit, and refuses to
   run without a grid section.
 - compare emits one row per beam and obstacle plus a CDF file per beam;
-  the focused beam tops the free-space column and a fully blocking wall
-  zeroes the point amplitude.
+  the focused beam tops the free-space column, a fully blocking wall
+  zeroes the point amplitude, and each error box is evaluated once.
 - optimize exits 0 on solved or unnecessary plans and 3 on infeasible
   ones, always writing the plan JSON.
 - Repeated runs produce byte-identical data files.
@@ -460,6 +460,28 @@ def test_compare_full_wall_zeroes_point_amplitudes(tmp_path):
     assert rc == 0
     _, rows = read_csv_rows(tmp_path / "compare.csv")
     assert [r[2] for r in rows] == ["0.0", "0.0"]
+
+
+def test_compare_evaluates_each_box_once(tmp_path, monkeypatch):
+    batches = []
+    field_points = ulabeam.metrics.field_points
+
+    def counting(cfg, exc, px, py, occ=None):
+        batches.append(px.size)
+        return field_points(cfg, exc, px, py, occ)
+
+    monkeypatch.setattr(ulabeam.metrics, "field_points", counting)
+    data = {
+        "array": {"n_elements": 64, "spacing_mode": "half_wavelength", "carrier_freq_hz": 140e9},
+        "user": {"x": 0.0, "y": 1.0},
+        "beams": [{"type": "gaussian", "theta_deg": 0.0}, {"type": "focus"}],
+        "obstacles": [{"type": "none"}, {"type": "circle", "x": 0.02, "y": 0.5, "radius": 0.01}],
+        "error_box": {"half_width_x": 0.05, "half_width_y": 0.05, "nx": 3, "ny": 4},
+    }
+    rc = main(["compare", "--scenario", write_scenario(tmp_path, data), "--out", str(tmp_path), "--levels", "3"])
+    assert rc == 0
+    # one 12-sample batch per (beam, obstacle) pair, shared by its CDF and its average
+    assert batches == [12] * 4
 
 
 def test_compare_input_validation(tmp_path):
