@@ -8,133 +8,20 @@ intensity metrics, and a CLI front end.
 
 from __future__ import annotations
 
-from .array_geometry import (
-    SPEED_OF_LIGHT,
-    CircleObstacle,
-    Point2,
-    RectObstacle,
-    UlaConfig,
-    circle_bounding_square,
-    element_positions,
-    rotate,
-)
-from .bessel import (
-    BesselDesign,
-    BesselLimits,
-    SelfHealReport,
-    bessel_phases,
-    direct_ray,
-    max_spacing,
-    min_elements,
-    min_spacing_for_target,
-    propagation_limits,
-    self_heal_circle,
-    self_heal_rect,
-    wavefront,
-)
-from .curving import (
-    AvoidancePlan,
-    AvoidanceScenario,
-    CurvingResult,
-    CurvingSolution,
-    KktCandidate,
-    ParabolicTrajectory,
-    curving_phases,
-    f_para,
-    kkt_candidates,
-    optimize_negative,
-    optimize_positive,
-    plan_excitation,
-    plan_with_fallback,
-    tangent_y,
-    trajectory_eval,
-)
-from .field import (
-    Excitation,
-    FieldGrid,
-    OcclusionModel,
-    field_at,
-    field_grid,
-    field_points,
-    focusing_excitation,
-    gaussian_excitation,
-    line_cut,
-    normalize_power,
-    write_field_csv,
-    write_field_pgm,
-)
-from .metrics import (
-    ErrorBox,
-    ScenarioSet,
-    amplitude_at_user,
-    area_average,
-    box_amplitudes,
-    empirical_cdf,
-    mean_amplitude,
-    pooled_box_amplitudes,
-    scenario_averages,
-    write_cdf_csv,
-)
+from . import array_geometry, bessel, curving, field, metrics
+from .array_geometry import *  # noqa: F403
+from .bessel import *  # noqa: F403
+from .curving import *  # noqa: F403
+from .field import *  # noqa: F403
+from .metrics import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SPEED_OF_LIGHT",
-    "Point2",
-    "UlaConfig",
-    "RectObstacle",
-    "CircleObstacle",
-    "element_positions",
-    "rotate",
-    "circle_bounding_square",
-    "BesselDesign",
-    "BesselLimits",
-    "SelfHealReport",
-    "wavefront",
-    "bessel_phases",
-    "direct_ray",
-    "propagation_limits",
-    "min_elements",
-    "max_spacing",
-    "min_spacing_for_target",
-    "self_heal_rect",
-    "self_heal_circle",
-    "ParabolicTrajectory",
-    "AvoidanceScenario",
-    "KktCandidate",
-    "CurvingSolution",
-    "CurvingResult",
-    "AvoidancePlan",
-    "trajectory_eval",
-    "tangent_y",
-    "curving_phases",
-    "f_para",
-    "kkt_candidates",
-    "optimize_positive",
-    "optimize_negative",
-    "plan_with_fallback",
-    "plan_excitation",
-    "Excitation",
-    "FieldGrid",
-    "OcclusionModel",
-    "gaussian_excitation",
-    "focusing_excitation",
-    "field_at",
-    "field_grid",
-    "field_points",
-    "line_cut",
-    "normalize_power",
-    "write_field_csv",
-    "write_field_pgm",
-    "ErrorBox",
-    "ScenarioSet",
-    "amplitude_at_user",
-    "area_average",
-    "box_amplitudes",
-    "mean_amplitude",
-    "pooled_box_amplitudes",
-    "scenario_averages",
-    "empirical_cdf",
-    "write_cdf_csv",
+    *array_geometry.__all__,
+    *bessel.__all__,
+    *curving.__all__,
+    *field.__all__,
+    *metrics.__all__,
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Array layout, rotation, and obstacle geometry shared by the other modules.
+"""Array layout and obstacle geometry shared by the other modules.
 
 Coordinates: the array lies on the x-axis of the xy-plane, centered on the
 origin, radiating toward +y. Lengths are meters, frequencies Hz, angles
@@ -18,8 +18,6 @@ __all__ = [
     "UlaConfig",
     "RectObstacle",
     "CircleObstacle",
-    "element_positions",
-    "rotate",
     "circle_bounding_square",
 ]
 
@@ -125,22 +123,6 @@ class CircleObstacle:
             raise ValueError("radius must be positive")
         if not self.center.y - self.radius > 0:
             raise ValueError("circle must lie strictly in front of the array")
-
-
-def element_positions(cfg: UlaConfig) -> list[Point2]:
-    """Positions of all elements on the x-axis, ascending in x."""
-    return [Point2(x, 0.0) for x in cfg.element_xs()]
-
-
-def rotate(p: Point2, theta: float) -> Point2:
-    """Rotate p about the origin by theta [rad].
-
-    Returns (x cos(theta) - y sin(theta), x sin(theta) + y cos(theta)).
-    """
-    if not abs(theta) < math.pi / 2:
-        raise ValueError("|theta| must be < pi/2")
-    c, s = math.cos(theta), math.sin(theta)
-    return Point2(p.x * c - p.y * s, p.x * s + p.y * c)
 
 
 def circle_bounding_square(obs: CircleObstacle) -> RectObstacle:

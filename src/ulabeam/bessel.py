@@ -23,11 +23,9 @@ __all__ = [
     "SelfHealReport",
     "wavefront",
     "bessel_phases",
-    "direct_ray",
     "propagation_limits",
     "min_elements",
     "max_spacing",
-    "min_spacing_for_target",
     "self_heal_rect",
     "self_heal_circle",
 ]
@@ -130,15 +128,6 @@ def bessel_phases(cfg: UlaConfig, d: BesselDesign) -> Excitation:
     return Excitation(np.ones_like(xs), phases, np.ones_like(xs, dtype=bool))
 
 
-def direct_ray(y, x_tn: float, d: BesselDesign):
-    """x-coordinate at height y of the ray leaving the element at x_tn."""
-    _require_steerable(d)
-    slope = -math.tan(d.alpha - d.theta_a) if x_tn >= 0 else math.tan(d.alpha + d.theta_a)
-    yv = np.asarray(y, dtype=float)
-    out = slope * yv + x_tn
-    return float(out) if np.isscalar(y) or yv.ndim == 0 else out
-
-
 def propagation_limits(cfg: UlaConfig, d: BesselDesign) -> BesselLimits:
     """Propagation-distance limits and the aperture-edge reference points.
 
@@ -175,17 +164,6 @@ def max_spacing(d: BesselDesign, wavelength: float) -> float:
     if not wavelength > 0:
         raise ValueError("wavelength must be positive")
     return wavelength / 2.0 / math.sin(d.alpha + abs(d.theta_a))
-
-
-def min_spacing_for_target(d_target: float, d: BesselDesign, n_elements: int) -> float:
-    """Spacing needed for d_max >= d_target at a fixed element count.
-
-    Caller should confirm the result stays below max_spacing.
-    """
-    _require_steerable(d)
-    if n_elements < 2:
-        raise ValueError("n_elements must be >= 2")
-    return 2.0 * d_target * math.sin(d.alpha) / ((n_elements - 1) * math.cos(d.alpha + abs(d.theta_a)))
 
 
 def _heal_report(cfg: UlaConfig, d: BesselDesign, thresh_p: float, thresh_m: float) -> SelfHealReport:

@@ -20,6 +20,7 @@ import numpy as np
 import yaml
 
 from .array_geometry import (
+    SPEED_OF_LIGHT,
     CircleObstacle,
     Point2,
     RectObstacle,
@@ -37,12 +38,12 @@ from .bessel import (
 )
 from .curving import AvoidanceScenario, plan_excitation, plan_with_fallback
 from .field import (
-    OcclusionModel,
     field_grid,
     focusing_excitation,
     gaussian_excitation,
     line_cut,
     normalize_power,
+    write_columns,
     write_field_csv,
     write_field_pgm,
 )
@@ -59,20 +60,12 @@ from .metrics import (
 __all__ = ["main"]
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
 class PlanNotSolved(Exception):
-    """Curving optimizer returned no beam; carries the JSON diagnostic."""
-
-    def __init__(self, diagnostic: dict):
-        super().__init__(diagnostic.get("message", "optimizer did not produce a beam"))
-        self.diagnostic = diagnostic
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
+    """Curving optimizer returned no beam; the message is the plan's."""
 
 
 # -- scenario file parsing ------------------------------------------------
@@ -124,7 +117,7 @@ def _parse_array(node) -> UlaConfig:
     freq = _number(_pop(d, "carrier_freq_hz", "array"), "array.carrier_freq_hz")
     mode = _pop(d, "spacing_mode", "array")
     if mode == "half_wavelength":
-        spacing = 299792458.0 / freq / 2.0
+        spacing = SPEED_OF_LIGHT / freq / 2.0
     elif mode == "explicit":
         spacing = _number(_pop(d, "spacing_m", "array"), "array.spacing_m")
     else:
@@ -303,8 +296,12 @@ def _curving_plan(cfg: UlaConfig, user: Point2, beam: dict, obstacle):
     return plan_with_fallback(scen)
 
 
-def _beam_excitation(cfg: UlaConfig, user: Point2, beam: dict, obstacle, budget: float):
-    """Excitation for one beam entry; curving beams also return a plan dict."""
+def _beam_excitation(cfg: UlaConfig, user: Point2, beam: dict, obstacle, budget: float, out: str | None = None):
+    """Excitation for one beam entry; curving beams also return a plan dict.
+
+    A curving plan that yields no beam raises PlanNotSolved, after writing
+    its diagnostic to curving.json in out when out is given.
+    """
     typ = beam["type"]
     if typ == "gaussian":
         return normalize_power(gaussian_excitation(cfg, math.radians(beam["theta_deg"])), budget), None
@@ -314,9 +311,12 @@ def _beam_excitation(cfg: UlaConfig, user: Point2, beam: dict, obstacle, budget:
         design = BesselDesign(math.radians(beam["theta_deg"]), math.radians(beam["alpha_deg"]))
         return normalize_power(bessel_phases(cfg, design), budget), None
     plan = _curving_plan(cfg, user, beam, obstacle)
+    diagnostic = _plan_dict(plan)
     if plan.status != "solved":
-        raise PlanNotSolved(_plan_dict(plan))
-    return plan_excitation(cfg, plan, budget), _plan_dict(plan)
+        if out is not None:
+            _write_json(os.path.join(out, "curving.json"), diagnostic)
+        raise PlanNotSolved(plan.message)
+    return plan_excitation(cfg, plan, budget), diagnostic
 
 
 # -- output helpers -------------------------------------------------------
@@ -354,17 +354,6 @@ def _obstacle_echo(obstacle) -> dict:
         "y": obstacle.center.y,
         "radius": obstacle.radius,
     }
-
-
-def _write_excitation_csv(cfg: UlaConfig, exc, path: str) -> None:
-    xs = cfg.element_xs()
-    lines = ["index,x,gamma,phase_rad,active"]
-    for i in range(cfg.n_elements):
-        lines.append(
-            f"{i},{_fmt(xs[i])},{_fmt(exc.magnitudes[i])},{_fmt(exc.phases[i])},{int(exc.active[i])}"
-        )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # -- subcommands ----------------------------------------------------------
@@ -423,15 +412,9 @@ def cmd_analyze(scenario: dict, out: str) -> int:
 
 def cmd_synthesize(scenario: dict, out: str) -> int:
     cfg, user = scenario["cfg"], scenario["user"]
-    try:
-        exc, plan = _beam_excitation(
-            cfg, user, scenario["beam"], scenario["obstacle"], scenario["power_budget"]
-        )
-    except PlanNotSolved as e:
-        _write_json(os.path.join(out, "curving.json"), e.diagnostic)
-        print(f"optimizer did not produce a beam: {e}", file=sys.stderr)
-        return 3
-    _write_excitation_csv(cfg, exc, os.path.join(out, "excitation.csv"))
+    exc, plan = _beam_excitation(cfg, user, scenario["beam"], scenario["obstacle"], scenario["power_budget"], out)
+    columns = (np.arange(cfg.n_elements), cfg.element_xs(), exc.magnitudes, exc.phases, exc.active.astype(int))
+    write_columns(os.path.join(out, "excitation.csv"), "index,x,gamma,phase_rad,active", columns)
     if plan is not None:
         _write_json(os.path.join(out, "curving.json"), plan)
     return 0
@@ -450,16 +433,9 @@ def cmd_simulate(scenario: dict, out: str, grid_override, line_cut_spec) -> int:
     x_range, y_range, nx, ny = scenario["grid"]
     if grid_override is not None:
         nx, ny = grid_override
-    occ = OcclusionModel(obstacle=scenario["obstacle"])
-    try:
-        exc, plan = _beam_excitation(
-            cfg, user, scenario["beam"], scenario["obstacle"], scenario["power_budget"]
-        )
-    except PlanNotSolved as e:
-        _write_json(os.path.join(out, "curving.json"), e.diagnostic)
-        print(f"optimizer did not produce a beam: {e}", file=sys.stderr)
-        return 3
-    grid = field_grid(cfg, exc, x_range, y_range, nx, ny, occ)
+    obstacle = scenario["obstacle"]
+    exc, plan = _beam_excitation(cfg, user, scenario["beam"], obstacle, scenario["power_budget"], out)
+    grid = field_grid(cfg, exc, x_range, y_range, nx, ny, obstacle)
     write_field_csv(grid, os.path.join(out, "field.csv"))
     write_field_pgm(grid, os.path.join(out, "field.pgm"))
     meta = {
@@ -468,7 +444,7 @@ def cmd_simulate(scenario: dict, out: str, grid_override, line_cut_spec) -> int:
         "n_elements": cfg.n_elements,
         "nx": nx,
         "ny": ny,
-        "obstacle": _obstacle_echo(scenario["obstacle"]),
+        "obstacle": _obstacle_echo(obstacle),
         "power_budget": scenario["power_budget"],
         "spacing": cfg.spacing,
         "user": {"x": user.x, "y": user.y},
@@ -480,11 +456,8 @@ def cmd_simulate(scenario: dict, out: str, grid_override, line_cut_spec) -> int:
     _write_json(os.path.join(out, "simulate.json"), meta)
     if line_cut_spec is not None:
         d_plot, samples = line_cut_spec
-        pairs = line_cut(cfg, exc, _cut_angle(scenario["beam"], user), d_plot, samples, occ)
-        lines = ["distance,amplitude"]
-        lines += [f"{_fmt(d)},{_fmt(a)}" for d, a in pairs]
-        with open(os.path.join(out, "linecut.csv"), "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        pairs = line_cut(cfg, exc, _cut_angle(scenario["beam"], user), d_plot, samples, obstacle)
+        write_columns(os.path.join(out, "linecut.csv"), "distance,amplitude", zip(*pairs))
     return 0
 
 
@@ -502,24 +475,19 @@ def cmd_compare(scenario: dict, out: str, levels: int) -> int:
     cfg, user = scenario["cfg"], scenario["user"]
     budget = scenario["power_budget"]
     box = scenario["error_box"]
+    obstacles = scenario["obstacles"]
     labels = _beam_labels(scenario["beams"])
     rows = []
     for label, beam in zip(labels, scenario["beams"]):
-        entries = []
-        for obstacle in scenario["obstacles"]:
-            occ = OcclusionModel(obstacle=obstacle)
-            exc, _ = _beam_excitation(cfg, user, beam, obstacle, budget)
-            entries.append((exc, occ))
+        entries = [(_beam_excitation(cfg, user, beam, obstacle, budget)[0], obstacle) for obstacle in obstacles]
         # Each box is evaluated once: the pooled CDF and its area average
         # both read these amplitudes.
-        amps = [box_amplitudes(cfg, exc, box, occ) for exc, occ in ScenarioSet(cfg, entries).entries]
+        amps = [box_amplitudes(cfg, exc, box, obstacle) for exc, obstacle in ScenarioSet(cfg, entries).entries]
         write_cdf_csv(empirical_cdf(np.concatenate(amps), levels), os.path.join(out, f"cdf_{label}.csv"))
-        for j, ((exc, occ), box_amps) in enumerate(zip(entries, amps)):
-            rows.append((label, f"scenario_{j}", amplitude_at_user(cfg, exc, user, occ), mean_amplitude(box_amps)))
-    lines = ["beam,scenario,point_amplitude,area_average"]
-    lines += [f"{b},{s},{_fmt(p)},{_fmt(a)}" for b, s, p, a in rows]
-    with open(os.path.join(out, "compare.csv"), "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for j, ((exc, obstacle), box_amps) in enumerate(zip(entries, amps)):
+            point = amplitude_at_user(cfg, exc, user, obstacle)
+            rows.append((label, f"scenario_{j}", point, mean_amplitude(box_amps)))
+    write_columns(os.path.join(out, "compare.csv"), "beam,scenario,point_amplitude,area_average", zip(*rows))
     return 0
 
 
@@ -538,27 +506,15 @@ def cmd_optimize(scenario: dict, out: str) -> int:
 # -- argument parsing -----------------------------------------------------
 
 
-def _split_pair(value: str, name: str) -> tuple[str, str]:
+def _flag_pair(value: str, name: str, first, second) -> tuple:
+    """Parse a "first,second" flag value with the two converters."""
     parts = value.split(",")
     if len(parts) != 2:
         raise UsageError(f"--{name} expects two comma-separated values")
-    return parts[0], parts[1]
-
-
-def _parse_grid_flag(value: str) -> tuple[int, int]:
-    a, b = _split_pair(value, "grid")
     try:
-        return int(a), int(b)
+        return first(parts[0]), second(parts[1])
     except ValueError as e:
-        raise UsageError(f"--grid: {e}") from e
-
-
-def _parse_cut_flag(value: str) -> tuple[float, int]:
-    a, b = _split_pair(value, "line-cut")
-    try:
-        return float(a), int(b)
-    except ValueError as e:
-        raise UsageError(f"--line-cut: {e}") from e
+        raise UsageError(f"--{name}: {e}") from e
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -586,17 +542,14 @@ def main(argv=None) -> int:
         if args.command == "synthesize":
             return cmd_synthesize(scenario, args.out)
         if args.command == "simulate":
-            grid_override = None if args.grid is None else _parse_grid_flag(args.grid)
-            cut = None if args.line_cut is None else _parse_cut_flag(args.line_cut)
+            grid_override = None if args.grid is None else _flag_pair(args.grid, "grid", int, int)
+            cut = None if args.line_cut is None else _flag_pair(args.line_cut, "line-cut", float, int)
             return cmd_simulate(scenario, args.out, grid_override, cut)
         if args.command == "compare":
             if args.levels < 2:
                 raise UsageError("--levels must be >= 2")
             return cmd_compare(scenario, args.out, args.levels)
         return cmd_optimize(scenario, args.out)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except PlanNotSolved as e:
         print(f"optimizer did not produce a beam: {e}", file=sys.stderr)
         return 3

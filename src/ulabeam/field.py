@@ -55,7 +55,6 @@ from .array_geometry import CircleObstacle, Point2, RectObstacle, UlaConfig
 __all__ = [
     "Excitation",
     "FieldGrid",
-    "OcclusionModel",
     "gaussian_excitation",
     "focusing_excitation",
     "field_at",
@@ -135,18 +134,6 @@ class FieldGrid:
 
     def y_coords(self) -> np.ndarray:
         return np.linspace(self.y_range[0], self.y_range[1], self.ny)
-
-
-@dataclass(frozen=True)
-class OcclusionModel:
-    """Occlusion configuration; obstacle None means free space."""
-
-    obstacle: RectObstacle | CircleObstacle | None = None
-    mode: str = "hard_shadow"
-
-    def __post_init__(self) -> None:
-        if self.mode != "hard_shadow":
-            raise ValueError("only hard_shadow occlusion is supported")
 
 
 def gaussian_excitation(cfg: UlaConfig, theta_a: float) -> Excitation:
@@ -253,7 +240,11 @@ def _workers() -> int:
 
 
 def field_points(
-    cfg: UlaConfig, exc: Excitation, px: np.ndarray, py: np.ndarray, occ: OcclusionModel | None = None
+    cfg: UlaConfig,
+    exc: Excitation,
+    px: np.ndarray,
+    py: np.ndarray,
+    obstacle: RectObstacle | CircleObstacle | None = None,
 ) -> np.ndarray:
     """Complex field at the points (px[i], py[i]); interior points yield NaN."""
     px = np.asarray(px, dtype=float)
@@ -266,7 +257,6 @@ def field_points(
         raise ValueError("field points must be finite")
     if np.any(py <= 0):
         raise ValueError("field points must lie strictly in front of the array (y > 0)")
-    obstacle = occ.obstacle if occ is not None else None
     xs = cfg.element_xs()
     k = cfg.wavenumber()
     gamma, phi = exc.magnitudes, exc.phases
@@ -311,12 +301,13 @@ def field_points(
     return out
 
 
-def field_at(cfg: UlaConfig, exc: Excitation, p: Point2, occ: OcclusionModel | None = None) -> complex:
+def field_at(
+    cfg: UlaConfig, exc: Excitation, p: Point2, obstacle: RectObstacle | CircleObstacle | None = None
+) -> complex:
     """Complex field at a single point; raises if p lies inside the obstacle."""
-    obstacle = occ.obstacle if occ is not None else None
     if _interior_mask(obstacle, np.array([p.x]), np.array([p.y]))[0]:
         raise ValueError("field point lies inside the obstacle")
-    return complex(field_points(cfg, exc, np.array([p.x]), np.array([p.y]), occ)[0])
+    return complex(field_points(cfg, exc, np.array([p.x]), np.array([p.y]), obstacle)[0])
 
 
 def field_grid(
@@ -326,13 +317,13 @@ def field_grid(
     y_range: tuple[float, float],
     nx: int,
     ny: int,
-    occ: OcclusionModel | None = None,
+    obstacle: RectObstacle | CircleObstacle | None = None,
 ) -> FieldGrid:
     """Field on a regular nx-by-ny grid; obstacle-interior nodes become NaN."""
     x = np.linspace(x_range[0], x_range[1], nx)
     y = np.linspace(y_range[0], y_range[1], ny)
     gx, gy = np.meshgrid(x, y, indexing="ij")
-    values = field_points(cfg, exc, gx.ravel(), gy.ravel(), occ).reshape(nx, ny)
+    values = field_points(cfg, exc, gx.ravel(), gy.ravel(), obstacle).reshape(nx, ny)
     return FieldGrid((float(x_range[0]), float(x_range[1])), (float(y_range[0]), float(y_range[1])), nx, ny, values)
 
 
@@ -342,7 +333,7 @@ def line_cut(
     theta_a: float,
     d_max_plot: float,
     samples: int,
-    occ: OcclusionModel | None = None,
+    obstacle: RectObstacle | CircleObstacle | None = None,
 ) -> list[tuple[float, float]]:
     """|E| along the ray at angle theta_a from the y-axis, d in (0, d_max_plot].
 
@@ -356,7 +347,7 @@ def line_cut(
     d = d_max_plot * np.arange(1, samples + 1) / samples
     px = d * math.sin(theta_a)
     py = d * math.cos(theta_a)
-    vals = field_points(cfg, exc, px, py, occ)
+    vals = field_points(cfg, exc, px, py, obstacle)
     return [(float(di), float(abs(v))) for di, v in zip(d, vals)]
 
 
@@ -371,23 +362,33 @@ def normalize_power(exc: Excitation, budget: float) -> Excitation:
     return Excitation(exc.magnitudes * factor, exc.phases, exc.active)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def write_columns(path: str, header: str, columns) -> None:
+    """Write equal-length columns as an ASCII CSV with LF line endings.
+
+    Cells are str of each value (of tolist() for arrays): a float's str is
+    its shortest round-trip repr, NaN spelled ``nan``.
+    """
+    cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns]
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row + "\n" for row in map(",".join, zip(*cells)))
 
 
 def write_field_csv(grid: FieldGrid, path: str) -> None:
     """Write the grid as CSV (see module docstring for the layout)."""
-    xs = grid.x_coords()
-    ys = grid.y_coords()
-    lines = ["x,y,re,im,abs"]
-    for iy in range(grid.ny):
-        for ix in range(grid.nx):
-            v = grid.values[ix, iy]
-            lines.append(
-                f"{_fmt(xs[ix])},{_fmt(ys[iy])},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}"
-            )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    values = grid.values.T.ravel()
+    # abs per node with Python's complex abs: np.abs rounds some nodes differently.
+    write_columns(
+        path,
+        "x,y,re,im,abs",
+        (
+            np.tile(grid.x_coords(), grid.ny),
+            np.repeat(grid.y_coords(), grid.nx),
+            values.real,
+            values.imag,
+            [abs(v) for v in values.tolist()],
+        ),
+    )
 
 
 def write_field_pgm(grid: FieldGrid, path: str) -> None:

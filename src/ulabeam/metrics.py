@@ -1,10 +1,9 @@
 """Intensity statistics under positioning uncertainty.
 
-Point amplitude at the user, area-averaged amplitude over a positioning
-error box, and empirical CDFs of amplitude pooled across obstacle
+Point amplitude at the user, the amplitudes over a positioning error box
+and their mean, and empirical CDFs of amplitudes pooled across obstacle
 scenarios. The box is sampled on a deterministic uniform grid, so the
-metrics are reproducible; samples falling inside an obstacle are excluded
-from averages and pools.
+metrics are reproducible; samples falling inside an obstacle are excluded.
 """
 
 from __future__ import annotations
@@ -13,18 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_geometry import Point2, UlaConfig
-from .field import Excitation, OcclusionModel, field_at, field_points
+from .array_geometry import CircleObstacle, Point2, RectObstacle, UlaConfig
+from .field import Excitation, field_at, field_points, write_columns
 
 __all__ = [
     "ErrorBox",
     "ScenarioSet",
     "amplitude_at_user",
-    "area_average",
     "box_amplitudes",
     "mean_amplitude",
-    "pooled_box_amplitudes",
-    "scenario_averages",
     "empirical_cdf",
     "write_cdf_csv",
 ]
@@ -56,14 +52,14 @@ class ErrorBox:
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """Obstacle scenarios sharing one array: (excitation, occlusion) pairs.
+    """Obstacle scenarios sharing one array: (excitation, obstacle) pairs.
 
     All excitations must carry the same power budget, so pooled amplitude
     statistics compare beams rather than power levels.
     """
 
     cfg: UlaConfig
-    entries: tuple[tuple[Excitation, OcclusionModel], ...]
+    entries: tuple[tuple[Excitation, RectObstacle | CircleObstacle | None], ...]
 
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
@@ -78,26 +74,19 @@ class ScenarioSet:
 
 
 def amplitude_at_user(
-    cfg: UlaConfig, exc: Excitation, user: Point2, occ: OcclusionModel | None = None
+    cfg: UlaConfig, exc: Excitation, user: Point2, obstacle: RectObstacle | CircleObstacle | None = None
 ) -> float:
     """|E| at the user position."""
-    return abs(field_at(cfg, exc, user, occ))
+    return abs(field_at(cfg, exc, user, obstacle))
 
 
 def box_amplitudes(
-    cfg: UlaConfig, exc: Excitation, box: ErrorBox, occ: OcclusionModel | None = None
+    cfg: UlaConfig, exc: Excitation, box: ErrorBox, obstacle: RectObstacle | CircleObstacle | None = None
 ) -> np.ndarray:
     """|E| at every box sample outside the obstacle interior."""
     px, py = box.sample_points()
-    amps = np.abs(field_points(cfg, exc, px, py, occ))
+    amps = np.abs(field_points(cfg, exc, px, py, obstacle))
     return amps[np.isfinite(amps)]
-
-
-def area_average(
-    cfg: UlaConfig, exc: Excitation, box: ErrorBox, occ: OcclusionModel | None = None
-) -> float:
-    """Mean |E| over the box sample grid, obstacle-interior samples excluded."""
-    return mean_amplitude(box_amplitudes(cfg, exc, box, occ))
 
 
 def mean_amplitude(amps: np.ndarray) -> float:
@@ -105,16 +94,6 @@ def mean_amplitude(amps: np.ndarray) -> float:
     if amps.size == 0:
         raise ValueError("every box sample lies inside the obstacle")
     return float(amps.mean())
-
-
-def pooled_box_amplitudes(scenarios: ScenarioSet, box: ErrorBox) -> np.ndarray:
-    """Amplitudes pooled over all scenarios and box samples."""
-    pools = [box_amplitudes(scenarios.cfg, exc, box, occ) for exc, occ in scenarios.entries]
-    return np.concatenate(pools)
-
-
-def scenario_averages(scenarios: ScenarioSet, box: ErrorBox) -> list[float]:
-    return [area_average(scenarios.cfg, exc, box, occ) for exc, occ in scenarios.entries]
 
 
 def empirical_cdf(values, levels: int) -> list[tuple[float, float]]:
@@ -134,7 +113,4 @@ def empirical_cdf(values, levels: int) -> list[tuple[float, float]]:
 
 
 def write_cdf_csv(pairs: list[tuple[float, float]], path: str) -> None:
-    lines = ["amplitude,probability"]
-    lines += [f"{repr(float(a))},{repr(float(p))}" for a, p in pairs]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_columns(path, "amplitude,probability", zip(*pairs))

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ulabeam import AvoidanceScenario, CircleObstacle, RectObstacle, tangent_y, trajectory_eval
+from ulabeam import AvoidanceScenario, BesselDesign, CircleObstacle, RectObstacle, tangent_y, trajectory_eval
 
 
 def polyline_min_distances(points_x: np.ndarray, curve_x: np.ndarray, curve_y: np.ndarray) -> np.ndarray:
@@ -51,6 +51,17 @@ def polyline_min_distances(points_x: np.ndarray, curve_x: np.ndarray, curve_y: n
         fx += fy
         out[i] = np.sqrt(fx.min())
     return out
+
+
+def direct_ray(y, x_tn: float, d: BesselDesign):
+    """x-coordinate at height y of the Bessel ray leaving the element at x_tn.
+
+    Each element's ray runs perpendicular to its wavefront segment: it
+    leans inward at alpha - theta_a from the y-axis on the x >= 0 side and
+    at alpha + theta_a on the other.
+    """
+    slope = -math.tan(d.alpha - d.theta_a) if x_tn >= 0 else math.tan(d.alpha + d.theta_a)
+    return slope * np.asarray(y, dtype=float) + x_tn
 
 
 def _lp_data(s: AvoidanceScenario):

@@ -38,7 +38,6 @@ from oracles import (
 from ulabeam import (
     AvoidanceScenario,
     BesselDesign,
-    OcclusionModel,
     Point2,
     RectObstacle,
     UlaConfig,
@@ -302,11 +301,10 @@ def test_c11_shadow_recovery(cfg1024):
         assert_allclose(heal.d_h_pos, 0.813191623923532, rtol=1e-12)
         assert heal.d_h_neg == heal.d_h_pos
         exc = bessel_phases(cfg1024, design)
-        occ = OcclusionModel(obstacle)
 
         def ratio(y):
             free = abs(field_at(cfg1024, exc, Point2(0.0, y)))
-            blocked = abs(field_at(cfg1024, exc, Point2(0.0, y), occ))
+            blocked = abs(field_at(cfg1024, exc, Point2(0.0, y), obstacle))
             return blocked / free
 
         for y in np.linspace(0.5701, 0.76, 80):

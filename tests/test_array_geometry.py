@@ -4,8 +4,6 @@ Proves:
  - element x-coordinates follow the centered 1-based layout and match the
    ascending vector form
  - half-aperture, wavelength, and wavenumber arithmetic
- - rotation is a proper rotation (round-trip, norm preservation) and
-   rejects |theta| >= pi/2
  - obstacle invariant violations raise
  - the bounding square of a circle has the expected corners
 """
@@ -23,8 +21,6 @@ from ulabeam import (
     RectObstacle,
     UlaConfig,
     circle_bounding_square,
-    element_positions,
-    rotate,
 )
 
 
@@ -70,13 +66,6 @@ def test_element_index_bounds(cfg1024):
         cfg1024.element_x(1025)
 
 
-def test_element_positions_are_points(cfg1024):
-    pts = element_positions(cfg1024)
-    assert len(pts) == 1024
-    assert pts[0].y == 0.0
-    assert pts[0].x == cfg1024.element_x(1)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         UlaConfig(n_elements=1, spacing=1.0, carrier_freq=1e9)
@@ -92,25 +81,6 @@ def test_point2_norm_and_array():
     assert_allclose(p.as_array(), [3.0, 4.0])
     with pytest.raises(ValueError):
         Point2(math.nan, 0.0)
-
-
-def test_rotate_round_trip():
-    p = Point2(0.3, 0.4)
-    q = rotate(rotate(p, 0.2618), -0.2618)
-    assert_allclose([q.x, q.y], [0.3, 0.4], atol=1e-12)
-
-
-def test_rotate_preserves_norm():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        p = Point2(*rng.uniform(-2, 2, size=2))
-        th = rng.uniform(-1.5, 1.5)
-        assert_allclose(rotate(p, th).norm(), p.norm(), rtol=1e-12)
-
-
-def test_rotate_quarter_turn_rejected():
-    with pytest.raises(ValueError):
-        rotate(Point2(1.0, 0.0), math.pi / 2)
 
 
 def test_rect_obstacle_validation():

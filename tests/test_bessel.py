@@ -8,8 +8,9 @@ Proves:
  - propagation limits match frozen values, the reference points lie on the
    steering axis at distances d_lim / d_max, and the edge-element ray lands
    on the axis at d_max
- - element-count / spacing bounds reproduce the printed design numbers and
-   are mutually inverse
+ - element-count / spacing bounds reproduce the printed design numbers, and
+   the element count is the least that reaches the target distance at each
+   of three spacings
  - self-healing reports match frozen values for the cuboid and cylinder
    fixtures, and the clearing element's ray really does clear the circle
    while its inward neighbor does not
@@ -28,16 +29,14 @@ from ulabeam import (
     RectObstacle,
     UlaConfig,
     bessel_phases,
-    direct_ray,
     max_spacing,
     min_elements,
-    min_spacing_for_target,
     propagation_limits,
     self_heal_circle,
     self_heal_rect,
     wavefront,
 )
-from oracles import polyline_min_distances
+from oracles import direct_ray, polyline_min_distances
 
 DEG = math.pi / 180.0
 
@@ -180,19 +179,11 @@ def test_min_elements_design_table():
     assert min_elements(4.0, d, 0.00372) == 899
 
 
-def test_min_elements_spacing_round_trip():
+@pytest.mark.parametrize(
+    "spacing", [299792458.0 / 140e9 / 2.0, 0.00186, 0.00372], ids=["half_wavelength", "1.86mm", "3.72mm"]
+)
+def test_min_elements_reaches_target_distance(spacing):
     d = BesselDesign(15 * DEG, 20 * DEG)
-    for spacing in (299792458.0 / 140e9 / 2.0, 0.00186, 0.00372):
-        n = min_elements(4.0, d, spacing)
-        # the returned count must reach the target at a spacing no wider
-        # than the one given
-        assert min_spacing_for_target(4.0, d, n) <= spacing
-        assert min_spacing_for_target(4.0, d, n - 1) > spacing
-
-
-def test_min_elements_reaches_target_distance():
-    d = BesselDesign(15 * DEG, 20 * DEG)
-    spacing = 0.00186
     n = min_elements(4.0, d, spacing)
     cfg = UlaConfig(n, spacing, 140e9)
     assert propagation_limits(cfg, d).d_max >= 4.0
@@ -206,8 +197,6 @@ def test_sampling_bound_argument_validation():
         min_elements(-1.0, d, 1e-3)
     with pytest.raises(ValueError):
         max_spacing(d, 0.0)
-    with pytest.raises(ValueError):
-        min_spacing_for_target(1.0, d, 1)
 
 
 # ------------------------------------------------------------- self-healing

@@ -40,7 +40,6 @@ import ulabeam
 from ulabeam import (
     BesselDesign,
     CircleObstacle,
-    OcclusionModel,
     Point2,
     RectObstacle,
     UlaConfig,
@@ -339,7 +338,7 @@ def test_simulate_grid_override_matches_recomputation(tmp_path):
     assert len(rows) == 80
     cfg = UlaConfig(2, 299792458.0 / 140e9 / 2.0, 140e9)
     exc = normalize_power(gaussian_excitation(cfg, 0.0), 1.0)
-    grid = field_grid(cfg, exc, (-0.2, 0.2), (0.1, 0.6), 10, 8, OcclusionModel(None))
+    grid = field_grid(cfg, exc, (-0.2, 0.2), (0.1, 0.6), 10, 8)
     gx, gy = grid.x_coords(), grid.y_coords()
     flat = [(gx[ix], gy[iy], grid.values[ix, iy]) for iy in range(8) for ix in range(10)]
     for row, (x, y, v) in zip(rows, flat):
@@ -466,9 +465,9 @@ def test_compare_evaluates_each_box_once(tmp_path, monkeypatch):
     batches = []
     field_points = ulabeam.metrics.field_points
 
-    def counting(cfg, exc, px, py, occ=None):
+    def counting(cfg, exc, px, py, obstacle=None):
         batches.append(px.size)
-        return field_points(cfg, exc, px, py, occ)
+        return field_points(cfg, exc, px, py, obstacle)
 
     monkeypatch.setattr(ulabeam.metrics, "field_points", counting)
     data = {

@@ -44,7 +44,6 @@ from ulabeam import (
     CircleObstacle,
     Excitation,
     FieldGrid,
-    OcclusionModel,
     Point2,
     RectObstacle,
     UlaConfig,
@@ -205,17 +204,17 @@ def test_field_rejects_length_mismatch():
 def test_fully_shadowed_point_is_exactly_zero():
     cfg = two_element_cfg()
     exc = gaussian_excitation(cfg, 0.0)
-    occ = OcclusionModel(RectObstacle(10.0, -10.0, 0.4, 0.6))
-    assert field_at(cfg, exc, Point2(0.0, 1.0), occ) == 0.0
+    obstacle = RectObstacle(10.0, -10.0, 0.4, 0.6)
+    assert field_at(cfg, exc, Point2(0.0, 1.0), obstacle) == 0.0
 
 
 def test_interior_point_rejected_and_grid_gets_nan():
     cfg = two_element_cfg()
     exc = gaussian_excitation(cfg, 0.0)
-    occ = OcclusionModel(RectObstacle(0.2, -0.2, 0.4, 0.6))
+    obstacle = RectObstacle(0.2, -0.2, 0.4, 0.6)
     with pytest.raises(ValueError):
-        field_at(cfg, exc, Point2(0.0, 0.5), occ)
-    grid = field_grid(cfg, exc, (-0.3, 0.3), (0.3, 0.7), 7, 9, occ)
+        field_at(cfg, exc, Point2(0.0, 0.5), obstacle)
+    grid = field_grid(cfg, exc, (-0.3, 0.3), (0.3, 0.7), 7, 9, obstacle)
     gx, gy = np.meshgrid(grid.x_coords(), grid.y_coords(), indexing="ij")
     inside = (gx >= -0.2) & (gx <= 0.2) & (gy >= 0.4) & (gy <= 0.6)
     assert np.all(np.isnan(grid.values[inside]))
@@ -256,14 +255,13 @@ def _segment_hits_obstacle(obstacle, x_e: float, p: Point2, n: int = 4001) -> bo
 def test_hard_shadow_equals_manual_element_removal(obstacle, points):
     cfg = UlaConfig(33, 9e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
-    occ = OcclusionModel(obstacle)
     for p in points:
         visible = np.array(
             [not _segment_hits_obstacle(obstacle, x_e, p) for x_e in cfg.element_xs()]
         )
         assert 0 < visible.sum() < cfg.n_elements
         manual = Excitation(exc.magnitudes, exc.phases, exc.active & visible)
-        assert field_at(cfg, exc, p, occ) == field_at(cfg, manual, p)
+        assert field_at(cfg, exc, p, obstacle) == field_at(cfg, manual, p)
 
 
 # -------------------------------------------------------------- line cuts
@@ -309,8 +307,7 @@ def test_steered_cut_knee_and_one_sided_reach(cfg1024):
 def test_shadow_then_recovery_behind_cuboid(cfg1024):
     d = BesselDesign(0.0, 30 * DEG)
     exc = bessel_phases(cfg1024, d)
-    occ = OcclusionModel(RectObstacle(0.14, -0.14, 0.10, 0.57))
-    cut = line_cut(cfg1024, exc, 0.0, 1.3, 1300, occ)
+    cut = line_cut(cfg1024, exc, 0.0, 1.3, 1300, RectObstacle(0.14, -0.14, 0.10, 0.57))
     dist = np.array([c[0] for c in cut])
     amp = np.array([c[1] for c in cut])
     shadow = (dist > 0.60) & (dist < 0.76)
@@ -464,41 +461,41 @@ def test_write_field_pgm_golden(tmp_path):
 
 
 CHUNK_CASES = (
-    OcclusionModel(RectObstacle(0.05, -0.05, 0.2, 0.4)),
-    OcclusionModel(CircleObstacle(Point2(-0.04, 0.35), 0.08)),
+    RectObstacle(0.05, -0.05, 0.2, 0.4),
+    CircleObstacle(Point2(-0.04, 0.35), 0.08),
     None,
 )
 
 
-def _chunk_case_grid(occ) -> np.ndarray:
+def _chunk_case_grid(obstacle) -> np.ndarray:
     # 1024 elements on a 31 x 23 grid: 6 chunks at the default chunk size
     cfg = UlaConfig(1024, 1.07e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
-    return field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 31, 23, occ).values
+    return field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 31, 23, obstacle).values
 
 
 def test_chunked_grid_evaluation_is_bitwise_stable(monkeypatch):
     cfg = UlaConfig(16, 1.1e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
-    occ = OcclusionModel(RectObstacle(0.05, -0.05, 0.2, 0.4))
-    whole = field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 11, 13, occ)
-    defaults = [_chunk_case_grid(occ) for occ in CHUNK_CASES]
+    obstacle = RectObstacle(0.05, -0.05, 0.2, 0.4)
+    whole = field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 11, 13, obstacle)
+    defaults = [_chunk_case_grid(case) for case in CHUNK_CASES]
     assert 31 * 23 * 1024 >= 4 * ulabeam.field._CHUNK_PAIRS
     monkeypatch.setattr(ulabeam.field, "_CHUNK_PAIRS", 7)
-    pieces = field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 11, 13, occ)
+    pieces = field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 11, 13, obstacle)
     finite = np.isfinite(whole.values)
     assert np.array_equal(whole.values[finite], pieces.values[finite])
     assert np.array_equal(finite, np.isfinite(pieces.values))
-    for occ, default in zip(CHUNK_CASES, defaults):
-        assert np.array_equal(default, _chunk_case_grid(occ), equal_nan=True)
+    for case, default in zip(CHUNK_CASES, defaults):
+        assert np.array_equal(default, _chunk_case_grid(case), equal_nan=True)
     monkeypatch.setattr(ulabeam.field, "_workers", lambda: 1)
-    for occ, default in zip(CHUNK_CASES, defaults):
-        assert np.array_equal(default, _chunk_case_grid(occ), equal_nan=True)
+    for case, default in zip(CHUNK_CASES, defaults):
+        assert np.array_equal(default, _chunk_case_grid(case), equal_nan=True)
 
 
 def test_threaded_chunks_match_one_chunk_under_rapid_switching(monkeypatch):
     monkeypatch.setattr(ulabeam.field, "_CHUNK_PAIRS", 10**12)
-    references = [_chunk_case_grid(occ) for occ in CHUNK_CASES]
+    references = [_chunk_case_grid(case) for case in CHUNK_CASES]
     monkeypatch.setattr(ulabeam.field, "_workers", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -506,8 +503,8 @@ def test_threaded_chunks_match_one_chunk_under_rapid_switching(monkeypatch):
         deadline = time.monotonic() + 5.0
         for chunk_pairs in (1, 1024, 3 * 1024, 7 * 1024):
             monkeypatch.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
-            for occ, reference in zip(CHUNK_CASES, references):
-                assert np.array_equal(reference, _chunk_case_grid(occ), equal_nan=True)
+            for case, reference in zip(CHUNK_CASES, references):
+                assert np.array_equal(reference, _chunk_case_grid(case), equal_nan=True)
             if time.monotonic() > deadline:
                 break
     finally:
@@ -517,17 +514,17 @@ def test_threaded_chunks_match_one_chunk_under_rapid_switching(monkeypatch):
 def test_field_points_matches_field_at():
     cfg = UlaConfig(33, 9e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
-    occ = OcclusionModel(CircleObstacle(Point2(-0.03, 0.35), 0.09))
+    obstacle = CircleObstacle(Point2(-0.03, 0.35), 0.09)
     px = np.array([-0.1, -0.25, 0.05, -0.03])
     py = np.array([1.0, 0.7, 0.6, 0.35])
-    values = field_points(cfg, exc, px, py, occ)
+    values = field_points(cfg, exc, px, py, obstacle)
     for x, y, v in zip(px[:3], py[:3], values[:3]):
-        assert v == field_at(cfg, exc, Point2(x, y), occ)
+        assert v == field_at(cfg, exc, Point2(x, y), obstacle)
     assert np.isnan(values[3])
     with pytest.raises(ValueError):
-        field_points(cfg, exc, px, py[:2], occ)
+        field_points(cfg, exc, px, py[:2], obstacle)
     with pytest.raises(ValueError):
-        field_points(cfg, exc, np.array([math.inf]), np.array([1.0]), occ)
+        field_points(cfg, exc, np.array([math.inf]), np.array([1.0]), obstacle)
 
 
 # ------------------------------------------------- blocked runs, oracles

@@ -1,0 +1,60 @@
+"""Package layering and public surface.
+
+Proves:
+- No package module imports a _-prefixed name from another package
+  module: private helpers stay private to the module that defines them.
+- The package exports exactly the names its modules list in __all__, plus
+  __version__, each name once, and every exported name exists.
+"""
+
+import ast
+from pathlib import Path
+
+import ulabeam
+from ulabeam import array_geometry, bessel, curving, field, metrics
+
+SRC = Path(ulabeam.__file__).resolve().parent
+
+
+def _private_imports(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        internal = node.level > 0 or (node.module or "").split(".")[0] == "ulabeam"
+        if not internal:
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                found.append(f"{path.name}:{node.lineno} imports {alias.name} from {'.' * node.level}{node.module or ''}")
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    modules = sorted(SRC.glob("*.py"))
+    assert {p.name for p in modules} >= {"cli.py", "field.py", "metrics.py"}
+    assert [hit for path in modules for hit in _private_imports(path)] == []
+
+
+def test_private_import_check_sees_relative_and_absolute_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .field import _blocked_runs, field_points\n"
+        "from ulabeam.cli import _flag_pair\n"
+        "from os.path import _get_sep\n",
+        encoding="utf-8",
+    )
+    assert _private_imports(sample) == [
+        "sample.py:1 imports _blocked_runs from .field",
+        "sample.py:2 imports _flag_pair from ulabeam.cli",
+    ]
+
+
+def test_package_exports_exactly_the_module_lists():
+    modules = (array_geometry, bessel, curving, field, metrics)
+    listed = [name for module in modules for name in module.__all__]
+    assert len(ulabeam.__all__) == len(set(ulabeam.__all__))
+    assert sorted(ulabeam.__all__) == sorted([*listed, "__version__"])
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(ulabeam, name) is getattr(module, name)

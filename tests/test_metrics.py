@@ -2,14 +2,16 @@
 
 Proves:
 - ErrorBox validates its shape and samples a deterministic uniform grid.
-- The area average over a shrunken box converges to the point amplitude,
-  and over a distant box the field is nearly constant.
-- Obstacle-interior samples are excluded from averages and pools; a box
-  buried inside the obstacle is rejected.
-- ScenarioSet enforces equal power budgets across entries.
+- The mean box amplitude over a shrunken box converges to the point
+  amplitude, and over a distant box the field is nearly constant.
+- Obstacle-interior samples are excluded from box amplitudes and their
+  mean; a box buried inside the obstacle is rejected.
+- ScenarioSet enforces equal power budgets across entries and keeps its
+  (excitation, obstacle) pairs in order, each obstacle as given; pooling
+  its entries' box amplitudes keeps every sample of every scenario.
 - With the user at the box center and odd sample counts, the point
   amplitude is bracketed by the box min and max.
-- Frozen free-space area averages rank focusing > Bessel > curving >
+- Frozen free-space mean box amplitudes rank focusing > Bessel > curving >
   plain steering for equal radiated power.
 - Pooled amplitude CDFs: per-obstacle curving plans dominate a fixed
   focused beam across the four frozen obstacle positions.
@@ -28,24 +30,21 @@ from ulabeam import (
     AvoidanceScenario,
     BesselDesign,
     ErrorBox,
-    OcclusionModel,
     Point2,
     RectObstacle,
     ScenarioSet,
     UlaConfig,
     amplitude_at_user,
-    area_average,
     bessel_phases,
     box_amplitudes,
     empirical_cdf,
     field_at,
     focusing_excitation,
     gaussian_excitation,
+    mean_amplitude,
     normalize_power,
     plan_excitation,
     plan_with_fallback,
-    pooled_box_amplitudes,
-    scenario_averages,
     write_cdf_csv,
 )
 
@@ -86,18 +85,16 @@ def test_error_box_sample_grid_layout():
 
 def test_amplitude_at_user_is_field_magnitude(cfg1024):
     exc = focusing_excitation(cfg1024, USER)
-    occ = OcclusionModel(POSITIONS[2])
+    obstacle = POSITIONS[2]
     assert amplitude_at_user(cfg1024, exc, USER) == abs(field_at(cfg1024, exc, USER))
-    assert amplitude_at_user(cfg1024, exc, USER, occ) == abs(
-        field_at(cfg1024, exc, USER, occ)
-    )
+    assert amplitude_at_user(cfg1024, exc, USER, obstacle) == abs(field_at(cfg1024, exc, USER, obstacle))
 
 
 def test_shrunken_box_average_matches_point_amplitude(cfg1024):
     exc = bessel_phases(cfg1024, BesselDesign(0.0, math.radians(20)))
     tiny = ErrorBox(USER, 1e-9, 1e-9, nx=2, ny=2)
     assert_allclose(
-        area_average(cfg1024, exc, tiny), amplitude_at_user(cfg1024, exc, USER), rtol=1e-9
+        mean_amplitude(box_amplitudes(cfg1024, exc, tiny)), amplitude_at_user(cfg1024, exc, USER), rtol=1e-9
     )
 
 
@@ -108,33 +105,34 @@ def test_distant_box_sees_nearly_constant_field():
     box = ErrorBox(far, 0.1, 0.1, nx=5, ny=5)
     amps = box_amplitudes(cfg, exc, box)
     assert amps.max() - amps.min() < 1e-6 * amps.max()
-    assert_allclose(area_average(cfg, exc, box), amplitude_at_user(cfg, exc, far), rtol=1e-6)
+    assert_allclose(mean_amplitude(amps), amplitude_at_user(cfg, exc, far), rtol=1e-6)
 
 
 def test_interior_samples_are_excluded(cfg1024):
     # obstacle covers the lower-left corner of the box
     obstacle = RectObstacle(0.02, -0.2, 0.85, 0.96)
-    occ = OcclusionModel(obstacle)
     exc = focusing_excitation(cfg1024, USER)
     px, py = BOX.sample_points()
     kept = []
     n_inside = 0
     for x, y in zip(px, py):
         try:
-            kept.append(abs(field_at(cfg1024, exc, Point2(x, y), occ)))
+            kept.append(abs(field_at(cfg1024, exc, Point2(x, y), obstacle)))
         except ValueError:
             n_inside += 1
     assert 0 < n_inside < px.size
-    amps = box_amplitudes(cfg1024, exc, BOX, occ)
+    amps = box_amplitudes(cfg1024, exc, BOX, obstacle)
     assert amps.size == px.size - n_inside
-    assert_allclose(area_average(cfg1024, exc, BOX, occ), np.mean(kept), rtol=1e-12)
+    assert_allclose(mean_amplitude(amps), np.mean(kept), rtol=1e-12)
 
 
 def test_buried_box_is_rejected(cfg1024):
-    occ = OcclusionModel(RectObstacle(0.5, -0.5, 0.5, 1.5))
+    obstacle = RectObstacle(0.5, -0.5, 0.5, 1.5)
     exc = gaussian_excitation(cfg1024, 0.0)
+    amps = box_amplitudes(cfg1024, exc, BOX, obstacle)
+    assert amps.size == 0
     with pytest.raises(ValueError, match="inside the obstacle"):
-        area_average(cfg1024, exc, BOX, occ)
+        mean_amplitude(amps)
 
 
 def test_scenario_set_requires_entries(cfg1024):
@@ -143,23 +141,23 @@ def test_scenario_set_requires_entries(cfg1024):
 
 
 def test_scenario_set_rejects_budget_mismatch(cfg1024):
-    occ = OcclusionModel(POSITIONS[0])
     a = normalize_power(gaussian_excitation(cfg1024, 0.0), 1.0)
     b = normalize_power(focusing_excitation(cfg1024, USER), 2.0)
     with pytest.raises(ValueError, match="budgets differ"):
-        ScenarioSet(cfg1024, ((a, occ), (b, occ)))
+        ScenarioSet(cfg1024, ((a, POSITIONS[0]), (b, POSITIONS[0])))
 
 
 def test_pooling_concatenates_per_scenario_amplitudes(cfg1024):
     exc = normalize_power(focusing_excitation(cfg1024, USER), 1.0)
-    entries = tuple((exc, OcclusionModel(obs)) for obs in POSITIONS)
-    sset = ScenarioSet(cfg1024, entries)
-    parts = [box_amplitudes(cfg1024, exc, BOX, occ) for _, occ in entries]
-    pooled = pooled_box_amplitudes(sset, BOX)
-    assert pooled.size == sum(p.size for p in parts)
-    assert_allclose(pooled, np.concatenate(parts), rtol=0, atol=0)
-    avgs = scenario_averages(sset, BOX)
-    assert avgs == [area_average(cfg1024, exc, BOX, occ) for _, occ in entries]
+    obstacles = (None, *POSITIONS)
+    sset = ScenarioSet(cfg1024, [(exc, obs) for obs in obstacles])
+    assert isinstance(sset.entries, tuple) and len(sset.entries) == len(obstacles)
+    assert all(got is want for (_, got), want in zip(sset.entries, obstacles))
+    parts = [box_amplitudes(cfg1024, e, BOX, obs) for e, obs in sset.entries]
+    pooled = np.concatenate(parts)
+    # no obstacle reaches the box, so every scenario pools every sample
+    assert pooled.size == len(obstacles) * BOX.nx * BOX.ny
+    assert np.array_equal(pooled[-parts[-1].size :], parts[-1])
 
 
 def test_box_brackets_center_amplitude(cfg1024):
@@ -179,10 +177,8 @@ def test_frozen_free_space_area_averages(cfg1024):
     bessel = normalize_power(bessel_phases(cfg1024, BesselDesign(0.0, math.radians(20))), 1.0)
     curving = curving_for(cfg1024, POSITIONS[0])
     averages = {
-        "gaussian": area_average(cfg1024, gaussian, BOX),
-        "focus": area_average(cfg1024, focus, BOX),
-        "bessel": area_average(cfg1024, bessel, BOX),
-        "curving": area_average(cfg1024, curving, BOX),
+        name: mean_amplitude(box_amplitudes(cfg1024, exc, BOX))
+        for name, exc in (("gaussian", gaussian), ("focus", focus), ("bessel", bessel), ("curving", curving))
     }
     assert_allclose(averages["gaussian"], 1.352856876733, rtol=1e-9)
     assert_allclose(averages["focus"], 2.001006978382, rtol=1e-9)
@@ -196,15 +192,12 @@ def test_frozen_free_space_area_averages(cfg1024):
 
 def test_pooled_cdf_curving_dominates_fixed_focus(cfg1024):
     focus = normalize_power(focusing_excitation(cfg1024, USER), 1.0)
-    focus_set = ScenarioSet(
-        cfg1024, tuple((focus, OcclusionModel(obs)) for obs in POSITIONS)
+    focus_set = ScenarioSet(cfg1024, tuple((focus, obs) for obs in POSITIONS))
+    curving_set = ScenarioSet(cfg1024, tuple((curving_for(cfg1024, obs), obs) for obs in POSITIONS))
+    pool_f, pool_c = (
+        np.concatenate([box_amplitudes(cfg1024, exc, BOX, obs) for exc, obs in sset.entries])
+        for sset in (focus_set, curving_set)
     )
-    curving_set = ScenarioSet(
-        cfg1024,
-        tuple((curving_for(cfg1024, obs), OcclusionModel(obs)) for obs in POSITIONS),
-    )
-    pool_f = pooled_box_amplitudes(focus_set, BOX)
-    pool_c = pooled_box_amplitudes(curving_set, BOX)
     assert pool_f.size == pool_c.size == 4 * 21 * 21
     assert_allclose(pool_f.min(), 0.005527651848, rtol=1e-6)
     assert_allclose(pool_c.min(), 0.067103979125, rtol=1e-6)
