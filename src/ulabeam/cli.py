@@ -51,7 +51,7 @@ from .metrics import (
     ErrorBox,
     ScenarioSet,
     amplitude_at_user,
-    box_amplitudes,
+    box_amplitudes_per_obstacle,
     empirical_cdf,
     mean_amplitude,
     write_cdf_csv,
@@ -471,22 +471,39 @@ def _beam_labels(beams: list[dict]) -> list[str]:
     return labels
 
 
+def _compare_groups(cfg: UlaConfig, user: Point2, beam: dict, obstacles: list, budget: float) -> list[tuple]:
+    """(excitation, obstacles) pairs that cover one beam's boxes, in obstacle order.
+
+    Only a curving beam's excitation depends on the obstacle, so it gets one
+    pair per obstacle; any other beam gets one pair for all of them.
+    """
+    if beam["type"] == "curving":
+        groups = [(_beam_excitation(cfg, user, beam, obstacle, budget)[0], (obstacle,)) for obstacle in obstacles]
+    else:
+        groups = [(_beam_excitation(cfg, user, beam, None, budget)[0], tuple(obstacles))]
+    ScenarioSet(cfg, [(exc, obstacle) for exc, group in groups for obstacle in group])
+    return groups
+
+
 def cmd_compare(scenario: dict, out: str, levels: int) -> int:
     cfg, user = scenario["cfg"], scenario["user"]
-    budget = scenario["power_budget"]
-    box = scenario["error_box"]
-    obstacles = scenario["obstacles"]
-    labels = _beam_labels(scenario["beams"])
-    rows = []
-    for label, beam in zip(labels, scenario["beams"]):
-        entries = [(_beam_excitation(cfg, user, beam, obstacle, budget)[0], obstacle) for obstacle in obstacles]
-        # Each box is evaluated once: the pooled CDF and its area average
-        # both read these amplitudes.
-        amps = [box_amplitudes(cfg, exc, box, obstacle) for exc, obstacle in ScenarioSet(cfg, entries).entries]
-        write_cdf_csv(empirical_cdf(np.concatenate(amps), levels), os.path.join(out, f"cdf_{label}.csv"))
+    box, obstacles, budget = scenario["error_box"], scenario["obstacles"], scenario["power_budget"]
+    # Every excitation is built before any box is evaluated, and every beam
+    # is evaluated before any file is written: a command that fails leaves
+    # no output files behind.
+    plans = [_compare_groups(cfg, user, beam, obstacles, budget) for beam in scenario["beams"]]
+    cdfs, rows = [], []
+    for label, groups in zip(_beam_labels(scenario["beams"]), plans):
+        # Each box is evaluated once, and an excitation's boxes in one kernel
+        # call: the pooled CDF and the area averages read these amplitudes.
+        entries = [(exc, obstacle) for exc, group in groups for obstacle in group]
+        amps = [a for exc, group in groups for a in box_amplitudes_per_obstacle(cfg, exc, box, group)]
+        cdfs.append((label, empirical_cdf(np.concatenate(amps), levels)))
         for j, ((exc, obstacle), box_amps) in enumerate(zip(entries, amps)):
             point = amplitude_at_user(cfg, exc, user, obstacle)
             rows.append((label, f"scenario_{j}", point, mean_amplitude(box_amps)))
+    for label, pairs in cdfs:
+        write_cdf_csv(pairs, os.path.join(out, f"cdf_{label}.csv"))
     write_columns(os.path.join(out, "compare.csv"), "beam,scenario,point_amplitude,area_average", zip(*rows))
     return 0
 

@@ -16,21 +16,30 @@ non-finite sentinel (NaN) on grids and raise for single-point queries.
 
 Kernel
 ------
-``field_points`` folds the phase into one real array: with
-arg_n = phi_n - k r_n and w_n = gamma_n * visible_n / r_n, each point is
-sum_n w_n cos(arg_n) + j sum_n w_n sin(arg_n). The obstacle is convex, so
-the elements a point cannot see form one contiguous index run: the central
-projection, from the point onto y = 0, of the obstacle below the point's
-height. Each point gets that run [lo, hi) from O(1) geometry and a binary
-search, and w is zeroed on it (a point level with the obstacle has a run
-that reaches one end of the array).
+``field_points_per_obstacle`` evaluates one excitation at one point set
+under K obstacles; ``field_points`` is its K = 1 call. The phase is folded
+into one real array: with arg_n = phi_n - k r_n and w_n = gamma_n / r_n,
+each point is sum_n w_n cos(arg_n) + j sum_n w_n sin(arg_n). r, w, arg and
+its cos and sin (about 95% of the cost) are computed once per chunk of
+points and shared by all K obstacles. Each obstacle then zeroes w on the
+elements it hides, on a copy (the last obstacle zeroes w itself), and takes
+its own two weighted row sums. The obstacle is convex, so the elements a
+point cannot see form one contiguous index run: the central projection,
+from the point onto y = 0, of the obstacle below the point's height. Each
+point gets that run [lo, hi) from O(1) geometry and a binary search (a
+point level with the obstacle has a run that reaches one end of the
+array). Row j is the same products summed in the same order as a call
+with obstacle j alone, so it is bit-identical to that call.
 
-Points are processed in chunks of about ``_CHUNK_PAIRS`` point-element pairs,
-whose temporaries stay in cache. Chunks run on a thread pool with one thread
-per CPU this process may use (there is no setting); a batch of one chunk
-runs in the calling thread. Each chunk writes its own slice of the output and
-each point's sum is taken over its own row of elements, so the values are
-bit-identical whatever the chunk size and the number of threads.
+Points are processed in chunks of about ``_CHUNK_PAIRS`` = 65,536
+point-element pairs. A chunk holds five float64 temporaries of 512 KB
+(arg and sin, w, cos, the masked copy of w and the product), which stay
+in the caches; twice that chunk ran slower and raised peak memory. Chunks
+run on a thread pool with one thread per CPU this process may use (there
+is no setting); a batch of one chunk runs in the calling thread. Each
+chunk writes its own slice of the output and each point's sum is taken
+over its own row of elements, so the values are bit-identical whatever
+the chunk size and the number of threads.
 
 File formats
 ------------
@@ -60,6 +69,7 @@ __all__ = [
     "field_at",
     "field_grid",
     "field_points",
+    "field_points_per_obstacle",
     "line_cut",
     "normalize_power",
     "write_field_csv",
@@ -67,8 +77,8 @@ __all__ = [
 ]
 
 # Point batches are processed in chunks of about this many point-element
-# pairs: each chunk's few float64 temporaries (1 MB apiece) stay in cache.
-_CHUNK_PAIRS = 131_072
+# pairs: each chunk's five float64 temporaries (512 KB apiece) stay in cache.
+_CHUNK_PAIRS = 65_536
 
 
 @dataclass(frozen=True)
@@ -239,16 +249,22 @@ def _workers() -> int:
     return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
 
-def field_points(
+def field_points_per_obstacle(
     cfg: UlaConfig,
     exc: Excitation,
     px: np.ndarray,
     py: np.ndarray,
-    obstacle: RectObstacle | CircleObstacle | None = None,
+    obstacles,
 ) -> np.ndarray:
-    """Complex field at the points (px[i], py[i]); interior points yield NaN."""
+    """Complex field at the points (px[i], py[i]) under each obstacle in turn.
+
+    Row j of the (K, M) result is field_points with obstacles[j] alone, bit
+    for bit; points inside obstacles[j] yield NaN in that row. An obstacle
+    may be None (free space).
+    """
     px = np.asarray(px, dtype=float)
     py = np.asarray(py, dtype=float)
+    obstacles = list(obstacles)
     if exc.n_elements != cfg.n_elements:
         raise ValueError("excitation length does not match array size")
     if px.ndim != 1 or px.shape != py.shape:
@@ -260,10 +276,10 @@ def field_points(
     xs = cfg.element_xs()
     k = cfg.wavenumber()
     gamma, phi = exc.magnitudes, exc.phases
-    if obstacle is not None:
-        lo, hi = _blocked_runs(obstacle, xs, px, py)
+    runs = [None if obstacle is None else _blocked_runs(obstacle, xs, px, py) for obstacle in obstacles]
+    last = len(obstacles) - 1
 
-    out = np.empty(px.shape[0], dtype=complex)
+    out = np.empty((len(obstacles), px.shape[0]), dtype=complex)
     step = max(1, _CHUNK_PAIRS // max(1, cfg.n_elements))
 
     def chunk(start: int) -> None:
@@ -274,18 +290,26 @@ def field_points(
         rr += (cpy * cpy)[:, np.newaxis]
         r = np.sqrt(rr, out=rr)
         w = gamma / r
-        if obstacle is not None:
-            clo, chi = lo[sl], hi[sl]
-            for i in np.flatnonzero(chi > clo):
-                w[i, clo[i] : chi[i]] = 0.0
         arg = np.multiply(r, k, out=r)
         np.subtract(phi, arg, out=arg)
-        term = np.cos(arg)
-        term *= w
-        out.real[sl] = term.sum(axis=1)
-        np.sin(arg, out=term)
-        term *= w
-        out.imag[sl] = term.sum(axis=1)
+        cos = np.cos(arg)
+        sin = np.sin(arg, out=arg)
+        term = np.empty_like(w)
+        for j, run in enumerate(runs):
+            wj = w
+            if run is not None:
+                clo, chi = run[0][sl], run[1][sl]
+                blocked = np.flatnonzero(chi > clo)
+                if blocked.size:
+                    # Zero a copy of w, so the next obstacle starts from the
+                    # unmasked weights; the last obstacle may zero w itself.
+                    wj = w if j == last else w.copy()
+                    for i in blocked:
+                        wj[i, clo[i] : chi[i]] = 0.0
+            np.multiply(cos, wj, out=term)
+            out.real[j, sl] = term.sum(axis=1)
+            np.multiply(sin, wj, out=term)
+            out.imag[j, sl] = term.sum(axis=1)
 
     starts = range(0, px.shape[0], step)
     workers = min(len(starts), _workers())
@@ -297,8 +321,20 @@ def field_points(
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(chunk, starts))
-    out[_interior_mask(obstacle, px, py)] = complex(np.nan, np.nan)
+    for row, obstacle in zip(out, obstacles):
+        row[_interior_mask(obstacle, px, py)] = complex(np.nan, np.nan)
     return out
+
+
+def field_points(
+    cfg: UlaConfig,
+    exc: Excitation,
+    px: np.ndarray,
+    py: np.ndarray,
+    obstacle: RectObstacle | CircleObstacle | None = None,
+) -> np.ndarray:
+    """Complex field at the points (px[i], py[i]); interior points yield NaN."""
+    return field_points_per_obstacle(cfg, exc, px, py, (obstacle,))[0]
 
 
 def field_at(
@@ -377,13 +413,16 @@ def write_columns(path: str, header: str, columns) -> None:
 def write_field_csv(grid: FieldGrid, path: str) -> None:
     """Write the grid as CSV (see module docstring for the layout)."""
     values = grid.values.T.ravel()
+    # Each coordinate is formatted once and its string repeated.
+    xs = [str(x) for x in grid.x_coords().tolist()]
+    ys = [str(y) for y in grid.y_coords().tolist()]
     # abs per node with Python's complex abs: np.abs rounds some nodes differently.
     write_columns(
         path,
         "x,y,re,im,abs",
         (
-            np.tile(grid.x_coords(), grid.ny),
-            np.repeat(grid.y_coords(), grid.nx),
+            xs * grid.ny,
+            [y for y in ys for _ in range(grid.nx)],
             values.real,
             values.imag,
             [abs(v) for v in values.tolist()],

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_geometry import CircleObstacle, Point2, RectObstacle, UlaConfig
-from .field import Excitation, field_at, field_points, write_columns
+from .field import Excitation, field_at, field_points_per_obstacle, write_columns
 
 __all__ = [
     "ErrorBox",
     "ScenarioSet",
     "amplitude_at_user",
     "box_amplitudes",
+    "box_amplitudes_per_obstacle",
     "mean_amplitude",
     "empirical_cdf",
     "write_cdf_csv",
@@ -80,13 +81,18 @@ def amplitude_at_user(
     return abs(field_at(cfg, exc, user, obstacle))
 
 
+def box_amplitudes_per_obstacle(cfg: UlaConfig, exc: Excitation, box: ErrorBox, obstacles) -> list[np.ndarray]:
+    """box_amplitudes under each obstacle in turn, from one kernel call."""
+    px, py = box.sample_points()
+    amps = np.abs(field_points_per_obstacle(cfg, exc, px, py, obstacles))
+    return [row[np.isfinite(row)] for row in amps]
+
+
 def box_amplitudes(
     cfg: UlaConfig, exc: Excitation, box: ErrorBox, obstacle: RectObstacle | CircleObstacle | None = None
 ) -> np.ndarray:
     """|E| at every box sample outside the obstacle interior."""
-    px, py = box.sample_points()
-    amps = np.abs(field_points(cfg, exc, px, py, obstacle))
-    return amps[np.isfinite(amps)]
+    return box_amplitudes_per_obstacle(cfg, exc, box, (obstacle,))[0]
 
 
 def mean_amplitude(amps: np.ndarray) -> float:

@@ -18,7 +18,10 @@ Proves:
   run without a grid section.
 - compare emits one row per beam and obstacle plus a CDF file per beam;
   the focused beam tops the free-space column, a fully blocking wall
-  zeroes the point amplitude, and each error box is evaluated once.
+  zeroes the point amplitude, and each error box is evaluated once, in
+  one kernel call per distinct excitation; a compare that fails (a
+  curving plan that exits 3, a user inside an obstacle that exits 2)
+  writes no output file.
 - optimize exits 0 on solved or unnecessary plans and 3 on infeasible
   ones, always writing the plan JSON.
 - Repeated runs produce byte-identical data files.
@@ -463,24 +466,60 @@ def test_compare_full_wall_zeroes_point_amplitudes(tmp_path):
 
 def test_compare_evaluates_each_box_once(tmp_path, monkeypatch):
     batches = []
-    field_points = ulabeam.metrics.field_points
+    per_obstacle = ulabeam.metrics.field_points_per_obstacle
 
-    def counting(cfg, exc, px, py, obstacle=None):
-        batches.append(px.size)
-        return field_points(cfg, exc, px, py, obstacle)
+    def counting(cfg, exc, px, py, obstacles):
+        batches.append((px.size, len(obstacles)))
+        return per_obstacle(cfg, exc, px, py, obstacles)
 
-    monkeypatch.setattr(ulabeam.metrics, "field_points", counting)
+    monkeypatch.setattr(ulabeam.metrics, "field_points_per_obstacle", counting)
     data = {
         "array": {"n_elements": 64, "spacing_mode": "half_wavelength", "carrier_freq_hz": 140e9},
         "user": {"x": 0.0, "y": 1.0},
-        "beams": [{"type": "gaussian", "theta_deg": 0.0}, {"type": "focus"}],
+        "beams": [
+            {"type": "gaussian", "theta_deg": 0.0},
+            {"type": "focus"},
+            {
+                "type": "curving",
+                "design_obstacle": {"type": "rect", "x_r1": 0.03, "x_r2": 0.01, "y_n": 0.49, "y_f": 0.51},
+            },
+        ],
         "obstacles": [{"type": "none"}, {"type": "circle", "x": 0.02, "y": 0.5, "radius": 0.01}],
         "error_box": {"half_width_x": 0.05, "half_width_y": 0.05, "nx": 3, "ny": 4},
     }
     rc = main(["compare", "--scenario", write_scenario(tmp_path, data), "--out", str(tmp_path), "--levels", "3"])
     assert rc == 0
-    # one 12-sample batch per (beam, obstacle) pair, shared by its CDF and its average
-    assert batches == [12] * 4
+    # one kernel call per distinct excitation, covering every obstacle it
+    # meets: the gaussian and focus excitations ignore the obstacle, while
+    # the curving beam is planned per obstacle
+    assert batches == [(12, 2), (12, 2), (12, 1), (12, 1)]
+    _, rows = read_csv_rows(tmp_path / "compare.csv")
+    assert [r[0] for r in rows] == ["gaussian"] * 2 + ["focus"] * 2 + ["curving"] * 2
+
+
+def test_failed_compare_leaves_no_output(tmp_path, capsys):
+    data = {
+        "array": {"n_elements": 64, "spacing_mode": "half_wavelength", "carrier_freq_hz": 140e9},
+        "user": {"x": 0.0, "y": 0.6},
+        "beams": [{"type": "focus"}, {"type": "curving"}],
+        "obstacles": [{"type": "rect", "x_r1": 0.5, "x_r2": -0.5, "y_n": 0.15, "y_f": 0.55}],
+    }
+    path = write_scenario(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "optimizer did not produce a beam: both curvature signs failed (positive: infeasible, negative: infeasible)\n"
+    )
+    # every beam is planned before any file is written
+    assert list(out.iterdir()) == []
+    # and evaluated: the user inside the second obstacle fails the focused
+    # beam after its boxes, before its CDF file
+    data["beams"] = [{"type": "focus"}, {"type": "gaussian", "theta_deg": 0.0}]
+    data["obstacles"] = [{"type": "none"}, {"type": "rect", "x_r1": 0.05, "x_r2": -0.05, "y_n": 0.5, "y_f": 0.7}]
+    path = write_scenario(tmp_path, data)
+    assert main(["compare", "--scenario", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: field point lies inside the obstacle\n"
+    assert list(out.iterdir()) == []
 
 
 def test_compare_input_validation(tmp_path):

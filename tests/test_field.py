@@ -21,6 +21,10 @@ Proves:
  - CSV / PGM serialization produces frozen bytes and survives a round trip
  - grid evaluation is bitwise identical under any chunk size and any number
    of worker threads, also under rapid thread switching
+ - each row of a per-obstacle evaluation equals, bit for bit, the field under
+   that obstacle alone, for random arrays, 1-4 obstacles, chunk sizes and
+   worker counts, and matches the element-by-element oracle to 1e-12 of
+   sum(gamma / r)
 """
 
 import csv
@@ -51,6 +55,7 @@ from ulabeam import (
     field_at,
     field_grid,
     field_points,
+    field_points_per_obstacle,
     focusing_excitation,
     gaussian_excitation,
     line_cut,
@@ -468,10 +473,18 @@ CHUNK_CASES = (
 
 
 def _chunk_case_grid(obstacle) -> np.ndarray:
-    # 1024 elements on a 31 x 23 grid: 6 chunks at the default chunk size
+    # 1024 elements on a 31 x 23 grid: 12 chunks at the default chunk size
     cfg = UlaConfig(1024, 1.07e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
     return field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 31, 23, obstacle).values
+
+
+def _chunk_case_rows() -> np.ndarray:
+    """_chunk_case_grid for every case, from one per-obstacle call."""
+    cfg = UlaConfig(1024, 1.07e-3, 140e9)
+    exc = gaussian_excitation(cfg, 5 * DEG)
+    gx, gy = np.meshgrid(np.linspace(-0.3, 0.3, 31), np.linspace(0.1, 1.0, 23), indexing="ij")
+    return field_points_per_obstacle(cfg, exc, gx.ravel(), gy.ravel(), CHUNK_CASES).reshape(-1, 31, 23)
 
 
 def test_chunked_grid_evaluation_is_bitwise_stable(monkeypatch):
@@ -505,6 +518,9 @@ def test_threaded_chunks_match_one_chunk_under_rapid_switching(monkeypatch):
             monkeypatch.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
             for case, reference in zip(CHUNK_CASES, references):
                 assert np.array_equal(reference, _chunk_case_grid(case), equal_nan=True)
+            # threads share the per-obstacle output rows
+            for row, reference in zip(_chunk_case_rows(), references):
+                assert np.array_equal(reference, row, equal_nan=True)
             if time.monotonic() > deadline:
                 break
     finally:
@@ -525,6 +541,91 @@ def test_field_points_matches_field_at():
         field_points(cfg, exc, px, py[:2], obstacle)
     with pytest.raises(ValueError):
         field_points(cfg, exc, np.array([math.inf]), np.array([1.0]), obstacle)
+
+
+@st.composite
+def per_obstacle_case(draw):
+    """An array, a random excitation, 1-4 obstacles and points to evaluate.
+
+    Obstacles are rects, circles, free space (None) and walls that hide the
+    whole aperture; the points hold each obstacle's y-band and interior
+    points, points above each wall, and free points. Returns the points
+    above walls as (obstacle index, point index) pairs.
+    """
+    unit = st.floats(0.0, 1.0)
+    n = draw(st.one_of(st.sampled_from((2, 3)), st.integers(2, 80)))
+    cfg = UlaConfig(n, draw(st.floats(1e-4, 1e-2)), 140e9)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exc = Excitation(rng.uniform(0.0, 1.0, n), rng.uniform(-math.pi, math.pi, n), rng.random(n) > 0.2)
+    obstacles, points, hidden = [], [], []
+    for j in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("rect", "circle", "wall", "none")))
+        if kind == "none":
+            obstacles.append(None)
+            continue
+        if kind == "circle":
+            radius = draw(st.floats(0.005, 0.3))
+            center = Point2(draw(st.floats(-0.4, 0.4)), radius + draw(st.floats(0.01, 0.8)))
+            obstacles.append(CircleObstacle(center, radius))
+            band = (center.y - radius, center.y + radius)
+            inside = (center.x + 0.5 * radius * draw(unit), center.y)
+        else:
+            # a wall spans x in [-1, 1], past every aperture (half-width <= 0.4 m)
+            x_r2 = -1.0 if kind == "wall" else draw(st.floats(-0.4, 0.3))
+            width = 2.0 if kind == "wall" else draw(st.floats(0.005, 0.4))
+            y_n = draw(st.floats(0.02, 0.8))
+            obstacle = RectObstacle(x_r2 + width, x_r2, y_n, y_n + draw(st.floats(0.005, 0.5)))
+            obstacles.append(obstacle)
+            band = (obstacle.y_n, obstacle.y_f)
+            inside = (x_r2 + width * draw(unit), y_n + (obstacle.y_f - y_n) * draw(unit))
+        points += [(draw(st.floats(-1.0, 1.0)), band[0] + (band[1] - band[0]) * draw(unit)), inside]
+        if kind == "wall":
+            hidden.append((j, len(points)))
+            points.append((draw(st.floats(-0.5, 0.5)), band[1] + draw(st.floats(0.01, 1.0))))
+    for _ in range(draw(st.integers(1, 3))):
+        points.append((draw(st.floats(-1.0, 1.0)), draw(st.floats(0.001, 2.0))))
+    px, py = (np.array(c) for c in zip(*points))
+    return cfg, exc, obstacles, px, py, hidden
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(per_obstacle_case())
+def test_per_obstacle_rows_match_single_obstacle_calls(case):
+    cfg, exc, obstacles, px, py, hidden = case
+    singles = [field_points(cfg, exc, px, py, obstacle) for obstacle in obstacles]
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk_pairs in (1, 7, 65_536, 10**9):
+            mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
+            for workers in (1, 2):
+                mp.setattr(ulabeam.field, "_workers", lambda: workers)
+                rows = field_points_per_obstacle(cfg, exc, px, py, obstacles)
+                assert rows.shape == (len(obstacles), px.size)
+                for row, single in zip(rows, singles):
+                    # equal bits: equal values, NaN positions and signs of zero
+                    assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
+    # A wall hides every element, so the point sums w = +0 terms: its bits,
+    # signs of zero included, are those of the same phases at zero magnitude.
+    dark = Excitation(np.zeros(cfg.n_elements), exc.phases, np.ones(cfg.n_elements, dtype=bool))
+    for j, i in hidden:
+        want = field_points(cfg, dark, px[i : i + 1], py[i : i + 1])
+        assert want[0] == 0.0
+        assert np.array_equal(singles[j][i : i + 1].view(np.uint64), want.view(np.uint64))
+    xs, k = cfg.element_xs(), cfg.wavenumber()
+    # 1e-12 of sum(gamma / r), plus the phase rounding of both sums: each
+    # rounds k r_n (up to about 6000 rad here) to a few ulps, which alone
+    # reaches 2e-12 of sum(gamma / r) at a far point with one active element
+    phase_rounding = 4 * np.finfo(float).eps * k * exc.magnitudes.sum()
+    for obstacle, single in zip(obstacles, singles):
+        want, scale = field_by_elements(xs, k, exc.magnitudes, exc.phases, obstacle, px, py)
+        assert np.array_equal(np.isnan(single), np.isnan(want))
+        # a point whose visibility changes when it or an element moves 1e-9 m
+        # sideways is a tie (the oracle rounds there): either answer holds
+        visible = visible_pairs(obstacle, xs, px, py)
+        check = np.isfinite(want)
+        for shift in (-1e-9, 1e-9):
+            check &= np.all(visible == visible_pairs(obstacle, xs + shift, px, py), axis=1)
+            check &= np.all(visible == visible_pairs(obstacle, xs, px + shift, py), axis=1)
+        assert np.all(np.abs(single - want)[check] <= 1e-12 * scale[check] + phase_rounding)
 
 
 # ------------------------------------------------- blocked runs, oracles
