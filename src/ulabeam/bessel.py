@@ -48,12 +48,20 @@ class BesselDesign:
         """Wavefront function exists: alpha + |theta_a| < pi/2."""
         return self.alpha + abs(self.theta_a) < math.pi / 2
 
-    def steerable(self) -> bool:
-        """Guaranteed steering: |theta_a| <= alpha < pi/2 - |theta_a|.
+    def steering_failure(self) -> str | None:
+        """The bound of |theta_a| <= alpha < pi/2 - |theta_a| that fails, or None.
 
         Comparisons are exact, closed on the left and open on the right.
         """
-        return abs(self.theta_a) <= self.alpha < math.pi / 2 - abs(self.theta_a)
+        if self.alpha < abs(self.theta_a):
+            return "alpha < |theta|"
+        if self.alpha >= math.pi / 2 - abs(self.theta_a):
+            return "alpha >= pi/2 - |theta|"
+        return None
+
+    def steerable(self) -> bool:
+        """Guaranteed steering: steering_failure() finds no failing bound."""
+        return self.steering_failure() is None
 
     def marginal(self) -> bool:
         """True on the degraded boundary alpha == |theta_a| (distance collapses)."""
@@ -87,10 +95,9 @@ class SelfHealReport:
 
 
 def _require_steerable(d: BesselDesign) -> None:
-    if abs(d.theta_a) > d.alpha:
-        raise ValueError("design not steerable: alpha < |theta|")
-    if d.alpha >= math.pi / 2 - abs(d.theta_a):
-        raise ValueError("design not steerable: alpha >= pi/2 - |theta|")
+    reason = d.steering_failure()
+    if reason is not None:
+        raise ValueError(f"design not steerable: {reason}")
 
 
 def wavefront(x, d: BesselDesign):

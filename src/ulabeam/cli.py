@@ -11,6 +11,7 @@ not produce a beam, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -254,38 +255,28 @@ def _as_rect(obstacle) -> RectObstacle:
     return obstacle
 
 
-def _solution_dict(sol) -> dict:
-    return {
-        "beta": sol.trajectory.beta,
-        "p": sol.trajectory.p,
-        "q": sol.trajectory.q,
-        "p_tilde": sol.p_tilde,
-        "x_adj_star": sol.x_adj_star,
-        "x_t_star": sol.x_t_star,
-        "curvature_sign": sol.curvature_sign,
-        "objective_value": sol.objective_value,
-        "relaxed_objective": sol.relaxed_objective,
-        "kkt_candidate_index": sol.kkt_candidate_index,
-        "n_active": int(sol.active_elements.sum()),
-    }
+def _report(obj) -> dict:
+    """JSON form of a result dataclass: each field under its own name.
 
-
-def _result_dict(res) -> dict:
-    d = {"status": res.status, "message": res.message}
-    if res.most_violated is not None:
-        d["most_violated"] = res.most_violated
-    if res.solution is not None:
-        d["solution"] = _solution_dict(res.solution)
+    A solution's trajectory and a circle's center are merged in as their
+    own fields, the element mask is written as its count n_active, the
+    relaxed vertex is never written, and a result's most_violated and
+    solution are left out when None.
+    """
+    d = {}
+    for field in dataclasses.fields(obj):
+        name, value = field.name, getattr(obj, field.name)
+        if name in ("trajectory", "center"):
+            d.update(_report(value))
+        elif name == "active_elements":
+            d["n_active"] = int(value.sum())
+        elif name == "relaxed_vertex" or (value is None and name in ("most_violated", "solution")):
+            continue
+        elif dataclasses.is_dataclass(value):
+            d[name] = _report(value)
+        else:
+            d[name] = value
     return d
-
-
-def _plan_dict(plan) -> dict:
-    return {
-        "status": plan.status,
-        "message": plan.message,
-        "primary": _result_dict(plan.primary),
-        "secondary": None if plan.secondary is None else _result_dict(plan.secondary),
-    }
 
 
 def _curving_plan(cfg: UlaConfig, user: Point2, beam: dict, obstacle):
@@ -311,7 +302,7 @@ def _beam_excitation(cfg: UlaConfig, user: Point2, beam: dict, obstacle, budget:
         design = BesselDesign(math.radians(beam["theta_deg"]), math.radians(beam["alpha_deg"]))
         return normalize_power(bessel_phases(cfg, design), budget), None
     plan = _curving_plan(cfg, user, beam, obstacle)
-    diagnostic = _plan_dict(plan)
+    diagnostic = _report(plan)
     if plan.status != "solved":
         if out is not None:
             _write_json(os.path.join(out, "curving.json"), diagnostic)
@@ -340,20 +331,7 @@ def _beam_echo(beam: dict) -> dict:
 def _obstacle_echo(obstacle) -> dict:
     if obstacle is None:
         return {"type": "none"}
-    if isinstance(obstacle, RectObstacle):
-        return {
-            "type": "rect",
-            "x_r1": obstacle.x_r1,
-            "x_r2": obstacle.x_r2,
-            "y_n": obstacle.y_n,
-            "y_f": obstacle.y_f,
-        }
-    return {
-        "type": "circle",
-        "x": obstacle.center.x,
-        "y": obstacle.center.y,
-        "radius": obstacle.radius,
-    }
+    return {"type": "rect" if isinstance(obstacle, RectObstacle) else "circle", **_report(obstacle)}
 
 
 # -- subcommands ----------------------------------------------------------
@@ -366,9 +344,10 @@ def cmd_analyze(scenario: dict, out: str) -> int:
     cfg: UlaConfig = scenario["cfg"]
     user: Point2 = scenario["user"]
     design = BesselDesign(math.radians(beam["theta_deg"]), math.radians(beam["alpha_deg"]))
+    reason = design.steering_failure()
     report: dict = {
-        "steerable": design.steerable(),
-        "reason": None,
+        "steerable": reason is None,
+        "reason": reason,
         "marginal": None,
         "d_max": None,
         "d_lim": None,
@@ -376,11 +355,7 @@ def cmd_analyze(scenario: dict, out: str) -> int:
         "min_elements_for": None,
         "self_heal": None,
     }
-    if not design.steerable():
-        report["reason"] = (
-            "alpha < |theta|" if design.alpha < abs(design.theta_a) else "alpha >= pi/2 - |theta|"
-        )
-    else:
+    if reason is None:
         report["marginal"] = design.marginal()
         limits = propagation_limits(cfg, design)
         report["d_max"] = limits.d_max
@@ -398,14 +373,7 @@ def cmd_analyze(scenario: dict, out: str) -> int:
                 if isinstance(obstacle, CircleObstacle)
                 else self_heal_rect(cfg, design, obstacle)
             )
-            report["self_heal"] = {
-                "d_h_pos": heal.d_h_pos,
-                "d_h_neg": heal.d_h_neg,
-                "x_p_star": heal.x_p_star,
-                "x_m_star": heal.x_m_star,
-                "pos_unblocked": heal.pos_unblocked,
-                "neg_unblocked": heal.neg_unblocked,
-            }
+            report["self_heal"] = _report(heal)
     _write_json(os.path.join(out, "analyze.json"), report)
     return 0
 
@@ -447,7 +415,7 @@ def cmd_simulate(scenario: dict, out: str, grid_override, line_cut_spec) -> int:
         "obstacle": _obstacle_echo(obstacle),
         "power_budget": scenario["power_budget"],
         "spacing": cfg.spacing,
-        "user": {"x": user.x, "y": user.y},
+        "user": _report(user),
         "x_range": list(x_range),
         "y_range": list(y_range),
     }
@@ -513,7 +481,7 @@ def cmd_optimize(scenario: dict, out: str) -> int:
     if beam["type"] != "curving":
         raise UsageError("optimize requires a curving beam")
     plan = _curving_plan(scenario["cfg"], scenario["user"], beam, scenario["obstacle"])
-    _write_json(os.path.join(out, "optimize.json"), _plan_dict(plan))
+    _write_json(os.path.join(out, "optimize.json"), _report(plan))
     if plan.status in ("solved", "unnecessary"):
         return 0
     print(f"optimization failed: {plan.message}", file=sys.stderr)

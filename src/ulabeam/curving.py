@@ -199,7 +199,7 @@ def tangent_y(t: ParabolicTrajectory, x_t):
     return float(out) if np.isscalar(x_t) or xv.ndim == 0 else out
 
 
-def curving_phases(cfg: UlaConfig, t: ParabolicTrajectory, active=None) -> Excitation:
+def curving_phases(cfg: UlaConfig, t: ParabolicTrajectory, active: np.ndarray) -> Excitation:
     """Unit-magnitude excitation launching the curving beam along t.
 
     The phase of the element at x equals k (ell - sigma) up to a constant,
@@ -211,28 +211,16 @@ def curving_phases(cfg: UlaConfig, t: ParabolicTrajectory, active=None) -> Excit
         phi = k { (p + s) sqrt(c1) / 2 - log(sqrt(c1) - c2) / (4 |beta|) }
 
     with s the tangent height, c1 = 4 beta^2 (p - s)^2 + 1 and
-    c2 = 2 |beta| (p - s). Natural logarithm. active selects the driven
-    elements, as a boolean mask or as integer indices in [0, n_elements).
+    c2 = 2 |beta| (p - s). Natural logarithm. active is the boolean mask
+    of the driven elements, one entry per element.
     """
     if t.beta == 0:
         raise ValueError("curving phases undefined for beta = 0")
     xs = cfg.element_xs()
     n = xs.shape[0]
-    if active is None:
-        mask = np.ones(n, dtype=bool)
-    else:
-        arr = np.asarray(active)
-        if arr.dtype == bool:
-            if arr.shape != (n,):
-                raise ValueError("boolean active mask must have one entry per element")
-            mask = arr.copy()
-        else:
-            if arr.size and not (
-                np.issubdtype(arr.dtype, np.integer) and arr.min() >= 0 and arr.max() < n
-            ):
-                raise ValueError(f"active indices must be integers in [0, {n})")
-            mask = np.zeros(n, dtype=bool)
-            mask[arr.astype(int)] = True
+    mask = np.asarray(active)
+    if mask.dtype != bool or mask.shape != (n,):
+        raise ValueError("active must be a boolean mask with one entry per element")
     k = cfg.wavenumber()
     phases = np.zeros(n)
     xa = xs[mask]

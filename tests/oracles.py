@@ -296,7 +296,9 @@ def visible_pairs(obstacle, ex: np.ndarray, px: np.ndarray, py: np.ndarray) -> n
         frac_lo = obstacle.y_n / pyr
         frac_hi = np.minimum(obstacle.y_f, pyr) / pyr
         x_lo = exr + (pxr - exr) * frac_lo
-        x_hi = exr + (pxr - exr) * frac_hi
+        # At the top of the segment (frac_hi == 1) x is the point's own x:
+        # ex + (px - ex) can round away from px.
+        x_hi = np.where(frac_hi == 1.0, pxr, exr + (pxr - exr) * frac_hi)
         lo = np.minimum(x_lo, x_hi)
         hi = np.maximum(x_lo, x_hi)
         blocked = reaches & (hi >= obstacle.x_r2) & (lo <= obstacle.x_r1)

@@ -2,7 +2,8 @@
 
 Proves:
  - the steerability predicate is exact at both boundaries (closed left,
-   open right) and rejects the known failure case theta=15deg, alpha=10deg
+   open right) and rejects the known failure case theta=15deg, alpha=10deg;
+   the failure reason names the bound, and the synthesis refuses with it
  - synthesis phases equal k times the brute-force minimum distance to the
    wavefront polyline (independent point-to-segment oracle)
  - propagation limits match frozen values, the reference points lie on the
@@ -61,6 +62,18 @@ def test_steerable_boundaries_exact():
     assert not BesselDesign(th, hi).steerable()
     assert not BesselDesign(th, hi + eps).steerable()
     assert BesselDesign(th, hi - eps).steerable()
+
+
+def test_steering_failure_names_the_failing_bound():
+    th = 15 * DEG
+    assert BesselDesign(th, 20 * DEG).steering_failure() is None
+    assert BesselDesign(-th, 10 * DEG).steering_failure() == "alpha < |theta|"
+    assert BesselDesign(th, math.pi / 2 - th).steering_failure() == "alpha >= pi/2 - |theta|"
+    cfg = UlaConfig(8, 1e-3, 140e9)
+    with pytest.raises(ValueError, match=r"^design not steerable: alpha < \|theta\|$"):
+        bessel_phases(cfg, BesselDesign(th, 10 * DEG))
+    with pytest.raises(ValueError, match=r"^design not steerable: alpha >= pi/2 - \|theta\|$"):
+        bessel_phases(cfg, BesselDesign(th, math.pi / 2 - th))
 
 
 def test_steerable_symmetric_in_theta_sign():

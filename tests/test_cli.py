@@ -25,6 +25,11 @@ Proves:
 - optimize exits 0 on solved or unnecessary plans and 3 on infeasible
   ones, always writing the plan JSON.
 - Repeated runs produce byte-identical data files.
+- The JSON reports keep their key sets: the plan in optimize.json
+  (solved two-beam, unnecessary, infeasible), analyze.json (rect and
+  circle self-heal, non-steerable) and the beam, obstacle and user echo
+  in simulate.json. No internal field (relaxed_vertex, active_elements,
+  trajectory, center) leaks into them.
 """
 
 import json
@@ -562,3 +567,109 @@ def test_repeated_runs_are_byte_identical(tmp_path):
         assert rc == 0
     for name in ("excitation.csv", "curving.json", "field.csv", "field.pgm", "simulate.json", "linecut.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# -- report key sets --------------------------------------------------------
+
+
+def key_tree(value):
+    """The keys of a JSON report at every level; leaves and null become None."""
+    return {k: key_tree(v) for k, v in value.items()} if isinstance(value, dict) else None
+
+
+SOLUTION_KEYS = dict.fromkeys(
+    [
+        "beta",
+        "p",
+        "q",
+        "p_tilde",
+        "x_adj_star",
+        "x_t_star",
+        "curvature_sign",
+        "objective_value",
+        "relaxed_objective",
+        "kkt_candidate_index",
+        "n_active",
+    ]
+)
+SOLVED_KEYS = {"status": None, "message": None, "solution": SOLUTION_KEYS}
+SELF_HEAL_KEYS = dict.fromkeys(["d_h_pos", "d_h_neg", "x_p_star", "x_m_star", "pos_unblocked", "neg_unblocked"])
+ANALYZE_KEYS = dict.fromkeys(["steerable", "reason", "marginal", "d_max", "d_lim", "max_spacing", "self_heal"])
+RECT_KEYS = dict.fromkeys(["type", "x_r1", "x_r2", "y_n", "y_f"])
+CIRCLE_KEYS = dict.fromkeys(["type", "x", "y", "radius"])
+CIRCLE = {"type": "circle", "x": 0.0, "y": 0.35, "radius": 0.14}
+
+
+def test_optimize_report_key_sets(tmp_path):
+    main(["optimize", "--scenario", str(SCENARIOS / "curving_centered_cuboid.yaml"), "--out", str(tmp_path)])
+    assert key_tree(read_json(tmp_path, "optimize.json")) == {
+        "status": None,
+        "message": None,
+        "primary": SOLVED_KEYS,
+        "secondary": SOLVED_KEYS,
+    }
+    unnecessary = scenario_dict(
+        user={"x": -0.05, "y": 1.0},
+        beam={"type": "curving", "w": 1.0},
+        obstacle={"type": "rect", "x_r1": 0.05, "x_r2": -0.90, "y_n": 0.10, "y_f": 0.50},
+    )
+    main(["optimize", "--scenario", write_scenario(tmp_path, unnecessary), "--out", str(tmp_path)])
+    assert key_tree(read_json(tmp_path, "optimize.json")) == {
+        "status": None,
+        "message": None,
+        "primary": {"status": None, "message": None},
+        "secondary": None,
+    }
+    infeasible = scenario_dict(
+        user={"x": 0.0, "y": 0.6},
+        beam={"type": "curving", "w": 1.0},
+        obstacle={"type": "rect", "x_r1": 0.5, "x_r2": -0.5, "y_n": 0.15, "y_f": 0.55},
+    )
+    main(["optimize", "--scenario", write_scenario(tmp_path, infeasible), "--out", str(tmp_path)])
+    failed = {"status": None, "message": None, "most_violated": None}
+    assert key_tree(read_json(tmp_path, "optimize.json")) == {
+        "status": None,
+        "message": None,
+        "primary": failed,
+        "secondary": failed,
+    }
+
+
+def test_analyze_report_key_sets(tmp_path):
+    steerable = {
+        **ANALYZE_KEYS,
+        "min_elements_for": {"distance": None, "n_elements": None},
+        "self_heal": SELF_HEAL_KEYS,
+    }
+    for name in ("self_healing_cuboid.yaml", "self_healing_cylinder.yaml"):
+        main(["analyze", "--scenario", str(SCENARIOS / name), "--out", str(tmp_path)])
+        assert key_tree(read_json(tmp_path, "analyze.json")) == steerable
+    data = scenario_dict()
+    data["beam"].update(theta_deg=50.0, alpha_deg=10.0)
+    assert key_tree(analyze_report(tmp_path, data)) == {**ANALYZE_KEYS, "min_elements_for": None}
+
+
+@pytest.mark.parametrize(
+    "obstacle, beam, echo",
+    [
+        ({"type": "none"}, {"type": "gaussian", "theta_deg": 0.0}, {"type": None}),
+        ({"type": "rect", "x_r1": 0.1, "x_r2": -0.1, "y_n": 0.2, "y_f": 0.3}, {"type": "focus"}, RECT_KEYS),
+        ({"type": "circle", "x": 0.1, "y": 0.5, "radius": 0.05}, {"type": "focus"}, CIRCLE_KEYS),
+        ({"type": "none"}, {"type": "curving", "w": 1.0, "design_obstacle": CIRCLE}, {"type": None}),
+    ],
+)
+def test_simulate_echo_key_sets(tmp_path, obstacle, beam, echo):
+    data = yaml.safe_load((SCENARIOS / "curving_centered_cuboid.yaml").read_text())
+    data.update(obstacle=obstacle, beam=beam)
+    path = write_scenario(tmp_path, data)
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path), "--grid", "3,3"]) == 0
+    meta = key_tree(read_json(tmp_path, "simulate.json"))
+    beam_keys = dict.fromkeys(beam)
+    if "design_obstacle" in beam:
+        beam_keys["design_obstacle"] = CIRCLE_KEYS
+    assert meta["beam"] == beam_keys
+    assert meta["obstacle"] == echo
+    assert meta["user"] == {"x": None, "y": None}
+    top = ["beam", "carrier_freq_hz", "n_elements", "nx", "ny", "obstacle", "power_budget", "spacing", "user"]
+    top += ["x_range", "y_range"] + (["curving_plan"] if beam["type"] == "curving" else [])
+    assert sorted(meta) == sorted(top)

@@ -120,30 +120,19 @@ def test_phase_slope_matches_tangent_ray_angle(cfg1024):
     assert ang_err.max() < 5e-3
 
 
-def test_curving_phases_mask_forms_agree():
-    cfg = UlaConfig(8, 1e-2, 140e9)
-    t = ParabolicTrajectory(1.0, 1.0, 0.5)
-    by_bool = curving_phases(cfg, t, np.array([1, 0, 1, 0, 0, 0, 0, 0], dtype=bool))
-    by_index = curving_phases(cfg, t, [0, 2])
-    assert np.array_equal(by_bool.phases, by_index.phases)
-    assert np.array_equal(by_bool.active, by_index.active)
-    assert not by_bool.active[1] and by_bool.magnitudes[1] == 0.0
-
-
 def test_curving_phases_errors():
     cfg = UlaConfig(8, 1e-2, 140e9)
     t = ParabolicTrajectory(1.0, 1.0, 0.5)
+    every = np.ones(8, dtype=bool)
     with pytest.raises(ValueError):
-        curving_phases(cfg, ParabolicTrajectory(0.0, 1.0, 0.5))
-    with pytest.raises(ValueError):
-        curving_phases(cfg, t, np.ones(7, dtype=bool))
+        curving_phases(cfg, ParabolicTrajectory(0.0, 1.0, 0.5), every)
+    # the mask has one boolean per element; an integer array is not a mask
+    for active in (np.ones(7, dtype=bool), np.ones(8, dtype=int)):
+        with pytest.raises(ValueError, match="boolean mask"):
+            curving_phases(cfg, t, active)
     # apex at x = 1.5: elements beyond it have no tangent line
     with pytest.raises(ValueError, match="no tangent"):
-        curving_phases(UlaConfig(8, 0.5, 140e9), t)
-    # index lists name elements 0..7 exactly: no wrapping, truncation or IndexError
-    for active in ([-1], [1.7], [8]):
-        with pytest.raises(ValueError, match="active indices"):
-            curving_phases(cfg, t, active)
+        curving_phases(UlaConfig(8, 0.5, 140e9), t, every)
 
 
 # -------------------------------------------------------------- KKT table

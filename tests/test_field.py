@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from oracles import field_by_elements, inside_obstacle, visible_pairs
@@ -660,6 +660,9 @@ def obstacle_and_points(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(obstacle_and_points(), st.integers(2, 200), st.floats(1e-4, 1e-2))
+# the point sits within rounding of the corner (0, 1.0): element 0's sight
+# segment ends at the point's own x, left of the obstacle
+@example((RectObstacle(0.25, 0.0, 0.5, 1.0), [(-9.78e-132, 1.0)]), 2, 7.8125e-3)
 def test_blocked_run_matches_pairwise_oracle(case, n_elements, spacing):
     obstacle, points = case
     xs = UlaConfig(n_elements, spacing, 140e9).element_xs()

@@ -5,6 +5,10 @@ Proves:
   module: private helpers stay private to the module that defines them.
 - The package exports exactly the names its modules list in __all__, plus
   __version__, each name once, and every exported name exists.
+- cli.py takes names with ``from ... import`` only from package modules;
+  standard-library and third-party modules come in whole. perfbench's
+  tracer wraps every function in cli's namespace that another module
+  defined, so a name taken from outside the package would get a span.
 """
 
 import ast
@@ -30,6 +34,16 @@ def _private_imports(path: Path) -> list[str]:
     return found
 
 
+def _foreign_from_imports(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if not isinstance(node, ast.ImportFrom) or node.level > 0:
+            continue
+        if node.module.split(".")[0] not in ("ulabeam", "__future__"):
+            found.append(f"{path.name}:{node.lineno} imports from {node.module}")
+    return found
+
+
 def test_no_module_imports_another_modules_private_names():
     modules = sorted(SRC.glob("*.py"))
     assert {p.name for p in modules} >= {"cli.py", "field.py", "metrics.py"}
@@ -47,6 +61,27 @@ def test_private_import_check_sees_relative_and_absolute_imports(tmp_path):
     assert _private_imports(sample) == [
         "sample.py:1 imports _blocked_runs from .field",
         "sample.py:2 imports _flag_pair from ulabeam.cli",
+    ]
+
+
+def test_cli_takes_names_only_from_package_modules():
+    assert _foreign_from_imports(SRC / "cli.py") == []
+
+
+def test_foreign_import_check_sees_stdlib_and_third_party(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from __future__ import annotations\n"
+        "import dataclasses\n"
+        "from dataclasses import fields\n"
+        "from .field import field_points\n"
+        "from ulabeam.metrics import ErrorBox\n"
+        "from numpy.linalg import solve\n",
+        encoding="utf-8",
+    )
+    assert _foreign_from_imports(sample) == [
+        "sample.py:3 imports from dataclasses",
+        "sample.py:6 imports from numpy.linalg",
     ]
 
 
