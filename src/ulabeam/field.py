@@ -19,22 +19,39 @@ Kernel
 ``field_points_per_obstacle`` evaluates one excitation at one point set
 under K obstacles; ``field_points`` is its K = 1 call. The phase is folded
 into one real array: with arg_n = phi_n - k r_n and w_n = gamma_n / r_n,
-each point is sum_n w_n cos(arg_n) + j sum_n w_n sin(arg_n). r, w, arg and
-its cos and sin (about 95% of the cost) are computed once per chunk of
-points and shared by all K obstacles. Each obstacle then zeroes w on the
-elements it hides, on a copy (the last obstacle zeroes w itself), and takes
-its own two weighted row sums. The obstacle is convex, so the elements a
-point cannot see form one contiguous index run: the central projection,
-from the point onto y = 0, of the obstacle below the point's height. Each
-point gets that run [lo, hi) from O(1) geometry and a binary search (a
-point level with the obstacle has a run that reaches one end of the
-array). Row j is the same products summed in the same order as a call
-with obstacle j alone, so it is bit-identical to that call.
+each point is sum_n w_n cos(arg_n) + j sum_n w_n sin(arg_n). The obstacle
+is convex, so the elements a point cannot see form one contiguous index
+run: the central projection, from the point onto y = 0, of the obstacle
+below the point's height. Each point gets that run [lo, hi) from O(1)
+geometry and a binary search (a point level with the obstacle has a run
+that reaches one end of the array).
+
+r, w and arg are computed once per chunk of points and shared by all K
+obstacles. The elements hidden under every obstacle form one run too, the
+intersection [max_j lo_j, min_j hi_j) of the K runs, and w is zeroed on it
+once. cos and sin, most of the cost, are then taken only where w != 0: on
+the pairs that at least one obstacle leaves visible and whose element has
+a nonzero weight (inactive elements have gamma = 0). A chunk with nothing
+to skip (free space, every element active, an empty common run) takes them
+on every pair. Each obstacle then zeroes w on its own run, on a copy (the
+last obstacle zeroes w itself; a single obstacle's run is the common run,
+already zeroed), and takes its own two weighted row sums.
+
+The sums are bit-identical to taking cos and sin on every pair. A skipped
+pair has w = 0 and keeps its arg in place of its cos and sin, so each of
+its terms is arg times zero where it used to be cos(arg) times zero: a
+zero, whose sign may differ, where arg is finite, and NaN, as before,
+where it is infinite (a point so far away that r overflows). A row sum
+starts from +0.0, so a zero term of either sign leaves it unchanged, and
+a row of zeros sums to +0.0 either way. Row j has the same nonzero terms,
+in the same order, as a call with obstacle j alone, so it is
+bit-identical to that call.
 
 Points are processed in chunks of about ``_CHUNK_PAIRS`` = 65,536
 point-element pairs. A chunk holds five float64 temporaries of 512 KB
-(arg and sin, w, cos, the masked copy of w and the product), which stay
-in the caches; twice that chunk ran slower and raised peak memory. Chunks
+(arg and sin, w, cos, the masked copy of w and the product) and, when it
+skips pairs, a boolean mask of the pairs that need trig. These stay in
+the caches; twice that chunk ran slower and raised peak memory. Chunks
 run on a thread pool with one thread per CPU this process may use (there
 is no setting); a batch of one chunk runs in the calling thread. Each
 chunk writes its own slice of the output and each point's sum is taken
@@ -77,7 +94,7 @@ __all__ = [
 ]
 
 # Point batches are processed in chunks of about this many point-element
-# pairs: each chunk's five float64 temporaries (512 KB apiece) stay in cache.
+# pairs: each chunk's float64 temporaries (512 KB apiece) stay in cache.
 _CHUNK_PAIRS = 65_536
 
 
@@ -244,6 +261,11 @@ def _blocked_runs(obstacle, xs: np.ndarray, px: np.ndarray, py: np.ndarray) -> t
     return lo, np.maximum(lo, hi)
 
 
+def _nonempty_runs(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int, int]]:
+    """(row, lo, hi) of each row whose run [lo, hi) is not empty, as Python ints."""
+    return [(i, a, b) for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())) if b > a]
+
+
 def _workers() -> int:
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
@@ -273,13 +295,22 @@ def field_points_per_obstacle(
         raise ValueError("field points must be finite")
     if np.any(py <= 0):
         raise ValueError("field points must lie strictly in front of the array (y > 0)")
+    if not obstacles:
+        return np.empty((0, px.shape[0]), dtype=complex)
     xs = cfg.element_xs()
     k = cfg.wavenumber()
     gamma, phi = exc.magnitudes, exc.phases
-    runs = [None if obstacle is None else _blocked_runs(obstacle, xs, px, py) for obstacle in obstacles]
-    last = len(obstacles) - 1
+    # Free space hides the empty run [0, 0).
+    clear = np.zeros(px.shape, dtype=np.intp)
+    runs = [(clear, clear) if obstacle is None else _blocked_runs(obstacle, xs, px, py) for obstacle in obstacles]
+    # The elements hidden under every obstacle form one run per point.
+    common_lo = np.maximum.reduce([lo for lo, _ in runs])
+    common_hi = np.maximum(common_lo, np.minimum.reduce([hi for _, hi in runs]))
+    # Some element has zero weight (every inactive element has).
+    silent = not gamma.all()
+    last = len(runs) - 1
 
-    out = np.empty((len(obstacles), px.shape[0]), dtype=complex)
+    out = np.empty((len(runs), px.shape[0]), dtype=complex)
     step = max(1, _CHUNK_PAIRS // max(1, cfg.n_elements))
 
     def chunk(start: int) -> None:
@@ -290,22 +321,31 @@ def field_points_per_obstacle(
         rr += (cpy * cpy)[:, np.newaxis]
         r = np.sqrt(rr, out=rr)
         w = gamma / r
+        common = _nonempty_runs(common_lo[sl], common_hi[sl])
+        for i, lo, hi in common:
+            w[i, lo:hi] = 0.0
         arg = np.multiply(r, k, out=r)
         np.subtract(phi, arg, out=arg)
-        cos = np.cos(arg)
-        sin = np.sin(arg, out=arg)
+        if common or silent:
+            # Trig only where w != 0. A skipped pair keeps arg in place of
+            # its cos and sin, so its terms are arg * 0, as cos(arg) * 0 was.
+            live = w != 0.0
+            cos = np.cos(arg, out=arg.copy(), where=live)
+            sin = np.sin(arg, out=arg, where=live)
+        else:
+            cos = np.cos(arg)
+            sin = np.sin(arg, out=arg)
         term = np.empty_like(w)
-        for j, run in enumerate(runs):
+        for j, (lo, hi) in enumerate(runs):
             wj = w
-            if run is not None:
-                clo, chi = run[0][sl], run[1][sl]
-                blocked = np.flatnonzero(chi > clo)
-                if blocked.size:
-                    # Zero a copy of w, so the next obstacle starts from the
-                    # unmasked weights; the last obstacle may zero w itself.
-                    wj = w if j == last else w.copy()
-                    for i in blocked:
-                        wj[i, clo[i] : chi[i]] = 0.0
+            # With one obstacle its run is the common run, already zeroed.
+            hidden = _nonempty_runs(lo[sl], hi[sl]) if last else ()
+            if hidden:
+                # Zero a copy of w, so the next obstacle starts from the
+                # unmasked weights; the last obstacle may zero w itself.
+                wj = w if j == last else w.copy()
+                for i, a, b in hidden:
+                    wj[i, a:b] = 0.0
             np.multiply(cos, wj, out=term)
             out.real[j, sl] = term.sum(axis=1)
             np.multiply(sin, wj, out=term)

@@ -2,7 +2,10 @@
 
 Kept free of any imports from the package's internal solver helpers; only
 public data types are used, so the oracles cannot inherit a bug from the
-code under test.
+code under test. The one exception is ``dense_field``: it checks the field
+kernel's arithmetic, not its geometry, so it takes the kernel's blocked
+runs and interior test (which ``visible_pairs`` and ``inside_obstacle``
+check on their own).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 import numpy as np
 
 from ulabeam import AvoidanceScenario, BesselDesign, CircleObstacle, RectObstacle, tangent_y, trajectory_eval
+from ulabeam.field import _blocked_runs, _interior_mask
 
 
 def polyline_min_distances(points_x: np.ndarray, curve_x: np.ndarray, curve_y: np.ndarray) -> np.ndarray:
@@ -342,3 +346,31 @@ def field_by_elements(ex, k, gamma, phi, obstacle, px, py) -> tuple[np.ndarray, 
         scale += g_n / r
     field[inside_obstacle(obstacle, px, py)] = complex(np.nan, np.nan)
     return field, scale
+
+
+def dense_field(ex, k, gamma, phi, obstacles, px, py) -> np.ndarray:
+    """Field at points (px, py) under each obstacle, trig on every pair.
+
+    The (K, M) result follows the field kernel's arithmetic on the whole
+    (M, N) pair matrix at once: r, w = gamma / r, arg = phi - k r, and cos
+    and sin of every pair, hidden elements included; each obstacle then
+    zeroes w on its blocked runs and takes the two row sums. Interior
+    points are NaN. Bit for bit, this is what the kernel returns.
+    """
+    rr = np.subtract.outer(px, ex)
+    rr *= rr
+    rr += (py * py)[:, np.newaxis]
+    r = np.sqrt(rr)
+    w = gamma / r
+    arg = phi - r * k
+    cos, sin = np.cos(arg), np.sin(arg)
+    out = np.empty((len(obstacles), px.shape[0]), dtype=complex)
+    for j, obstacle in enumerate(obstacles):
+        wj = w.copy()
+        if obstacle is not None:
+            for i, (lo, hi) in enumerate(zip(*_blocked_runs(obstacle, ex, px, py))):
+                wj[i, lo:hi] = 0.0
+        out.real[j] = (cos * wj).sum(axis=1)
+        out.imag[j] = (sin * wj).sum(axis=1)
+        out[j, _interior_mask(obstacle, px, py)] = complex(np.nan, np.nan)
+    return out

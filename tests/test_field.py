@@ -25,6 +25,10 @@ Proves:
    that obstacle alone, for random arrays, 1-4 obstacles, chunk sizes and
    worker counts, and matches the element-by-element oracle to 1e-12 of
    sum(gamma / r)
+ - the kernel, which takes cos and sin only on pairs that contribute, equals
+   bit for bit a dense reference that takes them on every pair, with
+   inactive and zero-magnitude elements and walls that hide the whole
+   aperture; with no obstacles it returns an empty (0, M) result at once
 """
 
 import csv
@@ -39,7 +43,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from oracles import field_by_elements, inside_obstacle, visible_pairs
+from oracles import dense_field, field_by_elements, inside_obstacle, visible_pairs
 
 import ulabeam.field
 from ulabeam import (
@@ -547,6 +551,9 @@ def test_field_points_matches_field_at():
 def per_obstacle_case(draw):
     """An array, a random excitation, 1-4 obstacles and points to evaluate.
 
+    The excitation may have inactive elements and active elements of zero
+    magnitude, or neither.
+
     Obstacles are rects, circles, free space (None) and walls that hide the
     whole aperture; the points hold each obstacle's y-band and interior
     points, points above each wall, and free points. Returns the points
@@ -556,7 +563,12 @@ def per_obstacle_case(draw):
     n = draw(st.one_of(st.sampled_from((2, 3)), st.integers(2, 80)))
     cfg = UlaConfig(n, draw(st.floats(1e-4, 1e-2)), 140e9)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    exc = Excitation(rng.uniform(0.0, 1.0, n), rng.uniform(-math.pi, math.pi, n), rng.random(n) > 0.2)
+    magnitudes = rng.uniform(0.0, 1.0, n)
+    if draw(st.booleans()):
+        # active elements of zero magnitude
+        magnitudes[rng.random(n) < 0.2] = 0.0
+    active = rng.random(n) > 0.2 if draw(st.booleans()) else np.ones(n, dtype=bool)
+    exc = Excitation(magnitudes, rng.uniform(-math.pi, math.pi, n), active)
     obstacles, points, hidden = [], [], []
     for j in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(("rect", "circle", "wall", "none")))
@@ -626,6 +638,49 @@ def test_per_obstacle_rows_match_single_obstacle_calls(case):
             check &= np.all(visible == visible_pairs(obstacle, xs + shift, px, py), axis=1)
             check &= np.all(visible == visible_pairs(obstacle, xs, px + shift, py), axis=1)
         assert np.all(np.abs(single - want)[check] <= 1e-12 * scale[check] + phase_rounding)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(per_obstacle_case())
+def test_per_obstacle_rows_match_dense_reference_bit_for_bit(case):
+    cfg, exc, obstacles, px, py, _ = case
+    want = dense_field(cfg.element_xs(), cfg.wavenumber(), exc.magnitudes, exc.phases, obstacles, px, py)
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk_pairs in (1, 7, 65_536):
+            mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
+            for workers in (1, 2):
+                mp.setattr(ulabeam.field, "_workers", lambda: workers)
+                rows = field_points_per_obstacle(cfg, exc, px, py, obstacles)
+                # equal bits: equal values, NaN positions and signs of zero
+                assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+
+
+def test_point_whose_distance_overflows_matches_dense_reference():
+    # r overflows to inf at x = 1e155 m: every pair of that point is skipped
+    # (w = gamma / inf = 0), and its terms stay NaN as cos(-inf) * 0 made them
+    cfg = UlaConfig(16, 1e-3, 140e9)
+    exc = Excitation(np.ones(16), np.zeros(16), np.arange(16) > 3)
+    obstacles = (RectObstacle(0.01, -0.01, 0.1, 0.2), None)
+    px, py = np.array([0.0, 1e155]), np.array([1.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = field_points_per_obstacle(cfg, exc, px, py, obstacles)
+        want = dense_field(cfg.element_xs(), cfg.wavenumber(), exc.magnitudes, exc.phases, obstacles, px, py)
+    assert np.all(np.isnan(rows[:, 1]))
+    assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+
+
+def test_no_obstacles_give_an_empty_result_without_evaluating(monkeypatch):
+    cfg = UlaConfig(1024, 1.07e-3, 140e9)
+    exc = gaussian_excitation(cfg, 5 * DEG)
+    px, py = np.linspace(-0.3, 0.3, 6400), np.linspace(0.1, 1.0, 6400)
+    # a chunk that ran would find no element positions
+    monkeypatch.setattr(UlaConfig, "element_xs", lambda self: None)
+    rows = field_points_per_obstacle(cfg, exc, px, py, ())
+    assert rows.shape == (0, 6400) and rows.dtype == complex
+    with pytest.raises(ValueError):
+        field_points_per_obstacle(cfg, exc, px, -py, ())
+    with pytest.raises(ValueError):
+        field_points_per_obstacle(cfg, exc, px, py[:5], ())
 
 
 # ------------------------------------------------- blocked runs, oracles

@@ -1,0 +1,160 @@
+"""Compare the CLI's outputs of two source trees, run by run.
+
+Usage: python3 tools/cli_diff.py OLD_TREE NEW_TREE
+
+Each tree is a checkout of this repository (``src/ulabeam`` and
+``scenarios/``). Both trees run the same command lines:
+
+- every command (analyze, synthesize, simulate, compare, optimize) on
+  every shipped scenario (each tree's own ``scenarios/*.yaml``), simulate
+  with ``--line-cut 1.5,200``;
+- a curving scene whose obstacle hides the whole aperture, through
+  synthesize, simulate, optimize and compare (the plan is infeasible);
+- ``compare --levels 1`` and ``simulate --grid 3`` (usage errors).
+
+Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
+``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
+copied there as ``scenario.yaml`` and output to ``out/``; so paths in
+messages are the same in both trees. The script compares exit codes,
+stdout, stderr, the names of the files written and their bytes. It
+prints one line per run and exits 0 when every run is byte-identical, 1
+on any difference, and 2 on bad arguments or when Python, so set up,
+would import ``ulabeam`` from somewhere other than the tree's ``src``.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = ("analyze", "synthesize", "simulate", "compare", "optimize")
+
+# A rect wider than the aperture hides every element from the user, so no
+# curving beam can bend around it.
+_INFEASIBLE_HEAD = """\
+array:
+  n_elements: 64
+  spacing_mode: half_wavelength
+  carrier_freq_hz: 140000000000.0
+user:
+  x: 0.0
+  y: 0.6
+power_budget: 1.0
+"""
+INFEASIBLE = _INFEASIBLE_HEAD + """\
+beam:
+  type: curving
+  w: 1.0
+obstacle:
+  type: rect
+  x_r1: 0.5
+  x_r2: -0.5
+  y_n: 0.15
+  y_f: 0.55
+grid:
+  x_range: [-0.5, 0.5]
+  y_range: [0.05, 1.0]
+  nx: 20
+  ny: 20
+"""
+INFEASIBLE_COMPARE = _INFEASIBLE_HEAD + """\
+beams:
+  - type: focus
+  - type: curving
+    w: 1.0
+obstacles:
+  - type: rect
+    x_r1: 0.5
+    x_r2: -0.5
+    y_n: 0.15
+    y_f: 0.55
+error_box:
+  half_width_x: 0.05
+  half_width_y: 0.05
+  nx: 5
+  ny: 5
+"""
+
+
+def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
+    """label -> (scenario text, command words) of every run, for the tree's scenarios."""
+    out = {}
+    shipped = tree / "scenarios"
+    for path in sorted(shipped.glob("*.yaml")):
+        text = path.read_text(encoding="utf-8")
+        for command in COMMANDS:
+            extra = ["--line-cut", "1.5,200"] if command == "simulate" else []
+            out[f"{command} {path.stem}"] = (text, [command, *extra])
+    for command in ("synthesize", "simulate", "optimize"):
+        out[f"{command} infeasible_curving"] = (INFEASIBLE, [command])
+    out["compare infeasible_curving"] = (INFEASIBLE_COMPARE, ["compare"])
+    compare_text = (shipped / "compare_four_positions.yaml").read_text(encoding="utf-8")
+    out["compare --levels 1"] = (compare_text, ["compare", "--levels", "1"])
+    smoke_text = (shipped / "smoke_two_element.yaml").read_text(encoding="utf-8")
+    out["simulate --grid 3"] = (smoke_text, ["simulate", "--grid", "3"])
+    return out
+
+def environment(tree: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), PYTHONDONTWRITEBYTECODE="1")
+
+
+def imports_own_source(tree: Path) -> bool:
+    """True if a process with the tree's environment imports ulabeam from the tree."""
+    probe = [sys.executable, "-c", "import ulabeam; print(ulabeam.__file__)"]
+    done = subprocess.run(probe, env=environment(tree), capture_output=True, text=True)
+    return done.returncode == 0 and Path(done.stdout.strip()).resolve().is_relative_to(tree.resolve() / "src")
+
+
+def run(tree: Path, scenario: str, words: list[str], work: Path) -> dict:
+    """Run one command line in a fresh directory; its exit code, streams and files."""
+    work.mkdir(parents=True)
+    (work / "scenario.yaml").write_text(scenario, encoding="utf-8")
+    argv = [sys.executable, "-m", "ulabeam.cli", *words[:1], "--scenario", "scenario.yaml", "--out", "out", *words[1:]]
+    done = subprocess.run(argv, cwd=work, env=environment(tree), capture_output=True)
+    out = work / "out"
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    return {"exit code": done.returncode, "stdout": done.stdout, "stderr": done.stderr, "files": files}
+
+
+def differences(old: dict, new: dict) -> list[str]:
+    found = [key for key in ("exit code", "stdout", "stderr") if old[key] != new[key]]
+    if old["files"].keys() != new["files"].keys():
+        found.append(f"files {sorted(old['files'])} vs {sorted(new['files'])}")
+    found += [name for name in old["files"] if name in new["files"] and old["files"][name] != new["files"][name]]
+    return found
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    old_tree, new_tree = map(Path, argv)
+    for tree in (old_tree, new_tree):
+        if not (tree / "src" / "ulabeam" / "cli.py").is_file() or not (tree / "scenarios").is_dir():
+            print(f"{tree}: not a source tree (expected src/ulabeam and scenarios/)", file=sys.stderr)
+            return 2
+        if not imports_own_source(tree):
+            print(f"{tree}: python does not import ulabeam from {tree / 'src'}", file=sys.stderr)
+            return 2
+    old_runs, new_runs = runs(old_tree), runs(new_tree)
+    labels = [*new_runs, *(label for label in old_runs if label not in new_runs)]
+    same = 0
+    with tempfile.TemporaryDirectory(prefix="cli_diff_") as tmp:
+        for i, label in enumerate(labels):
+            if label not in old_runs or label not in new_runs:
+                print(f"{label}: DIFF run exists in one tree only", flush=True)
+                continue
+            old = run(old_tree, *old_runs[label], Path(tmp) / f"old{i}")
+            new = run(new_tree, *new_runs[label], Path(tmp) / f"new{i}")
+            found = differences(old, new)
+            same += not found
+            status = f"DIFF {', '.join(found)}" if found else "same"
+            print(f"{label}: exit {new['exit code']}, {len(new['files'])} files: {status}", flush=True)
+    print(f"{same} of {len(labels)} runs byte-identical")
+    return 0 if same == len(labels) else 1
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
