@@ -51,10 +51,9 @@ from .field import (
 from .metrics import (
     ErrorBox,
     ScenarioSet,
-    amplitude_at_user,
-    box_amplitudes_per_obstacle,
     empirical_cdf,
     mean_amplitude,
+    scenario_amplitudes,
     write_cdf_csv,
 )
 
@@ -404,6 +403,10 @@ def cmd_simulate(scenario: dict, out: str, grid_override, line_cut_spec) -> int:
     obstacle = scenario["obstacle"]
     exc, plan = _beam_excitation(cfg, user, scenario["beam"], obstacle, scenario["power_budget"], out)
     grid = field_grid(cfg, exc, x_range, y_range, nx, ny, obstacle)
+    # The cut is evaluated before any file is written, so a failing one leaves none.
+    if line_cut_spec is not None:
+        d_plot, samples = line_cut_spec
+        pairs = line_cut(cfg, exc, _cut_angle(scenario["beam"], user), d_plot, samples, obstacle)
     write_field_csv(grid, os.path.join(out, "field.csv"))
     write_field_pgm(grid, os.path.join(out, "field.pgm"))
     meta = {
@@ -423,8 +426,6 @@ def cmd_simulate(scenario: dict, out: str, grid_override, line_cut_spec) -> int:
         meta["curving_plan"] = plan
     _write_json(os.path.join(out, "simulate.json"), meta)
     if line_cut_spec is not None:
-        d_plot, samples = line_cut_spec
-        pairs = line_cut(cfg, exc, _cut_angle(scenario["beam"], user), d_plot, samples, obstacle)
         write_columns(os.path.join(out, "linecut.csv"), "distance,amplitude", zip(*pairs))
     return 0
 
@@ -439,36 +440,34 @@ def _beam_labels(beams: list[dict]) -> list[str]:
     return labels
 
 
-def _compare_groups(cfg: UlaConfig, user: Point2, beam: dict, obstacles: list, budget: float) -> list[tuple]:
-    """(excitation, obstacles) pairs that cover one beam's boxes, in obstacle order.
+def _compare_entries(cfg: UlaConfig, user: Point2, beam: dict, obstacles: list, budget: float) -> list[tuple]:
+    """One beam's (excitation, obstacle) entries, in obstacle order.
 
-    Only a curving beam's excitation depends on the obstacle, so it gets one
-    pair per obstacle; any other beam gets one pair for all of them.
+    Only a curving beam's excitation depends on the obstacle, so it is
+    planned per obstacle; any other beam shares one excitation.
     """
     if beam["type"] == "curving":
-        groups = [(_beam_excitation(cfg, user, beam, obstacle, budget)[0], (obstacle,)) for obstacle in obstacles]
-    else:
-        groups = [(_beam_excitation(cfg, user, beam, None, budget)[0], tuple(obstacles))]
-    ScenarioSet(cfg, [(exc, obstacle) for exc, group in groups for obstacle in group])
-    return groups
+        return [(_beam_excitation(cfg, user, beam, obstacle, budget)[0], obstacle) for obstacle in obstacles]
+    exc = _beam_excitation(cfg, user, beam, None, budget)[0]
+    return [(exc, obstacle) for obstacle in obstacles]
 
 
 def cmd_compare(scenario: dict, out: str, levels: int) -> int:
     cfg, user = scenario["cfg"], scenario["user"]
     box, obstacles, budget = scenario["error_box"], scenario["obstacles"], scenario["power_budget"]
-    # Every excitation is built before any box is evaluated, and every beam
-    # is evaluated before any file is written: a command that fails leaves
-    # no output files behind.
-    plans = [_compare_groups(cfg, user, beam, obstacles, budget) for beam in scenario["beams"]]
+    # Every beam is planned, and every entry evaluated, before any file is
+    # written: a command that fails leaves no output files behind. One
+    # kernel call evaluates the user and the box of every entry.
+    beams = scenario["beams"]
+    entries = [e for beam in beams for e in _compare_entries(cfg, user, beam, obstacles, budget)]
+    points, amps = scenario_amplitudes(ScenarioSet(cfg, entries), box)
     cdfs, rows = [], []
-    for label, groups in zip(_beam_labels(scenario["beams"]), plans):
-        # Each box is evaluated once, and an excitation's boxes in one kernel
-        # call: the pooled CDF and the area averages read these amplitudes.
-        entries = [(exc, obstacle) for exc, group in groups for obstacle in group]
-        amps = [a for exc, group in groups for a in box_amplitudes_per_obstacle(cfg, exc, box, group)]
-        cdfs.append((label, empirical_cdf(np.concatenate(amps), levels)))
-        for j, ((exc, obstacle), box_amps) in enumerate(zip(entries, amps)):
-            point = amplitude_at_user(cfg, exc, user, obstacle)
+    for b, label in enumerate(_beam_labels(beams)):
+        own = slice(b * len(obstacles), (b + 1) * len(obstacles))
+        cdfs.append((label, empirical_cdf(np.concatenate(amps[own]), levels)))
+        for j, (point, box_amps) in enumerate(zip(points[own], amps[own])):
+            if math.isnan(point):
+                raise ValueError("field point lies inside the obstacle")
             rows.append((label, f"scenario_{j}", point, mean_amplitude(box_amps)))
     for label, pairs in cdfs:
         write_cdf_csv(pairs, os.path.join(out, f"cdf_{label}.csv"))

@@ -16,47 +16,53 @@ non-finite sentinel (NaN) on grids and raise for single-point queries.
 
 Kernel
 ------
-``field_points_per_obstacle`` evaluates one excitation at one point set
-under K obstacles; ``field_points`` is its K = 1 call. The phase is folded
-into one real array: with arg_n = phi_n - k r_n and w_n = gamma_n / r_n,
-each point is sum_n w_n cos(arg_n) + j sum_n w_n sin(arg_n). The obstacle
-is convex, so the elements a point cannot see form one contiguous index
-run: the central projection, from the point onto y = 0, of the obstacle
-below the point's height. Each point gets that run [lo, hi) from O(1)
-geometry and a binary search (a point level with the obstacle has a run
-that reaches one end of the array).
+``field_points_per_entry`` evaluates a list of (excitation, obstacle)
+entries at one point set; ``field_points`` and ``field_at`` are its
+one-entry calls. The excitation's phase is split off the trig: with
+a_n = gamma_n cos(phi_n), b_n = gamma_n sin(phi_n), U_n = cos(k r_n) / r_n
+and V_n = sin(k r_n) / r_n, a point's field is
 
-r, w and arg are computed once per chunk of points and shared by all K
-obstacles. The elements hidden under every obstacle form one run too, the
-intersection [max_j lo_j, min_j hi_j) of the K runs, and w is zeroed on it
-once. cos and sin, most of the cost, are then taken only where w != 0: on
-the pairs that at least one obstacle leaves visible and whose element has
-a nonzero weight (inactive elements have gamma = 0). A chunk with nothing
-to skip (free space, every element active, an empty common run) takes them
-on every pair. Each obstacle then zeroes w on its own run, on a copy (the
-last obstacle zeroes w itself; a single obstacle's run is the common run,
-already zeroed), and takes its own two weighted row sums.
+    Re E = sum_n (U_n a_n + V_n b_n),    Im E = sum_n (U_n b_n - V_n a_n),
 
-The sums are bit-identical to taking cos and sin on every pair. A skipped
-pair has w = 0 and keeps its arg in place of its cos and sin, so each of
-its terms is arg times zero where it used to be cos(arg) times zero: a
-zero, whose sign may differ, where arg is finite, and NaN, as before,
-where it is infinite (a point so far away that r overflows). A row sum
-starts from +0.0, so a zero term of either sign leaves it unchanged, and
-a row of zeros sums to +0.0 either way. Row j has the same nonzero terms,
-in the same order, as a call with obstacle j alone, so it is
-bit-identical to that call.
+so cos and sin, most of the cost, depend on the geometry alone and are
+taken once for every excitation of the call. The obstacle is convex, so
+the elements a point cannot see form one contiguous index run: the
+central projection, from the point onto y = 0, of the obstacle below the
+point's height. Each point gets that run [lo, hi) from O(1) geometry and
+a binary search (a point level with the obstacle has a run that reaches
+one end of the array).
 
-Points are processed in chunks of about ``_CHUNK_PAIRS`` = 65,536
-point-element pairs. A chunk holds five float64 temporaries of 512 KB
-(arg and sin, w, cos, the masked copy of w and the product) and, when it
-skips pairs, a boolean mask of the pairs that need trig. These stay in
-the caches; twice that chunk ran slower and raised peak memory. Chunks
-run on a thread pool with one thread per CPU this process may use (there
-is no setting); a batch of one chunk runs in the calling thread. Each
-chunk writes its own slice of the output and each point's sum is taken
-over its own row of elements, so the values are bit-identical whatever
-the chunk size and the number of threads.
+Per chunk of points, r, 1 / r and U and V (side by side in one row of 2N
+values, ``uv``) are computed once for all entries. Trig is skipped on the
+pairs no entry needs: the elements hidden under every obstacle (the
+intersection [max_j lo_j, min_j hi_j) of the obstacles' runs) and the
+elements of zero weight in every excitation (inactive elements have
+gamma = 0); uv is zero there. A chunk with nothing to skip takes cos and
+sin on every pair. The entries are grouped by obstacle: each obstacle
+zeroes uv on its own runs (a lone obstacle's run is the common run,
+already zero), each of its entries takes two row dot products, of uv
+with (a, b) and with (b, -a), and the obstacle restores what it zeroed
+for the next one.
+
+Each sum is one ``np.vecdot`` of a row of uv with a weight row, so its
+bits depend on those two vectors only: not on the chunk's row count, the
+number of threads or the other entries of the call. A row of the result
+is therefore bit-identical whatever the chunking and the entry list, and
+equal to the call with its entry alone. (A matrix product over the chunk
+would not be: its bits depend on the shapes.) A zeroed or skipped pair
+adds zero terms, which leave a sum that starts from +0.0 unchanged, so
+skipping trig changes no bit either. Points whose distance to an element
+overflows (beyond about 1e154 m) are rejected, so every r, 1 / r and sum
+is finite.
+
+Points are processed in chunks of about ``_CHUNK_PAIRS`` = 16,384
+point-element pairs. A chunk holds r (reused for k r) and 1 / r as
+float64 arrays of 128 KB, uv of 256 KB, a boolean mask of the pairs that
+need trig when it skips any, and copies of the runs an obstacle zeroes.
+Larger chunks ran no faster and raised peak memory. Chunks run on a
+thread pool with one thread per CPU this process may use (there is no
+setting); a batch of one chunk runs in the calling thread. Each chunk
+writes its own slice of the output.
 
 File formats
 ------------
@@ -86,7 +92,7 @@ __all__ = [
     "field_at",
     "field_grid",
     "field_points",
-    "field_points_per_obstacle",
+    "field_points_per_entry",
     "line_cut",
     "normalize_power",
     "write_field_csv",
@@ -94,8 +100,8 @@ __all__ = [
 ]
 
 # Point batches are processed in chunks of about this many point-element
-# pairs: each chunk's float64 temporaries (512 KB apiece) stay in cache.
-_CHUNK_PAIRS = 65_536
+# pairs: each chunk's temporaries (512 KB together) stay in cache.
+_CHUNK_PAIRS = 16_384
 
 
 @dataclass(frozen=True)
@@ -271,23 +277,25 @@ def _workers() -> int:
     return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
 
-def field_points_per_obstacle(
-    cfg: UlaConfig,
-    exc: Excitation,
-    px: np.ndarray,
-    py: np.ndarray,
-    obstacles,
-) -> np.ndarray:
-    """Complex field at the points (px[i], py[i]) under each obstacle in turn.
+def _weights(exc: Excitation) -> np.ndarray:
+    """The weight rows (a, b) and (b, -a), a = gamma cos(phi) and b = gamma sin(phi)."""
+    a = exc.magnitudes * np.cos(exc.phases)
+    b = exc.magnitudes * np.sin(exc.phases)
+    return np.stack((np.concatenate((a, b)), np.concatenate((b, -a))))
 
-    Row j of the (K, M) result is field_points with obstacles[j] alone, bit
-    for bit; points inside obstacles[j] yield NaN in that row. An obstacle
-    may be None (free space).
+
+def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Complex field at the points (px[i], py[i]) of each (excitation, obstacle) entry.
+
+    Row t of the (len(entries), M) result is the field of entries[t]'s
+    excitation under its obstacle, bit for bit that of a call with
+    entries[t] alone; points inside the obstacle yield NaN in that row. An
+    obstacle may be None (free space).
     """
     px = np.asarray(px, dtype=float)
     py = np.asarray(py, dtype=float)
-    obstacles = list(obstacles)
-    if exc.n_elements != cfg.n_elements:
+    entries = list(entries)
+    if any(exc.n_elements != cfg.n_elements for exc, _ in entries):
         raise ValueError("excitation length does not match array size")
     if px.ndim != 1 or px.shape != py.shape:
         raise ValueError("px and py must be equal-length 1-D arrays")
@@ -295,61 +303,79 @@ def field_points_per_obstacle(
         raise ValueError("field points must be finite")
     if np.any(py <= 0):
         raise ValueError("field points must lie strictly in front of the array (y > 0)")
-    if not obstacles:
+    # r^2 is largest at an end element, so it is finite on every pair iff there.
+    with np.errstate(over="ignore"):
+        far = np.maximum((px - cfg.element_x(1)) ** 2, (px - cfg.element_x(cfg.n_elements)) ** 2) + py * py
+    if not np.all(np.isfinite(far)):
+        raise ValueError("field points must lie within about 1e154 m of the array")
+    if not entries:
         return np.empty((0, px.shape[0]), dtype=complex)
+    n = cfg.n_elements
     xs = cfg.element_xs()
     k = cfg.wavenumber()
-    gamma, phi = exc.magnitudes, exc.phases
+    # Entries are grouped by obstacle; each group reduces against the stacked
+    # weight rows of its entries, two per entry.
+    obstacles, members = [], []
+    for t, (_, obstacle) in enumerate(entries):
+        if obstacle not in obstacles:
+            obstacles.append(obstacle)
+            members.append([])
+        members[obstacles.index(obstacle)].append(t)
+    weights = {id(exc): _weights(exc) for exc, _ in entries}
+    stacks = [np.concatenate([weights[id(entries[t][0])] for t in ts]) for ts in members]
+    # Elements of zero weight in every excitation (inactive ones included).
+    live_elements = np.any([exc.magnitudes != 0.0 for exc, _ in entries], axis=0)
+    silent = not live_elements.all()
     # Free space hides the empty run [0, 0).
     clear = np.zeros(px.shape, dtype=np.intp)
     runs = [(clear, clear) if obstacle is None else _blocked_runs(obstacle, xs, px, py) for obstacle in obstacles]
     # The elements hidden under every obstacle form one run per point.
     common_lo = np.maximum.reduce([lo for lo, _ in runs])
     common_hi = np.maximum(common_lo, np.minimum.reduce([hi for _, hi in runs]))
-    # Some element has zero weight (every inactive element has).
-    silent = not gamma.all()
     last = len(runs) - 1
 
-    out = np.empty((len(runs), px.shape[0]), dtype=complex)
-    step = max(1, _CHUNK_PAIRS // max(1, cfg.n_elements))
+    out = np.empty((len(entries), px.shape[0]), dtype=complex)
+    step = max(1, _CHUNK_PAIRS // n)
 
     def chunk(start: int) -> None:
         sl = slice(start, start + step)
         cpy = py[sl]
-        rr = np.subtract.outer(px[sl], xs)
-        rr *= rr
-        rr += (cpy * cpy)[:, np.newaxis]
-        r = np.sqrt(rr, out=rr)
-        w = gamma / r
+        r = np.subtract.outer(px[sl], xs)
+        r *= r
+        r += (cpy * cpy)[:, np.newaxis]
+        np.sqrt(r, out=r)
+        inv = np.divide(1.0, r)
+        kr = np.multiply(r, k, out=r)
+        m = kr.shape[0]
         common = _nonempty_runs(common_lo[sl], common_hi[sl])
-        for i, lo, hi in common:
-            w[i, lo:hi] = 0.0
-        arg = np.multiply(r, k, out=r)
-        np.subtract(phi, arg, out=arg)
+        # uv holds cos(k r) / r and sin(k r) / r, side by side in each row.
         if common or silent:
-            # Trig only where w != 0. A skipped pair keeps arg in place of
-            # its cos and sin, so its terms are arg * 0, as cos(arg) * 0 was.
-            live = w != 0.0
-            cos = np.cos(arg, out=arg.copy(), where=live)
-            sin = np.sin(arg, out=arg, where=live)
+            live = np.repeat(live_elements[np.newaxis], m, axis=0)
+            for i, lo, hi in common:
+                live[i, lo:hi] = False
+            uv = np.zeros((m, 2, n))
+            np.cos(kr, out=uv[:, 0], where=live)
+            np.sin(kr, out=uv[:, 1], where=live)
         else:
-            cos = np.cos(arg)
-            sin = np.sin(arg, out=arg)
-        term = np.empty_like(w)
-        for j, (lo, hi) in enumerate(runs):
-            wj = w
+            uv = np.empty((m, 2, n))
+            np.cos(kr, out=uv[:, 0])
+            np.sin(kr, out=uv[:, 1])
+        uv *= inv[:, np.newaxis]
+        rows = uv.reshape(m, 2 * n)
+        for j, ((lo, hi), ts) in enumerate(zip(runs, members)):
             # With one obstacle its run is the common run, already zeroed.
             hidden = _nonempty_runs(lo[sl], hi[sl]) if last else ()
-            if hidden:
-                # Zero a copy of w, so the next obstacle starts from the
-                # unmasked weights; the last obstacle may zero w itself.
-                wj = w if j == last else w.copy()
-                for i, a, b in hidden:
-                    wj[i, a:b] = 0.0
-            np.multiply(cos, wj, out=term)
-            out.real[j, sl] = term.sum(axis=1)
-            np.multiply(sin, wj, out=term)
-            out.imag[j, sl] = term.sum(axis=1)
+            # Zero this obstacle's runs, saving them for the next obstacle.
+            saved = [(i, a, b, uv[i, :, a:b].copy()) for i, a, b in hidden] if j < last else ()
+            for i, a, b in hidden:
+                uv[i, :, a:b] = 0.0
+            # One row dot product per entry and part: bit-identical whatever
+            # the chunk's row count and the number of entries.
+            sums = np.vecdot(rows[:, np.newaxis], stacks[j])
+            out.real[ts, sl] = sums[:, 0::2].T
+            out.imag[ts, sl] = sums[:, 1::2].T
+            for i, a, b, values in saved:
+                uv[i, :, a:b] = values
 
     starts = range(0, px.shape[0], step)
     workers = min(len(starts), _workers())
@@ -361,8 +387,8 @@ def field_points_per_obstacle(
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(chunk, starts))
-    for row, obstacle in zip(out, obstacles):
-        row[_interior_mask(obstacle, px, py)] = complex(np.nan, np.nan)
+    for obstacle, ts in zip(obstacles, members):
+        out[np.ix_(ts, _interior_mask(obstacle, px, py))] = complex(np.nan, np.nan)
     return out
 
 
@@ -374,7 +400,7 @@ def field_points(
     obstacle: RectObstacle | CircleObstacle | None = None,
 ) -> np.ndarray:
     """Complex field at the points (px[i], py[i]); interior points yield NaN."""
-    return field_points_per_obstacle(cfg, exc, px, py, (obstacle,))[0]
+    return field_points_per_entry(cfg, ((exc, obstacle),), px, py)[0]
 
 
 def field_at(

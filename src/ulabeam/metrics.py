@@ -13,15 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_geometry import CircleObstacle, Point2, RectObstacle, UlaConfig
-from .field import Excitation, field_at, field_points_per_obstacle, write_columns
+from .field import Excitation, field_at, field_points, field_points_per_entry, write_columns
 
 __all__ = [
     "ErrorBox",
     "ScenarioSet",
     "amplitude_at_user",
     "box_amplitudes",
-    "box_amplitudes_per_obstacle",
     "mean_amplitude",
+    "scenario_amplitudes",
     "empirical_cdf",
     "write_cdf_csv",
 ]
@@ -81,18 +81,26 @@ def amplitude_at_user(
     return abs(field_at(cfg, exc, user, obstacle))
 
 
-def box_amplitudes_per_obstacle(cfg: UlaConfig, exc: Excitation, box: ErrorBox, obstacles) -> list[np.ndarray]:
-    """box_amplitudes under each obstacle in turn, from one kernel call."""
-    px, py = box.sample_points()
-    amps = np.abs(field_points_per_obstacle(cfg, exc, px, py, obstacles))
-    return [row[np.isfinite(row)] for row in amps]
-
-
 def box_amplitudes(
     cfg: UlaConfig, exc: Excitation, box: ErrorBox, obstacle: RectObstacle | CircleObstacle | None = None
 ) -> np.ndarray:
     """|E| at every box sample outside the obstacle interior."""
-    return box_amplitudes_per_obstacle(cfg, exc, box, (obstacle,))[0]
+    amps = np.abs(field_points(cfg, exc, *box.sample_points(), obstacle))
+    return amps[np.isfinite(amps)]
+
+
+def scenario_amplitudes(scenarios: ScenarioSet, box: ErrorBox) -> tuple[list[float], list[np.ndarray]]:
+    """|E| at the box center and box_amplitudes, for every entry, from one kernel call.
+
+    The center's amplitude is NaN under an obstacle that contains it.
+    """
+    px, py = box.sample_points()
+    values = field_points_per_entry(
+        scenarios.cfg, scenarios.entries, np.append(px, box.center.x), np.append(py, box.center.y)
+    )
+    amps = np.abs(values[:, :-1])
+    # Python's complex abs, as amplitude_at_user takes it: np.abs rounds some values differently.
+    return [abs(v) for v in values[:, -1].tolist()], [row[np.isfinite(row)] for row in amps]
 
 
 def mean_amplitude(amps: np.ndarray) -> float:

@@ -348,29 +348,35 @@ def field_by_elements(ex, k, gamma, phi, obstacle, px, py) -> tuple[np.ndarray, 
     return field, scale
 
 
-def dense_field(ex, k, gamma, phi, obstacles, px, py) -> np.ndarray:
-    """Field at points (px, py) under each obstacle, trig on every pair.
+def dense_field(ex, k, entries, px, py) -> np.ndarray:
+    """Field at points (px, py) of each (excitation, obstacle) entry, trig on every pair.
 
-    The (K, M) result follows the field kernel's arithmetic on the whole
-    (M, N) pair matrix at once: r, w = gamma / r, arg = phi - k r, and cos
-    and sin of every pair, hidden elements included; each obstacle then
-    zeroes w on its blocked runs and takes the two row sums. Interior
-    points are NaN. Bit for bit, this is what the kernel returns.
+    The (len(entries), M) result follows the field kernel's arithmetic on
+    the whole (M, N) pair matrix at once: r, 1 / r, and cos(k r) / r and
+    sin(k r) / r of every pair, hidden elements included, side by side in
+    each row. Each entry zeroes both on its obstacle's blocked runs and
+    takes one row dot product with (a, b) for the real part and one with
+    (b, -a) for the imaginary part, a = gamma cos(phi) and b = gamma sin(phi).
+    Interior points are NaN. Bit for bit, this is what the kernel returns.
     """
     rr = np.subtract.outer(px, ex)
     rr *= rr
     rr += (py * py)[:, np.newaxis]
     r = np.sqrt(rr)
-    w = gamma / r
-    arg = phi - r * k
-    cos, sin = np.cos(arg), np.sin(arg)
-    out = np.empty((len(obstacles), px.shape[0]), dtype=complex)
-    for j, obstacle in enumerate(obstacles):
-        wj = w.copy()
+    inv = 1.0 / r
+    kr = r * k
+    n = ex.shape[0]
+    uv = np.concatenate((np.cos(kr) * inv, np.sin(kr) * inv), axis=1)
+    out = np.empty((len(entries), px.shape[0]), dtype=complex)
+    for t, (exc, obstacle) in enumerate(entries):
+        masked = uv.copy()
         if obstacle is not None:
             for i, (lo, hi) in enumerate(zip(*_blocked_runs(obstacle, ex, px, py))):
-                wj[i, lo:hi] = 0.0
-        out.real[j] = (cos * wj).sum(axis=1)
-        out.imag[j] = (sin * wj).sum(axis=1)
-        out[j, _interior_mask(obstacle, px, py)] = complex(np.nan, np.nan)
+                masked[i, lo:hi] = 0.0
+                masked[i, n + lo : n + hi] = 0.0
+        a = exc.magnitudes * np.cos(exc.phases)
+        b = exc.magnitudes * np.sin(exc.phases)
+        out.real[t] = np.vecdot(masked, np.concatenate((a, b)))
+        out.imag[t] = np.vecdot(masked, np.concatenate((b, -a)))
+        out[t, _interior_mask(obstacle, px, py)] = complex(np.nan, np.nan)
     return out

@@ -15,13 +15,16 @@ Proves:
   scenarios exit 3 and leave a JSON diagnostic instead of a beam.
 - simulate honours --grid and --line-cut, writes CSV/PGM/JSON whose
   contents equal an in-process recomputation bit for bit, and refuses to
-  run without a grid section.
+  run without a grid section; a grid or line cut that reaches points
+  whose distance to an element overflows exits 2 and writes no file.
 - compare emits one row per beam and obstacle plus a CDF file per beam;
   the focused beam tops the free-space column, a fully blocking wall
-  zeroes the point amplitude, and each error box is evaluated once, in
-  one kernel call per distinct excitation; a compare that fails (a
-  curving plan that exits 3, a user inside an obstacle that exits 2)
-  writes no output file.
+  zeroes the point amplitude, and the user and every error box are
+  evaluated in one kernel call for the whole command; a compare that
+  fails (a curving plan that exits 3, a user inside an obstacle that
+  exits 2) writes no output file, and its checks fail in a fixed order:
+  plans, points behind the array, then beam by beam the pooled CDF, then
+  entry by entry the user and its box.
 - optimize exits 0 on solved or unnecessary plans and 3 on infeasible
   ones, always writing the plan JSON.
 - Repeated runs produce byte-identical data files.
@@ -471,13 +474,13 @@ def test_compare_full_wall_zeroes_point_amplitudes(tmp_path):
 
 def test_compare_evaluates_each_box_once(tmp_path, monkeypatch):
     batches = []
-    per_obstacle = ulabeam.metrics.field_points_per_obstacle
+    per_entry = ulabeam.metrics.field_points_per_entry
 
-    def counting(cfg, exc, px, py, obstacles):
-        batches.append((px.size, len(obstacles)))
-        return per_obstacle(cfg, exc, px, py, obstacles)
+    def counting(cfg, entries, px, py):
+        batches.append((px.size, len(entries)))
+        return per_entry(cfg, entries, px, py)
 
-    monkeypatch.setattr(ulabeam.metrics, "field_points_per_obstacle", counting)
+    monkeypatch.setattr(ulabeam.metrics, "field_points_per_entry", counting)
     data = {
         "array": {"n_elements": 64, "spacing_mode": "half_wavelength", "carrier_freq_hz": 140e9},
         "user": {"x": 0.0, "y": 1.0},
@@ -494,10 +497,9 @@ def test_compare_evaluates_each_box_once(tmp_path, monkeypatch):
     }
     rc = main(["compare", "--scenario", write_scenario(tmp_path, data), "--out", str(tmp_path), "--levels", "3"])
     assert rc == 0
-    # one kernel call per distinct excitation, covering every obstacle it
-    # meets: the gaussian and focus excitations ignore the obstacle, while
-    # the curving beam is planned per obstacle
-    assert batches == [(12, 2), (12, 2), (12, 1), (12, 1)]
+    # one kernel call for the whole command: the 12 box samples and the user,
+    # under the 6 (beam, obstacle) entries
+    assert batches == [(13, 6)]
     _, rows = read_csv_rows(tmp_path / "compare.csv")
     assert [r[0] for r in rows] == ["gaussian"] * 2 + ["focus"] * 2 + ["curving"] * 2
 
@@ -673,3 +675,74 @@ def test_simulate_echo_key_sets(tmp_path, obstacle, beam, echo):
     top = ["beam", "carrier_freq_hz", "n_elements", "nx", "ny", "obstacle", "power_budget", "spacing", "user"]
     top += ["x_range", "y_range"] + (["curving_plan"] if beam["type"] == "curving" else [])
     assert sorted(meta) == sorted(top)
+
+
+def test_simulate_rejects_points_whose_distance_overflows(tmp_path, capsys):
+    # a squared distance overflows past about 1.3e154 m
+    message = "error: field points must lie within about 1e154 m of the array\n"
+    data = yaml.safe_load((SCENARIOS / "smoke_two_element.yaml").read_text())
+    data["grid"]["x_range"] = [1.0e155, 2.0e155]
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert list(out.iterdir()) == []
+    # the line cut is evaluated before any file is written
+    smoke = str(SCENARIOS / "smoke_two_element.yaml")
+    assert main(["simulate", "--scenario", smoke, "--out", str(out), "--line-cut", "1e160,10"]) == 2
+    assert capsys.readouterr().err == message
+    assert list(out.iterdir()) == []
+
+
+# Each scene breaks two of compare's checks; the message names the one that
+# runs first: curving plans (exit 3), then points behind the array, then beam
+# by beam the pooled CDF, then entry by entry the user and its box.
+COMPARE_ERROR_ORDER = {
+    "plan before points behind the array": (
+        {"y": 0.6},
+        {"half_width_x": 0.05, "half_width_y": 0.7, "nx": 3, "ny": 3},
+        [{"type": "focus"}, {"type": "curving"}],
+        [{"type": "rect", "x_r1": 0.5, "x_r2": -0.5, "y_n": 0.15, "y_f": 0.55}],
+        3,
+        "optimizer did not produce a beam: both curvature signs failed (positive: infeasible, negative: infeasible)\n",
+    ),
+    "points behind the array before the user inside an obstacle": (
+        {"y": 0.04},
+        {"half_width_x": 0.05, "half_width_y": 0.05, "nx": 3, "ny": 3},
+        [{"type": "focus"}, {"type": "gaussian", "theta_deg": 0.0}],
+        [{"type": "rect", "x_r1": 0.1, "x_r2": -0.1, "y_n": 0.01, "y_f": 0.2}],
+        2,
+        "error: field points must lie strictly in front of the array (y > 0)\n",
+    ),
+    "empty pooled CDF before the user inside an obstacle": (
+        {"y": 0.6},
+        {"half_width_x": 0.05, "half_width_y": 0.05, "nx": 3, "ny": 3},
+        [{"type": "focus"}, {"type": "gaussian", "theta_deg": 0.0}],
+        [{"type": "rect", "x_r1": 0.2, "x_r2": -0.2, "y_n": 0.5, "y_f": 0.7}],
+        2,
+        "error: values must be non-empty\n",
+    ),
+    "user inside an obstacle before its buried box": (
+        {"y": 0.6},
+        {"half_width_x": 0.05, "half_width_y": 0.05, "nx": 3, "ny": 3},
+        [{"type": "focus"}, {"type": "gaussian", "theta_deg": 0.0}],
+        [{"type": "none"}, {"type": "rect", "x_r1": 0.2, "x_r2": -0.2, "y_n": 0.5, "y_f": 0.7}],
+        2,
+        "error: field point lies inside the obstacle\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", COMPARE_ERROR_ORDER, ids=list(COMPARE_ERROR_ORDER))
+def test_compare_errors_come_in_a_fixed_order(tmp_path, capsys, case):
+    user, box, beams, obstacles, code, err = COMPARE_ERROR_ORDER[case]
+    data = {
+        "array": {"n_elements": 64, "spacing_mode": "half_wavelength", "carrier_freq_hz": 140e9},
+        "user": {"x": 0.0, **user},
+        "beams": beams,
+        "obstacles": obstacles,
+        "error_box": box,
+    }
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert list(out.iterdir()) == []

@@ -28,7 +28,13 @@ Proves:
  - the kernel, which takes cos and sin only on pairs that contribute, equals
    bit for bit a dense reference that takes them on every pair, with
    inactive and zero-magnitude elements and walls that hide the whole
-   aperture; with no obstacles it returns an empty (0, M) result at once
+   aperture; with no entries it returns an empty (0, M) result at once
+ - each row of a call with 1-5 (excitation, obstacle) entries, sharing
+   excitations, obstacles, both or neither, equals bit for bit the dense
+   reference and the call with that entry alone, for chunk sizes and
+   worker counts, and matches the element-by-element oracle
+ - points whose squared distance to an element overflows are rejected by
+   every caller
 """
 
 import csv
@@ -59,7 +65,7 @@ from ulabeam import (
     field_at,
     field_grid,
     field_points,
-    field_points_per_obstacle,
+    field_points_per_entry,
     focusing_excitation,
     gaussian_excitation,
     line_cut,
@@ -477,18 +483,19 @@ CHUNK_CASES = (
 
 
 def _chunk_case_grid(obstacle) -> np.ndarray:
-    # 1024 elements on a 31 x 23 grid: 12 chunks at the default chunk size
+    # 1024 elements on a 31 x 23 grid: 45 chunks at the default chunk size
     cfg = UlaConfig(1024, 1.07e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
     return field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 31, 23, obstacle).values
 
 
 def _chunk_case_rows() -> np.ndarray:
-    """_chunk_case_grid for every case, from one per-obstacle call."""
+    """_chunk_case_grid for every case, from one call with an entry per case."""
     cfg = UlaConfig(1024, 1.07e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
     gx, gy = np.meshgrid(np.linspace(-0.3, 0.3, 31), np.linspace(0.1, 1.0, 23), indexing="ij")
-    return field_points_per_obstacle(cfg, exc, gx.ravel(), gy.ravel(), CHUNK_CASES).reshape(-1, 31, 23)
+    entries = [(exc, obstacle) for obstacle in CHUNK_CASES]
+    return field_points_per_entry(cfg, entries, gx.ravel(), gy.ravel()).reshape(-1, 31, 23)
 
 
 def test_chunked_grid_evaluation_is_bitwise_stable(monkeypatch):
@@ -547,6 +554,17 @@ def test_field_points_matches_field_at():
         field_points(cfg, exc, np.array([math.inf]), np.array([1.0]), obstacle)
 
 
+def random_excitation(draw, n: int) -> Excitation:
+    """n random magnitudes and phases, some inactive or zero-magnitude elements or none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    magnitudes = rng.uniform(0.0, 1.0, n)
+    if draw(st.booleans()):
+        # active elements of zero magnitude
+        magnitudes[rng.random(n) < 0.2] = 0.0
+    active = rng.random(n) > 0.2 if draw(st.booleans()) else np.ones(n, dtype=bool)
+    return Excitation(magnitudes, rng.uniform(-math.pi, math.pi, n), active)
+
+
 @st.composite
 def per_obstacle_case(draw):
     """An array, a random excitation, 1-4 obstacles and points to evaluate.
@@ -562,13 +580,7 @@ def per_obstacle_case(draw):
     unit = st.floats(0.0, 1.0)
     n = draw(st.one_of(st.sampled_from((2, 3)), st.integers(2, 80)))
     cfg = UlaConfig(n, draw(st.floats(1e-4, 1e-2)), 140e9)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    magnitudes = rng.uniform(0.0, 1.0, n)
-    if draw(st.booleans()):
-        # active elements of zero magnitude
-        magnitudes[rng.random(n) < 0.2] = 0.0
-    active = rng.random(n) > 0.2 if draw(st.booleans()) else np.ones(n, dtype=bool)
-    exc = Excitation(magnitudes, rng.uniform(-math.pi, math.pi, n), active)
+    exc = random_excitation(draw, n)
     obstacles, points, hidden = [], [], []
     for j in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(("rect", "circle", "wall", "none")))
@@ -610,7 +622,7 @@ def test_per_obstacle_rows_match_single_obstacle_calls(case):
             mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
             for workers in (1, 2):
                 mp.setattr(ulabeam.field, "_workers", lambda: workers)
-                rows = field_points_per_obstacle(cfg, exc, px, py, obstacles)
+                rows = field_points_per_entry(cfg, [(exc, obstacle) for obstacle in obstacles], px, py)
                 assert rows.shape == (len(obstacles), px.size)
                 for row, single in zip(rows, singles):
                     # equal bits: equal values, NaN positions and signs of zero
@@ -622,51 +634,102 @@ def test_per_obstacle_rows_match_single_obstacle_calls(case):
         want = field_points(cfg, dark, px[i : i + 1], py[i : i + 1])
         assert want[0] == 0.0
         assert np.array_equal(singles[j][i : i + 1].view(np.uint64), want.view(np.uint64))
+    for obstacle, single in zip(obstacles, singles):
+        assert_matches_element_oracle(cfg, exc, obstacle, px, py, single)
+
+
+def assert_matches_element_oracle(cfg, exc, obstacle, px, py, values):
+    """values equal the element-by-element oracle to 1e-12 of sum(gamma / r), ties aside."""
     xs, k = cfg.element_xs(), cfg.wavenumber()
     # 1e-12 of sum(gamma / r), plus the phase rounding of both sums: each
     # rounds k r_n (up to about 6000 rad here) to a few ulps, which alone
     # reaches 2e-12 of sum(gamma / r) at a far point with one active element
     phase_rounding = 4 * np.finfo(float).eps * k * exc.magnitudes.sum()
-    for obstacle, single in zip(obstacles, singles):
-        want, scale = field_by_elements(xs, k, exc.magnitudes, exc.phases, obstacle, px, py)
-        assert np.array_equal(np.isnan(single), np.isnan(want))
-        # a point whose visibility changes when it or an element moves 1e-9 m
-        # sideways is a tie (the oracle rounds there): either answer holds
-        visible = visible_pairs(obstacle, xs, px, py)
-        check = np.isfinite(want)
-        for shift in (-1e-9, 1e-9):
-            check &= np.all(visible == visible_pairs(obstacle, xs + shift, px, py), axis=1)
-            check &= np.all(visible == visible_pairs(obstacle, xs, px + shift, py), axis=1)
-        assert np.all(np.abs(single - want)[check] <= 1e-12 * scale[check] + phase_rounding)
+    want, scale = field_by_elements(xs, k, exc.magnitudes, exc.phases, obstacle, px, py)
+    assert np.array_equal(np.isnan(values), np.isnan(want))
+    # a point whose visibility changes when it or an element moves 1e-9 m
+    # sideways is a tie (the oracle rounds there): either answer holds
+    visible = visible_pairs(obstacle, xs, px, py)
+    check = np.isfinite(want)
+    for shift in (-1e-9, 1e-9):
+        check &= np.all(visible == visible_pairs(obstacle, xs + shift, px, py), axis=1)
+        check &= np.all(visible == visible_pairs(obstacle, xs, px + shift, py), axis=1)
+    assert np.all(np.abs(values - want)[check] <= 1e-12 * scale[check] + phase_rounding)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(per_obstacle_case())
 def test_per_obstacle_rows_match_dense_reference_bit_for_bit(case):
     cfg, exc, obstacles, px, py, _ = case
-    want = dense_field(cfg.element_xs(), cfg.wavenumber(), exc.magnitudes, exc.phases, obstacles, px, py)
+    entries = [(exc, obstacle) for obstacle in obstacles]
+    want = dense_field(cfg.element_xs(), cfg.wavenumber(), entries, px, py)
     with pytest.MonkeyPatch.context() as mp:
         for chunk_pairs in (1, 7, 65_536):
             mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
             for workers in (1, 2):
                 mp.setattr(ulabeam.field, "_workers", lambda: workers)
-                rows = field_points_per_obstacle(cfg, exc, px, py, obstacles)
+                rows = field_points_per_entry(cfg, entries, px, py)
                 # equal bits: equal values, NaN positions and signs of zero
                 assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
 
 
-def test_point_whose_distance_overflows_matches_dense_reference():
-    # r overflows to inf at x = 1e155 m: every pair of that point is skipped
-    # (w = gamma / inf = 0), and its terms stay NaN as cos(-inf) * 0 made them
+@st.composite
+def entries_case(draw):
+    """An array, 1-5 (excitation, obstacle) entries and points to evaluate.
+
+    The entries draw from one to three excitations and from the obstacles
+    and points of per_obstacle_case, so two entries may share their
+    excitation, their obstacle, both or neither.
+    """
+    cfg, exc, obstacles, px, py, _ = draw(per_obstacle_case())
+    excitations = [exc, *(random_excitation(draw, cfg.n_elements) for _ in range(draw(st.integers(0, 2))))]
+    count = draw(st.integers(1, 5))
+    entries = [(draw(st.sampled_from(excitations)), draw(st.sampled_from(obstacles))) for _ in range(count)]
+    return cfg, entries, px, py
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(entries_case())
+def test_entry_rows_match_dense_reference_and_single_entry_calls(case):
+    cfg, entries, px, py = case
+    want = dense_field(cfg.element_xs(), cfg.wavenumber(), entries, px, py)
+    singles = [field_points_per_entry(cfg, [entry], px, py)[0] for entry in entries]
+    default = ulabeam.field._CHUNK_PAIRS
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk_pairs in (1, 7, default):
+            mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
+            for workers in (1, 2):
+                mp.setattr(ulabeam.field, "_workers", lambda: workers)
+                rows = field_points_per_entry(cfg, entries, px, py)
+                assert rows.shape == (len(entries), px.size)
+                # equal bits: equal values, NaN positions and signs of zero
+                assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+                for row, single in zip(rows, singles):
+                    assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
+    for (exc, obstacle), single in zip(entries, singles):
+        assert_matches_element_oracle(cfg, exc, obstacle, px, py, single)
+
+
+def test_point_whose_distance_overflows_is_rejected():
+    # (x - x_n)^2 overflows to inf at x = 1e155 m, and y^2 at y = 1e160 m
     cfg = UlaConfig(16, 1e-3, 140e9)
     exc = Excitation(np.ones(16), np.zeros(16), np.arange(16) > 3)
-    obstacles = (RectObstacle(0.01, -0.01, 0.1, 0.2), None)
-    px, py = np.array([0.0, 1e155]), np.array([1.0, 1.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = field_points_per_obstacle(cfg, exc, px, py, obstacles)
-        want = dense_field(cfg.element_xs(), cfg.wavenumber(), exc.magnitudes, exc.phases, obstacles, px, py)
-    assert np.all(np.isnan(rows[:, 1]))
-    assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+    entries = [(exc, RectObstacle(0.01, -0.01, 0.1, 0.2)), (exc, None)]
+    message = "within about 1e154 m"
+    for px, py in (([0.0, 1e155], [1.0, 1.0]), ([0.0, 0.0], [1.0, 1e160]), ([-1e155], [1.0])):
+        with pytest.raises(ValueError, match=message):
+            field_points_per_entry(cfg, entries, np.array(px), np.array(py))
+        with pytest.raises(ValueError, match=message):
+            field_points_per_entry(cfg, (), np.array(px), np.array(py))
+    with pytest.raises(ValueError, match=message):
+        field_at(cfg, exc, Point2(1e155, 1.0))
+    with pytest.raises(ValueError, match=message):
+        field_grid(cfg, exc, (1e155, 2e155), (1.0, 2.0), 3, 3)
+    with pytest.raises(ValueError, match=message):
+        line_cut(cfg, exc, 0.0, 1e160, 10)
+    # the largest representable distances still evaluate
+    values = field_points_per_entry(cfg, entries, np.array([1e153, 0.0]), np.array([1.0, 1e153]))
+    assert np.all(np.isfinite(values))
 
 
 def test_no_obstacles_give_an_empty_result_without_evaluating(monkeypatch):
@@ -675,12 +738,12 @@ def test_no_obstacles_give_an_empty_result_without_evaluating(monkeypatch):
     px, py = np.linspace(-0.3, 0.3, 6400), np.linspace(0.1, 1.0, 6400)
     # a chunk that ran would find no element positions
     monkeypatch.setattr(UlaConfig, "element_xs", lambda self: None)
-    rows = field_points_per_obstacle(cfg, exc, px, py, ())
+    rows = field_points_per_entry(cfg, (), px, py)
     assert rows.shape == (0, 6400) and rows.dtype == complex
     with pytest.raises(ValueError):
-        field_points_per_obstacle(cfg, exc, px, -py, ())
+        field_points_per_entry(cfg, (), px, -py)
     with pytest.raises(ValueError):
-        field_points_per_obstacle(cfg, exc, px, py[:5], ())
+        field_points_per_entry(cfg, (), px, py[:5])
 
 
 # ------------------------------------------------- blocked runs, oracles

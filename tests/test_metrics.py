@@ -6,8 +6,10 @@ Proves:
   amplitude, and over a distant box the field is nearly constant.
 - Obstacle-interior samples are excluded from box amplitudes and their
   mean; a box buried inside the obstacle is rejected.
-- One per-obstacle box evaluation gives, obstacle by obstacle, exactly the
-  amplitudes of the single-obstacle call, a buried box's empty one included.
+- One evaluation of a scenario set gives, entry by entry, exactly the box
+  amplitudes of the single-obstacle call, a buried box's empty one
+  included, and exactly the user amplitude, NaN where an obstacle holds
+  the user.
 - ScenarioSet enforces equal power budgets across entries and keeps its
   (excitation, obstacle) pairs in order, each obstacle as given; pooling
   its entries' box amplitudes keeps every sample of every scenario.
@@ -39,7 +41,6 @@ from ulabeam import (
     amplitude_at_user,
     bessel_phases,
     box_amplitudes,
-    box_amplitudes_per_obstacle,
     empirical_cdf,
     field_at,
     focusing_excitation,
@@ -48,6 +49,7 @@ from ulabeam import (
     normalize_power,
     plan_excitation,
     plan_with_fallback,
+    scenario_amplitudes,
     write_cdf_csv,
 )
 
@@ -141,10 +143,14 @@ def test_buried_box_is_rejected(cfg1024):
 def test_per_obstacle_box_amplitudes_match_single_calls(cfg1024):
     exc = focusing_excitation(cfg1024, USER)
     obstacles = (*POSITIONS, None, RectObstacle(0.05, -0.05, 0.95, 1.05), RectObstacle(0.5, -0.5, 0.5, 1.5))
-    rows = box_amplitudes_per_obstacle(cfg1024, exc, BOX, obstacles)
-    assert len(rows) == len(obstacles)
+    points, rows = scenario_amplitudes(ScenarioSet(cfg1024, [(exc, obstacle) for obstacle in obstacles]), BOX)
+    assert len(rows) == len(points) == len(obstacles)
     for row, obstacle in zip(rows, obstacles):
         assert np.array_equal(row, box_amplitudes(cfg1024, exc, BOX, obstacle))
+    for point, obstacle in zip(points[:-2], obstacles):
+        assert point == amplitude_at_user(cfg1024, exc, USER, obstacle)
+    # the two last rects hold the user
+    assert math.isnan(points[-2]) and math.isnan(points[-1])
     # the small rect covers 11 x 11 samples of the 0.01 m grid; the large one all
     assert rows[-2].size == BOX.nx * BOX.ny - 11 * 11 and rows[-1].size == 0
 

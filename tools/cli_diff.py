@@ -20,10 +20,16 @@ stdout, stderr, the names of the files written and their bytes. It
 prints one line per run and exits 0 when every run is byte-identical, 1
 on any difference, and 2 on bad arguments or when Python, so set up,
 would import ``ulabeam`` from somewhere other than the tree's ``src``.
+
+A CSV file that differs only in its numbers (same header, row count,
+non-numeric cells and non-finite cells) is reported as drift: for each
+column, the largest |new - old| over the column's largest finite |value|
+in either tree. Any other difference is reported as ``DIFF``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -119,12 +125,53 @@ def run(tree: Path, scenario: str, words: list[str], work: Path) -> dict:
     return {"exit code": done.returncode, "stdout": done.stdout, "stderr": done.stderr, "files": files}
 
 
-def differences(old: dict, new: dict) -> list[str]:
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def csv_drift(old: bytes, new: bytes) -> dict[str, float] | None:
+    """Per column, max |new - old| over the largest finite |value|; None if more than numbers differ."""
+    try:
+        old_rows, new_rows = ([line.split(",") for line in data.decode("ascii").splitlines()] for data in (old, new))
+    except UnicodeDecodeError:
+        return None
+    if not old_rows or len(old_rows) != len(new_rows) or old_rows[0] != new_rows[0]:
+        return None
+    header = old_rows[0]
+    delta, scale = [0.0] * len(header), [0.0] * len(header)
+    for old_row, new_row in zip(old_rows[1:], new_rows[1:]):
+        if not len(old_row) == len(new_row) == len(header):
+            return None
+        for c, (a, b) in enumerate(zip(old_row, new_row)):
+            x, y = _number(a), _number(b)
+            if a != b and not (x is not None and y is not None and math.isfinite(x) and math.isfinite(y)):
+                return None
+            for v in (x, y):
+                if v is not None and math.isfinite(v):
+                    scale[c] = max(scale[c], abs(v))
+            if a != b:
+                delta[c] = max(delta[c], abs(y - x))
+    return {name: d / s if d else 0.0 for name, d, s in zip(header, delta, scale)}
+
+
+def differences(old: dict, new: dict) -> tuple[list[str], list[str]]:
+    """What differs between two runs: (structural differences, numeric CSV drifts)."""
     found = [key for key in ("exit code", "stdout", "stderr") if old[key] != new[key]]
     if old["files"].keys() != new["files"].keys():
         found.append(f"files {sorted(old['files'])} vs {sorted(new['files'])}")
-    found += [name for name in old["files"] if name in new["files"] and old["files"][name] != new["files"][name]]
-    return found
+    drifts = []
+    for name in old["files"]:
+        if name not in new["files"] or old["files"][name] == new["files"][name]:
+            continue
+        drift = csv_drift(old["files"][name], new["files"][name]) if name.endswith(".csv") else None
+        if drift is None:
+            found.append(name)
+        else:
+            drifts.append(f"{name} (" + ", ".join(f"{column} {d:.2g}" for column, d in drift.items()) + ")")
+    return found, drifts
 
 
 def main(argv: list[str]) -> int:
@@ -149,9 +196,14 @@ def main(argv: list[str]) -> int:
                 continue
             old = run(old_tree, *old_runs[label], Path(tmp) / f"old{i}")
             new = run(new_tree, *new_runs[label], Path(tmp) / f"new{i}")
-            found = differences(old, new)
-            same += not found
-            status = f"DIFF {', '.join(found)}" if found else "same"
+            found, drifts = differences(old, new)
+            same += not (found or drifts)
+            parts = []
+            if found:
+                parts.append(f"DIFF {', '.join(found)}")
+            if drifts:
+                parts.append(f"DRIFT {', '.join(drifts)}")
+            status = "; ".join(parts) or "same"
             print(f"{label}: exit {new['exit code']}, {len(new['files'])} files: {status}", flush=True)
     print(f"{same} of {len(labels)} runs byte-identical")
     return 0 if same == len(labels) else 1
