@@ -36,9 +36,6 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("Point2 components must be finite")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 

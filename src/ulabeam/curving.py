@@ -9,7 +9,10 @@ elements kept. Its optimum lies at a vertex, so the solver intersects every
 triple of the eight constraints in one batched linear solve and keeps the
 feasible vertex of least objective. The relaxed cut is then snapped to an
 element and (beta, p_tilde) re-solved with the cut pinned, by the same
-enumeration over constraint pairs. The paper's nine closed-form KKT
+enumeration over pairs of the six constraints left; one build of the
+constraint rows serves that solve and the lookup of the KKT row. The
+pinned problem always has a feasible vertex (proof in `_pinned_result`),
+so there is no second route. The paper's nine closed-form KKT
 candidates (`kkt_candidates`) are not used by the solve; they stay as a
 cross-check, and a solution reports which of them its vertex is.
 
@@ -27,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from .array_geometry import Point2, RectObstacle, UlaConfig
-from .field import Excitation
+from .field import Excitation, normalize_power
 
 __all__ = [
     "ParabolicTrajectory",
@@ -376,59 +379,10 @@ def _best_vertex(
     return best, True
 
 
-def _kkt_index(s: AvoidanceScenario, z: np.ndarray) -> int | None:
-    """Lowest kkt_candidates row whose defining constraints are all active at z.
-
-    z is a vertex (beta, p_tilde, x_adj) of the positive-curvature LP; a
-    constraint is active when its normalized slack is within 1e-7 of zero.
-    None when no row matches.
-    """
-    g, c = _constraints(s)
-    active = np.abs((g @ z + c) / _scales(g, c)) <= _ACTIVE_TOL
-    return next((i for i, rows in enumerate(_KKT_ROWS, 1) if active[list(rows)].all()), None)
-
-
-def _project_prefix(xs: np.ndarray, x_adj: float, spacing: float) -> float:
-    """Largest element position not exceeding x_adj (prefix-keeping cut)."""
-    cands = xs[xs <= x_adj + spacing * 1e-9]
-    if cands.size == 0:
-        return float(xs[0])
-    return float(cands.max())
-
-
-def _resolve_pinned(s: AvoidanceScenario, x_pin: float, z_rel: np.ndarray) -> tuple[float, float]:
-    """Re-optimize (beta, p_tilde) with the aperture cut pinned at x_pin.
-
-    Exact 2-variable vertex enumeration. The pinned problem is always
-    feasible when the relaxed one is (witness: keep beta, lower the
-    leftmost-tangent intercept to min of its relaxed value and x_pin), so
-    the witness only backs up degenerate enumeration corner cases.
-    """
-    g, c = _constraints(s)
-    g2 = g[_PINNED_ROWS, :2]
-    c2 = c[_PINNED_ROWS] + g[_PINNED_ROWS, 2] * x_pin
-    z2, feasible = _best_vertex(g2, c2, _scales(g2, c2), _objective_grad(s)[:2], 2)
-    if feasible:
-        return float(z2[0]), float(z2[1])
-    y_u, x_u = s.user.y, s.user.x
-    beta = float(z_rel[0])
-    l_rel = -2.0 * beta * y_u**2 + 2.0 * z_rel[1] * y_u + x_u
-    l_w = min(l_rel, x_pin)
-    return beta, float((l_w - x_u + 2.0 * beta * y_u**2) / (2.0 * y_u))
-
-
 def _mirror_scenario(s: AvoidanceScenario) -> AvoidanceScenario:
-    return AvoidanceScenario(
-        user=Point2(-s.user.x, s.user.y),
-        obstacle=RectObstacle(
-            x_r1=-s.obstacle.x_r2,
-            x_r2=-s.obstacle.x_r1,
-            y_n=s.obstacle.y_n,
-            y_f=s.obstacle.y_f,
-        ),
-        cfg=s.cfg,
-        weight_w=s.weight_w,
-    )
+    o = s.obstacle
+    obstacle = RectObstacle(-o.x_r2, -o.x_r1, o.y_n, o.y_f)
+    return AvoidanceScenario(Point2(-s.user.x, s.user.y), obstacle, s.cfg, s.weight_w)
 
 
 _MIRROR_NAMES = {
@@ -444,9 +398,24 @@ def _pinned_result(s: AvoidanceScenario, sign: int, z_rel: np.ndarray, x_pin: fl
     scenario for sign -1); the trajectory, cut and element set are mapped
     back to s. The kept elements are a prefix of the array for sign +1 and
     a suffix for sign -1.
+
+    (beta, p_tilde) is re-optimized by exact 2-variable vertex enumeration
+    over the rows left once the cut is fixed, which always has a feasible
+    vertex. Proof: keep the relaxed beta and lower the leftmost-tangent
+    intercept l = 2 y_u p_tilde - 2 beta y_u^2 + x_u to min(l_rel, x_pin).
+    Lowering p_tilde only adds corner clearance; l <= x_pin is the reach
+    row; l >= -R as l_rel >= -R and x_pin >= -R; the cut row holds as
+    x_pin <= x_adj (up to the snap's 1e-9 spacing) and beta >= 0. The rows
+    have rank 2 (beta >= 0 and the span row), so a feasible vertex exists.
     """
     m = s if sign > 0 else _mirror_scenario(s)
-    beta_m, p_tilde_m = _resolve_pinned(m, x_pin, z_rel)
+    g, c = _constraints(m)
+    grad = _objective_grad(m)
+    g2 = g[_PINNED_ROWS, :2]
+    c2 = c[_PINNED_ROWS] + g[_PINNED_ROWS, 2] * x_pin
+    z2, feasible = _best_vertex(g2, c2, _scales(g2, c2), grad[:2], 2)
+    assert feasible, "the pinned problem has a feasible vertex whenever the relaxed one does"
+    beta_m, p_tilde_m = float(z2[0]), float(z2[1])
     vertex = tuple(sign * float(v) for v in z_rel)
     if beta_m <= _BETA_TOL:
         return CurvingResult(
@@ -456,6 +425,9 @@ def _pinned_result(s: AvoidanceScenario, sign: int, z_rel: np.ndarray, x_pin: fl
             relaxed_vertex=vertex,
         )
     beta, p_tilde, x_t_star = sign * beta_m, sign * p_tilde_m, sign * x_pin
+    # The KKT row is the lowest whose defining constraints all bind at z_rel.
+    binding = np.abs((g @ z_rel + c) / _scales(g, c)) <= _ACTIVE_TOL
+    kkt_index = next((i for i, rows in enumerate(_KKT_ROWS, 1) if binding[list(rows)].all()), None)
     p = p_tilde / beta
     q = s.user.x - beta * (s.user.y - p) ** 2
     sol = CurvingSolution(
@@ -466,8 +438,8 @@ def _pinned_result(s: AvoidanceScenario, sign: int, z_rel: np.ndarray, x_pin: fl
         curvature_sign=sign,
         objective_value=f_para(s, beta, p_tilde, x_t_star),
         active_elements=sign * s.cfg.element_xs() <= sign * x_t_star + s.cfg.spacing * 1e-9,
-        kkt_candidate_index=_kkt_index(m, z_rel),
-        relaxed_objective=sign * float(_objective_grad(m) @ z_rel),
+        kkt_candidate_index=kkt_index,
+        relaxed_objective=sign * float(grad @ z_rel),
     )
     side = "positive" if sign > 0 else "negative"
     return CurvingResult("solved", sol, f"{side}-curvature trajectory found", relaxed_vertex=vertex)
@@ -505,7 +477,10 @@ def _optimize(s: AvoidanceScenario, sign: int) -> CurvingResult:
             "optimum collapses the aperture to a single edge element; increase weight_w",
             relaxed_vertex=vertex,
         )
-    x_pin = _project_prefix(s.cfg.element_xs(), float(z_star[2]), s.cfg.spacing)
+    # Snap the cut to the last element not past it; there is one, as
+    # xs[0] == -R and a cut at -R returned degenerate above.
+    xs = s.cfg.element_xs()
+    x_pin = float(xs[xs <= z_star[2] + s.cfg.spacing * 1e-9].max())
     return _pinned_result(s, sign, z_star, x_pin)
 
 
@@ -589,23 +564,21 @@ def plan_excitation(cfg: UlaConfig, plan: AvoidancePlan, power_budget: float) ->
     """Combined excitation for a solved plan, split equally across beams.
 
     Each solved beam is normalized to an equal share of the budget so the
-    total power matches a single-beam budget.
+    total power matches a single-beam budget. The beams drive disjoint
+    elements; np.where merges them, so every phase keeps its bits (a sum
+    would turn -0.0 into +0.0).
     """
     if plan.status != "solved":
         raise ValueError(f"plan is not solved: {plan.status}")
-    sols = [plan.primary.solution]
-    if plan.secondary is not None and plan.secondary.status == "solved":
-        sols.append(plan.secondary.solution)
-    n = cfg.n_elements
-    mags = np.zeros(n)
-    phases = np.zeros(n)
-    active = np.zeros(n, dtype=bool)
-    share = power_budget / len(sols)
-    for sol in sols:
-        exc = curving_phases(cfg, sol.trajectory, sol.active_elements)
-        mask = sol.active_elements
-        scale = math.sqrt(share / int(mask.sum()))
-        mags[mask] = scale
-        phases[mask] = exc.phases[mask]
-        active |= mask
-    return Excitation(mags, phases, active)
+    sols = [r.solution for r in (plan.primary, plan.secondary) if r is not None and r.status == "solved"]
+    exc, *rest = (
+        normalize_power(curving_phases(cfg, sol.trajectory, sol.active_elements), power_budget / len(sols))
+        for sol in sols
+    )
+    for other in rest:
+        exc = Excitation(
+            np.where(exc.active, exc.magnitudes, other.magnitudes),
+            np.where(exc.active, exc.phases, other.phases),
+            exc.active | other.active,
+        )
+    return exc

@@ -52,8 +52,10 @@ equal to the call with its entry alone. (A matrix product over the chunk
 would not be: its bits depend on the shapes.) A zeroed or skipped pair
 adds zero terms, which leave a sum that starts from +0.0 unchanged, so
 skipping trig changes no bit either. Points whose distance to an element
-overflows (beyond about 1e154 m) are rejected, so every r, 1 / r and sum
-is finite.
+overflows (beyond about 1e154 m) are rejected, and so are points whose
+squared distance to the nearest element is not a positive normal float
+(nearer than about 1e-154 m, where y^2 can underflow to 0 above an
+element), so every r and 1 / r is positive and finite.
 
 Points are processed in chunks of about ``_CHUNK_PAIRS`` = 16,384
 point-element pairs. A chunk holds r (reused for k r) and 1 / r as
@@ -308,9 +310,17 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
         far = np.maximum((px - cfg.element_x(1)) ** 2, (px - cfg.element_x(cfg.n_elements)) ** 2) + py * py
     if not np.all(np.isfinite(far)):
         raise ValueError("field points must lie within about 1e154 m of the array")
+    # r^2 is smallest at the element nearest the point: one of the two whose
+    # 1-based indices bracket px / spacing + (N + 1) / 2, at x as element_xs has it.
+    n = cfg.n_elements
+    with np.errstate(over="ignore"):
+        below = np.floor(px / cfg.spacing + (n + 1) / 2.0)
+    x_near = [(2.0 * np.clip(i, 1, n) - n - 1) / 2.0 * cfg.spacing for i in (below, below + 1)]
+    near = np.minimum(*((px - x) ** 2 for x in x_near)) + py * py
+    if not np.all(near >= np.finfo(float).tiny):
+        raise ValueError("field points must lie at least about 1e-154 m from every element")
     if not entries:
         return np.empty((0, px.shape[0]), dtype=complex)
-    n = cfg.n_elements
     xs = cfg.element_xs()
     k = cfg.wavenumber()
     # Entries are grouped by obstacle; each group reduces against the stacked

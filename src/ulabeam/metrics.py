@@ -13,13 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_geometry import CircleObstacle, Point2, RectObstacle, UlaConfig
-from .field import Excitation, field_at, field_points, field_points_per_entry, write_columns
+from .field import Excitation, field_at, field_points_per_entry, write_columns
 
 __all__ = [
     "ErrorBox",
     "ScenarioSet",
     "amplitude_at_user",
-    "box_amplitudes",
     "mean_amplitude",
     "scenario_amplitudes",
     "empirical_cdf",
@@ -81,18 +80,11 @@ def amplitude_at_user(
     return abs(field_at(cfg, exc, user, obstacle))
 
 
-def box_amplitudes(
-    cfg: UlaConfig, exc: Excitation, box: ErrorBox, obstacle: RectObstacle | CircleObstacle | None = None
-) -> np.ndarray:
-    """|E| at every box sample outside the obstacle interior."""
-    amps = np.abs(field_points(cfg, exc, *box.sample_points(), obstacle))
-    return amps[np.isfinite(amps)]
-
-
 def scenario_amplitudes(scenarios: ScenarioSet, box: ErrorBox) -> tuple[list[float], list[np.ndarray]]:
-    """|E| at the box center and box_amplitudes, for every entry, from one kernel call.
+    """|E| at the box center and at the box samples, for every entry, from one kernel call.
 
-    The center's amplitude is NaN under an obstacle that contains it.
+    Each entry's box amplitudes leave out the samples inside its obstacle;
+    the center's amplitude is NaN under an obstacle that contains it.
     """
     px, py = box.sample_points()
     values = field_points_per_entry(
@@ -104,7 +96,7 @@ def scenario_amplitudes(scenarios: ScenarioSet, box: ErrorBox) -> tuple[list[flo
 
 
 def mean_amplitude(amps: np.ndarray) -> float:
-    """Mean of one box's amplitudes from box_amplitudes; raises if it has none."""
+    """Mean of one box's amplitudes from scenario_amplitudes; raises if it has none."""
     if amps.size == 0:
         raise ValueError("every box sample lies inside the obstacle")
     return float(amps.mean())

@@ -5,7 +5,8 @@ public data types are used, so the oracles cannot inherit a bug from the
 code under test. The one exception is ``dense_field``: it checks the field
 kernel's arithmetic, not its geometry, so it takes the kernel's blocked
 runs and interior test (which ``visible_pairs`` and ``inside_obstacle``
-check on their own).
+check on their own). ``highs_optimum`` solves the curving LP, built from
+this module's own rows, with scipy's HiGHS rather than by enumeration.
 """
 
 from __future__ import annotations
@@ -14,7 +15,16 @@ import math
 
 import numpy as np
 
-from ulabeam import AvoidanceScenario, BesselDesign, CircleObstacle, RectObstacle, tangent_y, trajectory_eval
+from ulabeam import (
+    AvoidanceScenario,
+    BesselDesign,
+    CircleObstacle,
+    Point2,
+    RectObstacle,
+    UlaConfig,
+    tangent_y,
+    trajectory_eval,
+)
 from ulabeam.field import _blocked_runs, _interior_mask
 
 
@@ -109,26 +119,50 @@ def grid_bounds(s: AvoidanceScenario) -> tuple[float, float, float]:
     return beta_hi, min(p_candidates) - margin, max(p_candidates) + margin
 
 
-def lp_violation(s: AvoidanceScenario, beta: float, p_tilde: float, x_adj: float) -> float:
-    """Largest constraint violation of the positive-curvature LP at a point.
+def lp_rows(s: AvoidanceScenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positive-curvature LP over z = (beta, p_tilde, x_adj): minimize cost . z, A z <= b.
 
-    <= 0 means feasible. The conditions are the ones grid_search scans:
-    beta >= 0, |x_adj| <= R, both obstacle corners cleared, the leftmost
-    tangent spanning the user, and x_adj between the tangent-reaches-user
-    and tangent-exists-at-cut bounds. Unscaled.
+    One row per condition that grid_search scans: beta >= 0, |x_adj| <= R
+    (two rows), the leftmost tangent spanning the user, x_adj between the
+    tangent-reaches-user and tangent-exists-at-cut bounds (two rows), and
+    both obstacle corners cleared. The cost is grid_objective's.
     """
     y_n, y_f, y_u, x_u, x_r2, r_half = _lp_data(s)
-    low = -2.0 * beta * y_u**2 + 2.0 * p_tilde * y_u + x_u
-    high = -beta * y_u**2 + 2.0 * p_tilde * y_u + x_u
     rows = [
-        -beta,
-        abs(x_adj) - r_half,
-        2.0 * beta * y_u**2 - 2.0 * p_tilde * y_u - x_u - r_half,
-        low - x_adj,
-        x_adj - high,
+        ((-1.0, 0.0, 0.0), 0.0),
+        ((0.0, 0.0, 1.0), r_half),
+        ((0.0, 0.0, -1.0), r_half),
+        ((2.0 * y_u**2, -2.0 * y_u, 0.0), x_u + r_half),
+        ((-2.0 * y_u**2, 2.0 * y_u, -1.0), -x_u),
+        ((y_u**2, -2.0 * y_u, 1.0), x_u),
     ]
-    rows += [beta * (y_e**2 - y_u**2) - 2.0 * p_tilde * (y_e - y_u) + x_u - x_r2 for y_e in (y_n, y_f)]
-    return max(rows)
+    rows += [((y_e**2 - y_u**2, -2.0 * (y_e - y_u), 0.0), x_r2 - x_u) for y_e in (y_n, y_f)]
+    # grid_objective is linear: its values at the unit vectors are its coefficients.
+    cost = np.array([grid_objective(s, *unit) for unit in np.eye(3)])
+    return np.array([a for a, _ in rows]), np.array([b for _, b in rows]), cost
+
+
+def lp_violation(s: AvoidanceScenario, beta: float, p_tilde: float, x_adj: float) -> float:
+    """Largest constraint violation of the positive-curvature LP (lp_rows) at a point.
+
+    <= 0 means feasible. Unscaled.
+    """
+    a, b, _ = lp_rows(s)
+    return float(np.max(a @ np.array([beta, p_tilde, x_adj]) - b))
+
+
+def highs_optimum(s: AvoidanceScenario, x_adj: float | None = None):
+    """scipy's HiGHS solve of the positive-curvature LP of lp_rows.
+
+    With x_adj given, the aperture cut is fixed there (the pinned problem).
+    Returns linprog's result: status 0 optimal, 2 infeasible, 3 unbounded;
+    fun the optimal objective.
+    """
+    from scipy.optimize import linprog
+
+    a, b, cost = lp_rows(s)
+    cut = (None, None) if x_adj is None else (x_adj, x_adj)
+    return linprog(cost, A_ub=a, b_ub=b, bounds=[(None, None), (None, None), cut], method="highs")
 
 
 def grid_search(s: AvoidanceScenario, n: int = 400) -> tuple[float, tuple[float, float, float]] | None:
@@ -245,8 +279,6 @@ def random_feasible_scenarios(cfg, rng: np.random.Generator, count: int) -> list
     stays off the left edge. The screen uses only the grid oracle, so
     scenario selection is independent of the solver under test.
     """
-    from ulabeam import Point2, RectObstacle
-
     r_half = cfg.half_aperture()
     out: list[AvoidanceScenario] = []
     while len(out) < count:
@@ -278,6 +310,28 @@ def random_feasible_scenarios(cfg, rng: np.random.Generator, count: int) -> list
                 ok = False
         if ok:
             out.append(scen)
+    return out
+
+
+def sweep_scenarios(rng: np.random.Generator, count: int) -> list[AvoidanceScenario]:
+    """Random avoidance scenes over the whole range of outcomes, feasible or not.
+
+    N is 64, 256 or 1024 (half-wavelength spacing at 140 GHz); both rect x
+    edges and the user's x are uniform in [-2R, 2R]; y_u is uniform in
+    [0.2, 3], y_n in [0, 0.9 y_u], y_f in [y_n, 0.99 y_u] and w in [0.1, 3].
+    """
+    cfgs = [UlaConfig(n, 299792458.0 / 140e9 / 2.0, 140e9) for n in (64, 256, 1024)]
+    out = []
+    for _ in range(count):
+        cfg = cfgs[int(rng.integers(3))]
+        r_half = cfg.half_aperture()
+        x_r2, x_r1 = sorted(rng.uniform(-2.0 * r_half, 2.0 * r_half, 2))
+        x_u = rng.uniform(-2.0 * r_half, 2.0 * r_half)
+        y_u = rng.uniform(0.2, 3.0)
+        y_n = rng.uniform(0.0, 0.9 * y_u)
+        y_f = rng.uniform(y_n, 0.99 * y_u)
+        obstacle = RectObstacle(float(x_r1), float(x_r2), float(y_n), float(y_f))
+        out.append(AvoidanceScenario(Point2(float(x_u), float(y_u)), obstacle, cfg, float(rng.uniform(0.1, 3.0))))
     return out
 
 

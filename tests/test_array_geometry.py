@@ -75,10 +75,9 @@ def test_config_validation():
         UlaConfig(n_elements=8, spacing=1.0, carrier_freq=-1e9)
 
 
-def test_point2_norm_and_array():
+def test_point2_norm_and_validation():
     p = Point2(3.0, 4.0)
     assert p.norm() == 5.0
-    assert_allclose(p.as_array(), [3.0, 4.0])
     with pytest.raises(ValueError):
         Point2(math.nan, 0.0)
 

@@ -16,7 +16,9 @@ Proves:
 - simulate honours --grid and --line-cut, writes CSV/PGM/JSON whose
   contents equal an in-process recomputation bit for bit, and refuses to
   run without a grid section; a grid or line cut that reaches points
-  whose distance to an element overflows exits 2 and writes no file.
+  whose distance to an element overflows, or points nearer than about
+  1e-154 m to an element, exits 2 and writes no file; so does a compare
+  whose user or box holds such a point.
 - compare emits one row per beam and obstacle plus a CDF file per beam;
   the focused beam tops the free-space column, a fully blocking wall
   zeroes the point amplitude, and the user and every error box are
@@ -689,6 +691,36 @@ def test_simulate_rejects_points_whose_distance_overflows(tmp_path, capsys):
     # the line cut is evaluated before any file is written
     smoke = str(SCENARIOS / "smoke_two_element.yaml")
     assert main(["simulate", "--scenario", smoke, "--out", str(out), "--line-cut", "1e160,10"]) == 2
+    assert capsys.readouterr().err == message
+    assert list(out.iterdir()) == []
+
+
+def test_points_on_an_element_are_rejected(tmp_path, capsys):
+    # y^2 underflows to 0 at y = 1e-200, so a point at x = 0, where the
+    # middle element of a 3-element array sits, would be at distance 0
+    message = "error: field points must lie at least about 1e-154 m from every element\n"
+    data = yaml.safe_load((SCENARIOS / "smoke_two_element.yaml").read_text())
+    data["array"]["n_elements"] = 3
+    out = tmp_path / "out"
+    # the line cut runs along the axis, through the middle element
+    path = write_scenario(tmp_path, data)
+    assert main(["simulate", "--scenario", path, "--out", str(out), "--line-cut", "1e-200,2"]) == 2
+    assert capsys.readouterr().err == message
+    assert list(out.iterdir()) == []
+    # a grid node x = 0 of x_range [-0.2, 0.2] at nx = 3, at the lowest row
+    data["grid"].update(y_range=[1e-200, 0.6], nx=3, ny=3)
+    assert main(["simulate", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert list(out.iterdir()) == []
+    # the user and the middle column of its box sit on the middle element
+    del data["beam"], data["grid"], data["obstacle"]
+    data["user"] = {"x": 0.0, "y": 1e-200}
+    data.update(
+        beams=[{"type": "focus"}, {"type": "gaussian", "theta_deg": 0.0}],
+        obstacles=[{"type": "none"}],
+        error_box={"half_width_x": 0.05, "half_width_y": 1e-201, "nx": 3, "ny": 3},
+    )
+    assert main(["compare", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == 2
     assert capsys.readouterr().err == message
     assert list(out.iterdir()) == []
 

@@ -12,6 +12,8 @@ Proves:
    corner clearance, aperture bounds, tangent coverage of the user), and
    agree with the closed-form table: the reported row is the relaxed
    optimum and no feasible row beats it
+ - the relaxed and pinned optima equal scipy's HiGHS on the oracle's own
+   LP rows, across feasible, unnecessary and infeasible scenes
  - mirror reduction is an exact sign map, on a fixed case and a seeded
    random batch; frozen instances reproduce
    pinned numbers including the negative-curvature fallback and the
@@ -43,7 +45,7 @@ from ulabeam import (
     tangent_y,
     trajectory_eval,
 )
-from oracles import lp_violation, random_feasible_scenarios, solution_geometry_slacks
+from oracles import highs_optimum, lp_violation, random_feasible_scenarios, solution_geometry_slacks, sweep_scenarios
 
 
 def frozen_scenario(cfg) -> AvoidanceScenario:
@@ -220,6 +222,26 @@ def test_solved_results_pass_geometric_checks(cfg1024):
             if cand.valid and lp_violation(s, *z) <= 1e-9:
                 assert f_para(s, *z) >= floor
     assert solved >= 15
+
+
+def test_enumeration_matches_highs():
+    # scipy's HiGHS solves the oracle's own LP rows, not the solver's
+    seen = set()
+    for s in sweep_scenarios(np.random.default_rng(2503), 1000):
+        res = optimize_positive(s)
+        seen.add(res.status)
+        if res.relaxed_vertex is None:
+            continue
+        relaxed = highs_optimum(s)
+        assert relaxed.status == 0
+        assert f_para(s, *res.relaxed_vertex) == pytest.approx(relaxed.fun, rel=1e-9)
+        if res.status == "solved":
+            assert res.solution.relaxed_objective == pytest.approx(relaxed.fun, rel=1e-9)
+            # the snapped cut fixed, the pinned solve is HiGHS's optimum too
+            pinned = highs_optimum(s, res.solution.x_t_star)
+            assert pinned.status == 0
+            assert res.solution.objective_value == pytest.approx(pinned.fun, rel=1e-9)
+    assert seen >= {"solved", "unnecessary", "infeasible"}
 
 
 def mirror_pair_status(s: AvoidanceScenario) -> str:

@@ -34,7 +34,9 @@ Proves:
    reference and the call with that entry alone, for chunk sizes and
    worker counts, and matches the element-by-element oracle
  - points whose squared distance to an element overflows are rejected by
-   every caller
+   every caller, and so are points nearer than about 1e-154 m to an
+   element: exactly those where some pair's squared distance is not a
+   positive normal float
 """
 
 import csv
@@ -730,6 +732,50 @@ def test_point_whose_distance_overflows_is_rejected():
     # the largest representable distances still evaluate
     values = field_points_per_entry(cfg, entries, np.array([1e153, 0.0]), np.array([1.0, 1e153]))
     assert np.all(np.isfinite(values))
+
+
+def test_point_on_an_element_is_rejected():
+    # y^2 underflows to 0 at y = 1e-200, so the distance to element 2 (x = 0) would be 0
+    cfg = UlaConfig(3, 1e-3, 140e9)
+    exc = gaussian_excitation(cfg, 0.0)
+    message = "at least about 1e-154 m from every element"
+    for x in cfg.element_xs():
+        with pytest.raises(ValueError, match=message):
+            field_points(cfg, exc, np.array([0.5, x]), np.array([1.0, 1e-200]))
+        with pytest.raises(ValueError, match=message):
+            field_at(cfg, exc, Point2(x, 1e-200))
+    with pytest.raises(ValueError, match=message):
+        field_points_per_entry(cfg, (), np.array([0.0]), np.array([1e-160]))
+    with pytest.raises(ValueError, match=message):
+        line_cut(cfg, exc, 0.0, 1e-200, 2)
+    # between elements, and just far enough above one, the field is finite
+    values = field_points(cfg, exc, np.array([5e-4, 0.0, -1e-3]), np.array([1e-200, 1e-153, 2e-154]))
+    assert np.all(np.isfinite(values))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 40),
+    st.floats(1e-200, 1e-2),
+    st.integers(-3, 44),
+    st.floats(-1.0, 1.0),
+    st.floats(1e-320, 1e-150),
+)
+# just left of element 3, where the next element down is far enough
+@example(3, 1e-153, 3, -0.5, 1e-155)
+def test_point_rejected_iff_some_squared_distance_is_not_normal(n, spacing, index, offset, py):
+    # the point sits offset * py beside element `index` (an index past either end is off the array)
+    cfg = UlaConfig(n, spacing, 140e9)
+    xs = cfg.element_xs()
+    px = (-n + 2 * index - 1) / 2.0 * spacing + offset * py
+    # the kernel's r^2 on every pair
+    r2 = (px - xs) ** 2 + py * py
+    exc = gaussian_excitation(cfg, 0.0)
+    if r2.min() >= np.finfo(float).tiny:
+        assert np.all(np.isfinite(field_points(cfg, exc, np.array([px]), np.array([py]))))
+    else:
+        with pytest.raises(ValueError, match="from every element"):
+            field_points(cfg, exc, np.array([px]), np.array([py]))
 
 
 def test_no_obstacles_give_an_empty_result_without_evaluating(monkeypatch):

@@ -40,9 +40,9 @@ from ulabeam import (
     UlaConfig,
     amplitude_at_user,
     bessel_phases,
-    box_amplitudes,
     empirical_cdf,
     field_at,
+    field_points,
     focusing_excitation,
     gaussian_excitation,
     mean_amplitude,
@@ -62,6 +62,11 @@ POSITIONS = (
     RectObstacle(0.14, -0.14, 0.10, 0.57),
     RectObstacle(0.29, 0.01, 0.10, 0.57),
 )
+
+
+def box_amplitudes(cfg, exc, box, obstacle=None):
+    """|E| at the box samples outside the obstacle, from a one-entry scenario set."""
+    return scenario_amplitudes(ScenarioSet(cfg, [(exc, obstacle)]), box)[1][0]
 
 
 def curving_for(cfg, obstacle, budget=1.0):
@@ -146,7 +151,8 @@ def test_per_obstacle_box_amplitudes_match_single_calls(cfg1024):
     points, rows = scenario_amplitudes(ScenarioSet(cfg1024, [(exc, obstacle) for obstacle in obstacles]), BOX)
     assert len(rows) == len(points) == len(obstacles)
     for row, obstacle in zip(rows, obstacles):
-        assert np.array_equal(row, box_amplitudes(cfg1024, exc, BOX, obstacle))
+        single = np.abs(field_points(cfg1024, exc, *BOX.sample_points(), obstacle))
+        assert np.array_equal(row, single[np.isfinite(single)])
     for point, obstacle in zip(points[:-2], obstacles):
         assert point == amplitude_at_user(cfg1024, exc, USER, obstacle)
     # the two last rects hold the user
@@ -173,7 +179,7 @@ def test_pooling_concatenates_per_scenario_amplitudes(cfg1024):
     sset = ScenarioSet(cfg1024, [(exc, obs) for obs in obstacles])
     assert isinstance(sset.entries, tuple) and len(sset.entries) == len(obstacles)
     assert all(got is want for (_, got), want in zip(sset.entries, obstacles))
-    parts = [box_amplitudes(cfg1024, e, BOX, obs) for e, obs in sset.entries]
+    parts = scenario_amplitudes(sset, BOX)[1]
     pooled = np.concatenate(parts)
     # no obstacle reaches the box, so every scenario pools every sample
     assert pooled.size == len(obstacles) * BOX.nx * BOX.ny
@@ -214,10 +220,7 @@ def test_pooled_cdf_curving_dominates_fixed_focus(cfg1024):
     focus = normalize_power(focusing_excitation(cfg1024, USER), 1.0)
     focus_set = ScenarioSet(cfg1024, tuple((focus, obs) for obs in POSITIONS))
     curving_set = ScenarioSet(cfg1024, tuple((curving_for(cfg1024, obs), obs) for obs in POSITIONS))
-    pool_f, pool_c = (
-        np.concatenate([box_amplitudes(cfg1024, exc, BOX, obs) for exc, obs in sset.entries])
-        for sset in (focus_set, curving_set)
-    )
+    pool_f, pool_c = (np.concatenate(scenario_amplitudes(sset, BOX)[1]) for sset in (focus_set, curving_set))
     assert pool_f.size == pool_c.size == 4 * 21 * 21
     assert_allclose(pool_f.min(), 0.005527651848, rtol=1e-6)
     assert_allclose(pool_c.min(), 0.067103979125, rtol=1e-6)

@@ -10,7 +10,13 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   with ``--line-cut 1.5,200``;
 - a curving scene whose obstacle hides the whole aperture, through
   synthesize, simulate, optimize and compare (the plan is infeasible);
+- five curving scenes on 1,024 elements, one per planner outcome,
+  through optimize and synthesize: the negative-curvature fallback, an
+  unnecessary plan, a two-beam plan, a far obstacle that keeps the full
+  aperture, and a primary with no reverse-curvature secondary;
 - ``compare --levels 1`` and ``simulate --grid 3`` (usage errors).
+
+With the seven shipped scenarios that makes 51 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -84,6 +90,33 @@ error_box:
   ny: 5
 """
 
+# Planner scenes: label -> (user x, rect (x_r1, x_r2, y_n, y_f), w); the user is at y = 1.
+PLANNER = {
+    "negative_fallback": (0.0, (0.08, -0.90, 0.15, 0.55), 1.0),
+    "unnecessary": (-0.05, (0.05, -0.90, 0.10, 0.50), 1.0),
+    "two_beam": (0.0, (0.14, -0.14, 0.10, 0.57), 1.0),
+    "far_obstacle": (0.0, (-1.86, -2.14, 0.10, 0.57), 1.0),
+    "no_secondary": (0.0, (0.30, -0.10, 0.10, 0.50), 2.0),
+}
+
+
+def planner_scene(x_u: float, rect: tuple, w: float) -> str:
+    edges = "".join(f"  {key}: {value}\n" for key, value in zip(("x_r1", "x_r2", "y_n", "y_f"), rect))
+    return f"""\
+array:
+  n_elements: 1024
+  spacing_mode: half_wavelength
+  carrier_freq_hz: 140000000000.0
+user:
+  x: {x_u}
+  y: 1.0
+beam:
+  type: curving
+  w: {w}
+obstacle:
+  type: rect
+{edges}"""
+
 
 def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
     """label -> (scenario text, command words) of every run, for the tree's scenarios."""
@@ -97,6 +130,9 @@ def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
     for command in ("synthesize", "simulate", "optimize"):
         out[f"{command} infeasible_curving"] = (INFEASIBLE, [command])
     out["compare infeasible_curving"] = (INFEASIBLE_COMPARE, ["compare"])
+    for label, scene in PLANNER.items():
+        for command in ("optimize", "synthesize"):
+            out[f"{command} {label}"] = (planner_scene(*scene), [command])
     compare_text = (shipped / "compare_four_positions.yaml").read_text(encoding="utf-8")
     out["compare --levels 1"] = (compare_text, ["compare", "--levels", "1"])
     smoke_text = (shipped / "smoke_two_element.yaml").read_text(encoding="utf-8")
