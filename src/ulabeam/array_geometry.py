@@ -76,14 +76,8 @@ class UlaConfig:
         """Half the aperture, R = (N - 1) * spacing / 2."""
         return (self.n_elements - 1) * self.spacing / 2.0
 
-    def element_x(self, n: int) -> float:
-        """x-coordinate of element n, 1-based, n = 1..N."""
-        if not 1 <= n <= self.n_elements:
-            raise ValueError(f"element index {n} outside 1..{self.n_elements}")
-        return (-self.n_elements + 2 * n - 1) / 2.0 * self.spacing
-
     def element_xs(self) -> np.ndarray:
-        """All element x-coordinates as an array, ascending."""
+        """All element x-coordinates, ascending: element n = 1..N sits at (2n - N - 1) / 2 * spacing."""
         n = np.arange(1, self.n_elements + 1)
         return (-self.n_elements + 2 * n - 1) / 2.0 * self.spacing
 

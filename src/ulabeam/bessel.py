@@ -59,10 +59,6 @@ class BesselDesign:
             return "alpha >= pi/2 - |theta|"
         return None
 
-    def steerable(self) -> bool:
-        """Guaranteed steering: steering_failure() finds no failing bound."""
-        return self.steering_failure() is None
-
     def marginal(self) -> bool:
         """True on the degraded boundary alpha == |theta_a| (distance collapses)."""
         return self.alpha == abs(self.theta_a)

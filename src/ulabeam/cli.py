@@ -402,11 +402,12 @@ def cmd_simulate(scenario: dict, out: str, grid_override, line_cut_spec) -> int:
         nx, ny = grid_override
     obstacle = scenario["obstacle"]
     exc, plan = _beam_excitation(cfg, user, scenario["beam"], obstacle, scenario["power_budget"], out)
-    grid = field_grid(cfg, exc, x_range, y_range, nx, ny, obstacle)
-    # The cut is evaluated before any file is written, so a failing one leaves none.
+    # The cut runs before the grid and both before any file is written, so an
+    # invalid request fails before the full field is computed and leaves no file.
     if line_cut_spec is not None:
         d_plot, samples = line_cut_spec
         pairs = line_cut(cfg, exc, _cut_angle(scenario["beam"], user), d_plot, samples, obstacle)
+    grid = field_grid(cfg, exc, x_range, y_range, nx, ny, obstacle)
     write_field_csv(grid, os.path.join(out, "field.csv"))
     write_field_pgm(grid, os.path.join(out, "field.pgm"))
     meta = {

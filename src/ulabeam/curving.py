@@ -523,8 +523,7 @@ def plan_with_fallback(s: AvoidanceScenario) -> AvoidancePlan:
     if pos.status == "unnecessary":
         return AvoidancePlan("unnecessary", pos, None, pos.message)
     if pos.status == "solved":
-        xs = s.cfg.element_xs()
-        remaining = xs[xs > pos.solution.x_t_star + s.cfg.spacing * 1e-9]
+        remaining = s.cfg.element_xs()[~pos.solution.active_elements]
         if remaining.size == 0:
             return AvoidancePlan("solved", pos, None, "primary uses the full array")
         neg = optimize_negative(s)

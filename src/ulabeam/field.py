@@ -145,30 +145,18 @@ class Excitation:
 class FieldGrid:
     """Complex field sampled on a regular grid.
 
-    values[ix, iy] is the field at (x_coords()[ix], y_coords()[iy]).
+    values, of shape (nx, ny), holds at [ix, iy] the field at (x_coords()[ix], y_coords()[iy]).
     """
 
     x_range: tuple[float, float]
     y_range: tuple[float, float]
-    nx: int
-    ny: int
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("nx and ny must be >= 2")
-        if not self.y_range[0] > 0:
-            raise ValueError("grid must lie strictly in front of the array (y_min > 0)")
-        if self.x_range[1] <= self.x_range[0] or self.y_range[1] <= self.y_range[0]:
-            raise ValueError("ranges must be increasing")
-        if self.values.shape != (self.nx, self.ny):
-            raise ValueError("values must have shape (nx, ny)")
-
     def x_coords(self) -> np.ndarray:
-        return np.linspace(self.x_range[0], self.x_range[1], self.nx)
+        return np.linspace(self.x_range[0], self.x_range[1], self.values.shape[0])
 
     def y_coords(self) -> np.ndarray:
-        return np.linspace(self.y_range[0], self.y_range[1], self.ny)
+        return np.linspace(self.y_range[0], self.y_range[1], self.values.shape[1])
 
 
 def gaussian_excitation(cfg: UlaConfig, theta_a: float) -> Excitation:
@@ -297,7 +285,9 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
     px = np.asarray(px, dtype=float)
     py = np.asarray(py, dtype=float)
     entries = list(entries)
-    if any(exc.n_elements != cfg.n_elements for exc, _ in entries):
+    n = cfg.n_elements
+    xs = cfg.element_xs()
+    if any(exc.n_elements != n for exc, _ in entries):
         raise ValueError("excitation length does not match array size")
     if px.ndim != 1 or px.shape != py.shape:
         raise ValueError("px and py must be equal-length 1-D arrays")
@@ -307,21 +297,16 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
         raise ValueError("field points must lie strictly in front of the array (y > 0)")
     # r^2 is largest at an end element, so it is finite on every pair iff there.
     with np.errstate(over="ignore"):
-        far = np.maximum((px - cfg.element_x(1)) ** 2, (px - cfg.element_x(cfg.n_elements)) ** 2) + py * py
+        far = np.maximum((px - xs[0]) ** 2, (px - xs[-1]) ** 2) + py * py
     if not np.all(np.isfinite(far)):
         raise ValueError("field points must lie within about 1e154 m of the array")
-    # r^2 is smallest at the element nearest the point: one of the two whose
-    # 1-based indices bracket px / spacing + (N + 1) / 2, at x as element_xs has it.
-    n = cfg.n_elements
-    with np.errstate(over="ignore"):
-        below = np.floor(px / cfg.spacing + (n + 1) / 2.0)
-    x_near = [(2.0 * np.clip(i, 1, n) - n - 1) / 2.0 * cfg.spacing for i in (below, below + 1)]
-    near = np.minimum(*((px - x) ** 2 for x in x_near)) + py * py
+    # r^2 is smallest at one of the two elements that bracket px.
+    above = np.clip(np.searchsorted(xs, px), 1, n - 1)
+    near = np.minimum((px - xs[above - 1]) ** 2, (px - xs[above]) ** 2) + py * py
     if not np.all(near >= np.finfo(float).tiny):
         raise ValueError("field points must lie at least about 1e-154 m from every element")
     if not entries:
         return np.empty((0, px.shape[0]), dtype=complex)
-    xs = cfg.element_xs()
     k = cfg.wavenumber()
     # Entries are grouped by obstacle; each group reduces against the stacked
     # weight rows of its entries, two per entry.
@@ -431,12 +416,16 @@ def field_grid(
     ny: int,
     obstacle: RectObstacle | CircleObstacle | None = None,
 ) -> FieldGrid:
-    """Field on a regular nx-by-ny grid; obstacle-interior nodes become NaN."""
+    """Field on a regular nx-by-ny grid, checked before it is computed; obstacle-interior nodes become NaN."""
+    if nx < 2 or ny < 2:
+        raise ValueError("nx and ny must be >= 2")
+    if x_range[1] <= x_range[0] or y_range[1] <= y_range[0]:
+        raise ValueError("ranges must be increasing")
     x = np.linspace(x_range[0], x_range[1], nx)
     y = np.linspace(y_range[0], y_range[1], ny)
     gx, gy = np.meshgrid(x, y, indexing="ij")
     values = field_points(cfg, exc, gx.ravel(), gy.ravel(), obstacle).reshape(nx, ny)
-    return FieldGrid((float(x_range[0]), float(x_range[1])), (float(y_range[0]), float(y_range[1])), nx, ny, values)
+    return FieldGrid((float(x_range[0]), float(x_range[1])), (float(y_range[0]), float(y_range[1])), values)
 
 
 def line_cut(
@@ -488,6 +477,7 @@ def write_columns(path: str, header: str, columns) -> None:
 
 def write_field_csv(grid: FieldGrid, path: str) -> None:
     """Write the grid as CSV (see module docstring for the layout)."""
+    nx, ny = grid.values.shape
     values = grid.values.T.ravel()
     # Each coordinate is formatted once and its string repeated.
     xs = [str(x) for x in grid.x_coords().tolist()]
@@ -497,8 +487,8 @@ def write_field_csv(grid: FieldGrid, path: str) -> None:
         path,
         "x,y,re,im,abs",
         (
-            xs * grid.ny,
-            [y for y in ys for _ in range(grid.nx)],
+            xs * ny,
+            [y for y in ys for _ in range(nx)],
             values.real,
             values.imag,
             [abs(v) for v in values.tolist()],
@@ -518,7 +508,7 @@ def write_field_pgm(grid: FieldGrid, path: str) -> None:
     pixels = np.rint(scaled).astype(np.uint8)
     # Image rows run top-down in y; pixels[ix, iy] -> row (ny-1-iy), col ix.
     img = pixels.T[::-1, :]
-    header = f"P5\n{grid.nx} {grid.ny}\n255\n".encode("ascii")
+    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(img.tobytes())

@@ -133,7 +133,7 @@ def test_c04_phase_oracle_equivalence():
             th = rng.uniform(-0.6, 0.6)
             al = rng.uniform(abs(th) + 1e-6, math.pi / 2 - abs(th) - 1e-6)
             design = BesselDesign(th, al)
-            assert design.steerable()
+            assert design.steering_failure() is None
             exc = bessel_phases(cfg, design)
             dist = polyline_min_distances(cfg.element_xs(), curve_x, wavefront(curve_x, design))
             assert_allclose(exc.phases, k * dist, rtol=1e-6, atol=1e-9)
@@ -150,15 +150,15 @@ def test_c05_steerability_boundary():
         eps = 1e-12
         theta = math.radians(15)
         # lower boundary alpha = |theta| is steerable, just below is not
-        assert BesselDesign(theta, theta).steerable()
-        assert not BesselDesign(theta, theta - eps).steerable()
+        assert BesselDesign(theta, theta).steering_failure() is None
+        assert BesselDesign(theta, theta - eps).steering_failure() is not None
         # upper boundary alpha = pi/2 - |theta| is not steerable, just below is
         upper = math.pi / 2 - theta
-        assert not BesselDesign(theta, upper).steerable()
-        assert BesselDesign(theta, upper - eps).steerable()
+        assert BesselDesign(theta, upper).steering_failure() is not None
+        assert BesselDesign(theta, upper - eps).steering_failure() is None
         # the failed steering demonstration: theta 15 deg, alpha 10 deg
         bad = BesselDesign(math.radians(15), math.radians(10))
-        assert not bad.steerable()
+        assert bad.steering_failure() is not None
         with pytest.raises(ValueError, match=r"alpha < \|theta\|"):
             bessel_phases(UlaConfig(64, 1e-3, 140e9), bad)
         ok = True

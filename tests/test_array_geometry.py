@@ -1,8 +1,8 @@
 """Array layout and obstacle geometry.
 
 Proves:
- - element x-coordinates follow the centered 1-based layout and match the
-   ascending vector form
+ - element x-coordinates follow the centered 1-based layout, ascending, with
+   the end elements at minus and plus the half-aperture
  - half-aperture, wavelength, and wavenumber arithmetic
  - obstacle invariant violations raise
  - the bounding square of a circle has the expected corners
@@ -38,32 +38,23 @@ def test_wavelength_and_wavenumber(cfg1024):
 def test_element_layout_small():
     cfg = UlaConfig(n_elements=4, spacing=2.0, carrier_freq=1e9)
     # centered layout: (-N + 2n - 1)/2 * spacing for n = 1..N
-    assert [cfg.element_x(n) for n in (1, 2, 3, 4)] == [-3.0, -1.0, 1.0, 3.0]
-    assert_allclose(cfg.element_xs(), [-3.0, -1.0, 1.0, 3.0])
+    assert cfg.element_xs().tolist() == [-3.0, -1.0, 1.0, 3.0]
     assert cfg.half_aperture() == 3.0
 
 
 def test_element_layout_odd_count_has_center_element():
     cfg = UlaConfig(n_elements=5, spacing=1.0, carrier_freq=1e9)
-    assert cfg.element_x(3) == 0.0
+    assert cfg.element_xs()[2] == 0.0
     assert_allclose(np.diff(cfg.element_xs()), 1.0)
 
 
 def test_element_xs_matches_scalar_accessor(cfg1024):
     xs = cfg1024.element_xs()
     assert xs.shape == (1024,)
-    assert xs[0] == cfg1024.element_x(1)
-    assert xs[-1] == cfg1024.element_x(1024)
+    assert xs[0] == -cfg1024.half_aperture()
     assert xs[-1] == cfg1024.half_aperture()
     # 511.5 * 1.07068735e-3, worked out by hand in decimal
     assert_allclose(cfg1024.half_aperture(), 0.547656579525, rtol=1e-12)
-
-
-def test_element_index_bounds(cfg1024):
-    with pytest.raises(ValueError):
-        cfg1024.element_x(0)
-    with pytest.raises(ValueError):
-        cfg1024.element_x(1025)
 
 
 def test_config_validation():

@@ -45,23 +45,23 @@ DEG = math.pi / 180.0
 # ---------------------------------------------------------------- steering
 
 def test_steerable_interior_and_failure_case():
-    assert BesselDesign(15 * DEG, 20 * DEG).steerable()
+    assert BesselDesign(15 * DEG, 20 * DEG).steering_failure() is None
     # known failure case: alpha below the steering angle
-    assert not BesselDesign(15 * DEG, 10 * DEG).steerable()
+    assert BesselDesign(15 * DEG, 10 * DEG).steering_failure() is not None
 
 
 def test_steerable_boundaries_exact():
     th = 15 * DEG
     eps = 1e-12
     # left boundary alpha == |theta| is included...
-    assert BesselDesign(th, th).steerable()
-    assert BesselDesign(th, th + eps).steerable()
-    assert not BesselDesign(th, th - eps).steerable()
+    assert BesselDesign(th, th).steering_failure() is None
+    assert BesselDesign(th, th + eps).steering_failure() is None
+    assert BesselDesign(th, th - eps).steering_failure() is not None
     # ...the right boundary alpha == pi/2 - |theta| is not
     hi = math.pi / 2 - th
-    assert not BesselDesign(th, hi).steerable()
-    assert not BesselDesign(th, hi + eps).steerable()
-    assert BesselDesign(th, hi - eps).steerable()
+    assert BesselDesign(th, hi).steering_failure() is not None
+    assert BesselDesign(th, hi + eps).steering_failure() is not None
+    assert BesselDesign(th, hi - eps).steering_failure() is None
 
 
 def test_steering_failure_names_the_failing_bound():
@@ -77,13 +77,13 @@ def test_steering_failure_names_the_failing_bound():
 
 
 def test_steerable_symmetric_in_theta_sign():
-    assert BesselDesign(-15 * DEG, 20 * DEG).steerable()
-    assert not BesselDesign(-15 * DEG, 10 * DEG).steerable()
+    assert BesselDesign(-15 * DEG, 20 * DEG).steering_failure() is None
+    assert BesselDesign(-15 * DEG, 10 * DEG).steering_failure() is not None
 
 
 def test_marginal_and_definable():
     d = BesselDesign(15 * DEG, 15 * DEG)
-    assert d.marginal() and d.steerable()
+    assert d.marginal() and d.steering_failure() is None
     assert BesselDesign(15 * DEG, 20 * DEG).definable()
     assert not BesselDesign(40 * DEG, 55 * DEG).definable()
 
@@ -123,7 +123,7 @@ def test_phases_match_wavefront_distance_oracle():
         th = rng.uniform(-0.4, 0.4)
         al = rng.uniform(abs(th), math.pi / 2 - abs(th) - 1e-6)
         d = BesselDesign(th, al)
-        if not d.steerable():
+        if d.steering_failure() is not None:
             continue
         exc = bessel_phases(cfg, d)
         dist = polyline_min_distances(cfg.element_xs(), curve_x, wavefront(curve_x, d))

@@ -18,7 +18,10 @@ Proves:
   run without a grid section; a grid or line cut that reaches points
   whose distance to an element overflows, or points nearer than about
   1e-154 m to an element, exits 2 and writes no file; so does a compare
-  whose user or box holds such a point.
+  whose user or box holds such a point. A grid size below 2, a decreasing
+  range or an invalid line cut exits 2 with its own message before the
+  field kernel runs, and writes no file; a bad cut is reported before a
+  grid that starts at y = 0.
 - compare emits one row per beam and obstacle plus a CDF file per beam;
   the focused beam tops the free-space column, a fully blocking wall
   zeroes the point amplitude, and the user and every error box are
@@ -472,6 +475,33 @@ def test_compare_full_wall_zeroes_point_amplitudes(tmp_path):
     assert rc == 0
     _, rows = read_csv_rows(tmp_path / "compare.csv")
     assert [r[2] for r in rows] == ["0.0", "0.0"]
+
+
+INVALID_SIMULATE = {
+    "decreasing_x_range": ({"x_range": [0.7, -0.7]}, [], "ranges must be increasing"),
+    "one_column": ({}, ["--grid=1,300"], "nx and ny must be >= 2"),
+    "negative_size": ({}, ["--grid=-1,5"], "nx and ny must be >= 2"),
+    "one_cut_sample": ({}, ["--line-cut=1.5,1"], "samples must be >= 2"),
+    "negative_cut_distance": ({}, ["--line-cut=-1,200"], "d_max_plot must be positive"),
+    # the cut is checked before the grid's first row, at y = 0, reaches the kernel
+    "bad_cut_and_grid_from_zero": ({"y_range": [0.0, 1.6]}, ["--line-cut=1.5,1"], "samples must be >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_SIMULATE, ids=list(INVALID_SIMULATE))
+def test_invalid_simulate_never_reaches_the_kernel(tmp_path, monkeypatch, capsys, case):
+    grid, flags, message = INVALID_SIMULATE[case]
+
+    def no_kernel(*args):
+        raise AssertionError("the field was computed")
+
+    monkeypatch.setattr(ulabeam.field, "field_points_per_entry", no_kernel)
+    data = yaml.safe_load((SCENARIOS / "self_healing_cuboid.yaml").read_text())
+    data["grid"].update(grid)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", write_scenario(tmp_path, data), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_compare_evaluates_each_box_once(tmp_path, monkeypatch):

@@ -36,7 +36,10 @@ Proves:
  - points whose squared distance to an element overflows are rejected by
    every caller, and so are points nearer than about 1e-154 m to an
    element: exactly those where some pair's squared distance is not a
-   positive normal float
+   positive normal float, by a brute-force check over every element for
+   N in {2, 3, 1024} and random arrays, points far off, beside the array,
+   between elements and right above one
+ - field_grid checks its size and ranges before any field is computed
 """
 
 import csv
@@ -161,7 +164,7 @@ def test_focusing_wins_at_its_focus_at_equal_power(cfg1024):
 def test_single_element_inverse_distance_phase():
     cfg = two_element_cfg()
     exc = Excitation([1.0, 1.0], [0.0, 0.0], [True, False])
-    p = Point2(cfg.element_x(1), 2.0)
+    p = Point2(cfg.element_xs()[0], 2.0)
     r = 2.0
     val = field_at(cfg, exc, p)
     assert_allclose(val, np.exp(-1j * cfg.wavenumber() * r) / r, rtol=1e-12)
@@ -173,7 +176,7 @@ def test_one_over_r_law_random_points():
     rng = np.random.default_rng(3)
     for _ in range(20):
         p = Point2(rng.uniform(-3, 3), rng.uniform(0.1, 5.0))
-        r = math.hypot(p.x - cfg.element_x(1), p.y)
+        r = math.hypot(p.x - cfg.element_xs()[0], p.y)
         assert_allclose(abs(field_at(cfg, exc, p)), 1.0 / r, rtol=1e-12)
 
 
@@ -426,23 +429,32 @@ def test_field_grid_nodes_match_field_at():
             assert grid.values[ix, iy] == field_at(cfg, exc, Point2(x, y))
 
 
-def test_field_grid_validation():
-    vals = np.zeros((2, 2), dtype=complex)
-    with pytest.raises(ValueError):
-        FieldGrid((0.0, 1.0), (-0.1, 1.0), 2, 2, vals)
-    with pytest.raises(ValueError):
-        FieldGrid((1.0, 0.0), (0.1, 1.0), 2, 2, vals)
-    with pytest.raises(ValueError):
-        FieldGrid((0.0, 1.0), (0.1, 1.0), 2, 3, vals)
-    with pytest.raises(ValueError):
-        FieldGrid((0.0, 1.0), (0.1, 1.0), 1, 1, np.zeros((1, 1), dtype=complex))
+def test_field_grid_validation(monkeypatch):
+    cfg = two_element_cfg()
+    exc = gaussian_excitation(cfg, 0.0)
+    with pytest.raises(ValueError, match=r"\(y > 0\)"):
+        field_grid(cfg, exc, (0.0, 1.0), (-0.1, 1.0), 2, 2)
+
+    def no_kernel(*args):
+        raise AssertionError("the field was computed")
+
+    # the size and range checks run before any field is computed
+    monkeypatch.setattr(ulabeam.field, "field_points_per_entry", no_kernel)
+    for x_range, y_range, nx, ny, message in (
+        ((1.0, 0.0), (0.1, 1.0), 2, 2, "ranges must be increasing"),
+        ((0.0, 1.0), (1.0, 1.0), 2, 2, "ranges must be increasing"),
+        ((0.0, 1.0), (0.1, 1.0), 1, 1, "nx and ny must be >= 2"),
+        ((0.0, 1.0), (0.1, 1.0), 2, -1, "nx and ny must be >= 2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            field_grid(cfg, exc, x_range, y_range, nx, ny)
 
 
 def _tiny_grid() -> FieldGrid:
     values = np.array(
         [[1.0 + 0.0j, 0.0 + 2.0j], [-1.0 + 0.0j, complex(math.nan, math.nan)]]
     )
-    return FieldGrid((0.0, 1.0), (1.0, 2.0), 2, 2, values)
+    return FieldGrid((0.0, 1.0), (1.0, 2.0), values)
 
 
 def test_write_field_csv_golden(tmp_path):
@@ -778,12 +790,61 @@ def test_point_rejected_iff_some_squared_distance_is_not_normal(n, spacing, inde
             field_points(cfg, exc, np.array([px]), np.array([py]))
 
 
+@st.composite
+def checked_point(draw):
+    """An array and one point: far off, beside the array, between or right above elements."""
+    n = draw(st.sampled_from([2, 3, 1024]) | st.integers(2, 64))
+    spacing = 10.0 ** draw(st.floats(-200.0, 160.0))
+    xs = UlaConfig(n, spacing, 140e9).element_xs()
+    kind = draw(st.sampled_from(["far", "beside", "between", "above"]))
+    if kind == "far":
+        px = draw(st.sampled_from([1e160, -1e160, 0.0]))
+        py = draw(st.sampled_from([1.0, 1e160]))
+    elif kind == "beside":
+        px = draw(st.sampled_from([xs[0], xs[-1]])) + draw(st.floats(-3.0, 3.0)) * spacing
+        py = 10.0 ** draw(st.floats(-200.0, 160.0))
+    else:
+        # a log-uniform fraction of the spacing to either side of an element, or none
+        index = draw(st.integers(0, n - 1))
+        offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-200.0, 0.0)) if kind == "between" else 0.0
+        px = xs[index] + offset * spacing
+        py = 10.0 ** draw(st.floats(-200.0, 0.0))
+    return n, spacing, float(px), float(py)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(checked_point())
+@example((1024, 1e-3, 1e160, 1.0))
+@example((3, 1e-3, 0.0, 1e-200))
+@example((2, 1e155, 0.0, 1.0))
+# 1e-160 m right of element 2 of 4, whose right neighbours are much farther
+@example((4, 1e-150, -0.5e-150 + 1e-160, 1e-200))
+def test_input_checks_match_brute_force_distances(case):
+    n, spacing, px, py = case
+    cfg = UlaConfig(n, spacing, 140e9)
+    # the squared distance to every element, as the kernel computes it
+    with np.errstate(over="ignore"):
+        r2 = (px - cfg.element_xs()) ** 2 + py * py
+    if not np.isfinite(r2.max()):
+        expected = "within about 1e154 m"
+    elif r2.min() < np.finfo(float).tiny:
+        expected = "at least about 1e-154 m"
+    else:
+        expected = None
+    try:
+        field_points_per_entry(cfg, (), np.array([px]), np.array([py]))
+    except ValueError as e:
+        assert expected is not None and expected in str(e)
+    else:
+        assert expected is None
+
+
 def test_no_obstacles_give_an_empty_result_without_evaluating(monkeypatch):
     cfg = UlaConfig(1024, 1.07e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
     px, py = np.linspace(-0.3, 0.3, 6400), np.linspace(0.1, 1.0, 6400)
-    # a chunk that ran would find no element positions
-    monkeypatch.setattr(UlaConfig, "element_xs", lambda self: None)
+    # a call that went on to run its chunks would ask for worker threads
+    monkeypatch.setattr(ulabeam.field, "_workers", lambda: None)
     rows = field_points_per_entry(cfg, (), px, py)
     assert rows.shape == (0, 6400) and rows.dtype == complex
     with pytest.raises(ValueError):

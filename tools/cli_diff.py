@@ -14,9 +14,12 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   through optimize and synthesize: the negative-curvature fallback, an
   unnecessary plan, a two-beam plan, a far obstacle that keeps the full
   aperture, and a primary with no reverse-curvature secondary;
-- ``compare --levels 1`` and ``simulate --grid 3`` (usage errors).
+- ``compare --levels 1`` and ``simulate --grid 3`` (usage errors);
+- three invalid simulate requests on ``self_healing_cuboid``: a
+  decreasing ``x_range``, ``--line-cut=1.5,1`` and ``--grid=-1,5`` (the
+  ``=`` form, since argparse reads a bare ``-1,5`` as an option).
 
-With the seven shipped scenarios that makes 51 runs.
+With the seven shipped scenarios that makes 54 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -137,6 +140,11 @@ def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
     out["compare --levels 1"] = (compare_text, ["compare", "--levels", "1"])
     smoke_text = (shipped / "smoke_two_element.yaml").read_text(encoding="utf-8")
     out["simulate --grid 3"] = (smoke_text, ["simulate", "--grid", "3"])
+    cuboid_text = (shipped / "self_healing_cuboid.yaml").read_text(encoding="utf-8")
+    decreasing = cuboid_text.replace("x_range: [-0.7, 0.7]", "x_range: [0.7, -0.7]")
+    out["simulate decreasing x_range"] = (decreasing, ["simulate"])
+    for flag in ("--line-cut=1.5,1", "--grid=-1,5"):
+        out[f"simulate {flag}"] = (cuboid_text, ["simulate", flag])
     return out
 
 def environment(tree: Path) -> dict:
