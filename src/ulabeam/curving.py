@@ -8,17 +8,20 @@ relaxed aperture cut; the LP trades obstacle clearance against the number of
 elements kept. Its optimum lies at a vertex, so the solver intersects every
 triple of the eight constraints in one batched linear solve and keeps the
 feasible vertex of least objective. The relaxed cut is then snapped to an
-element and (beta, p_tilde) re-solved with the cut pinned, by the same
-enumeration over pairs of the six constraints left; one build of the
-constraint rows serves that solve and the lookup of the KKT row. The
-pinned problem always has a feasible vertex (proof in `_pinned_result`),
+element, lowered to a caller's bound if that is smaller, and (beta, p_tilde)
+re-solved with the cut pinned, by the same enumeration over pairs of the
+six constraints left. One build of the constraint rows per curvature
+serves the relaxed solve, the pinned solve and the lookup of the KKT row.
+The pinned problem always has a feasible vertex (proof in `_optimize`),
 so there is no second route. The paper's nine closed-form KKT
 candidates (`kkt_candidates`) are not used by the solve; they stay as a
 cross-check, and a solution reports which of them its vertex is.
 
 Positive curvature clears the obstacle on its left edge using a prefix of
 the array; negative curvature is solved by mirroring the scenario about the
-y-axis and mapping the result back.
+y-axis and mapping the result back. A two-beam plan solves each curvature
+once: the reverse-curvature secondary's cut is bounded at the first
+element the primary leaves, so the two element sets are disjoint.
 """
 
 from __future__ import annotations
@@ -118,6 +121,8 @@ class AvoidanceScenario:
             raise ValueError("obstacle must lie strictly between array and user")
         if not self.weight_w > 0:
             raise ValueError("weight_w must be positive")
+        if not math.isfinite(self.weight_w):
+            raise ValueError("weight_w must be finite")
 
 
 @dataclass(frozen=True)
@@ -248,12 +253,8 @@ def curving_phases(cfg: UlaConfig, t: ParabolicTrajectory, active: np.ndarray) -
 
 def f_para(s: AvoidanceScenario, beta: float, p_tilde: float, x_adj: float) -> float:
     """Clearance/aperture objective; minimized for positive curvature."""
-    y_n, y_f, y_u = s.obstacle.y_n, s.obstacle.y_f, s.user.y
-    return (
-        beta * (y_n**2 + y_f**2 - 2.0 * y_u**2)
-        + 2.0 * p_tilde * (2.0 * y_u - y_n - y_f)
-        - s.weight_w * x_adj
-    )
+    g = _objective_grad(s)
+    return float(g[0] * beta + g[1] * p_tilde + g[2] * x_adj)
 
 
 def _objective_grad(s: AvoidanceScenario) -> np.ndarray:
@@ -391,65 +392,29 @@ _MIRROR_NAMES = {
 }
 
 
-def _pinned_result(s: AvoidanceScenario, sign: int, z_rel: np.ndarray, x_pin: float) -> CurvingResult:
-    """Result of curvature `sign` from relaxed vertex z_rel with the cut pinned at x_pin.
+def _optimize(s: AvoidanceScenario, sign: int, limit: float = math.inf) -> CurvingResult:
+    """Result of curvature `sign`, its aperture cut pinned at no more than `limit`.
 
-    z_rel and x_pin are in the positive-curvature frame (the mirrored
-    scenario for sign -1); the trajectory, cut and element set are mapped
-    back to s. The kept elements are a prefix of the array for sign +1 and
-    a suffix for sign -1.
+    One build of the LP in the positive-curvature frame (the mirrored
+    scenario for sign -1; `limit` is in that frame too) serves the relaxed
+    solve, the pinned 2-variable solve and the KKT-row lookup. The result
+    is mapped back to s and keeps a prefix of the array for sign +1, a
+    suffix for sign -1. The relaxed cut is snapped to the last element not
+    past it, then lowered to `limit` (>= -R) if that is smaller.
 
-    (beta, p_tilde) is re-optimized by exact 2-variable vertex enumeration
-    over the rows left once the cut is fixed, which always has a feasible
-    vertex. Proof: keep the relaxed beta and lower the leftmost-tangent
-    intercept l = 2 y_u p_tilde - 2 beta y_u^2 + x_u to min(l_rel, x_pin).
-    Lowering p_tilde only adds corner clearance; l <= x_pin is the reach
-    row; l >= -R as l_rel >= -R and x_pin >= -R; the cut row holds as
+    The pinned solve always has a feasible vertex, as -R <= x_pin <= x_adj.
+    Proof: keep the relaxed beta and lower the leftmost-tangent intercept
+    l = 2 y_u p_tilde - 2 beta y_u^2 + x_u to min(l_rel, x_pin). Lowering
+    p_tilde only adds corner clearance; l <= x_pin is the reach row;
+    l >= -R as l_rel >= -R and x_pin >= -R; the cut row holds as
     x_pin <= x_adj (up to the snap's 1e-9 spacing) and beta >= 0. The rows
     have rank 2 (beta >= 0 and the span row), so a feasible vertex exists.
     """
     m = s if sign > 0 else _mirror_scenario(s)
     g, c = _constraints(m)
-    grad = _objective_grad(m)
-    g2 = g[_PINNED_ROWS, :2]
-    c2 = c[_PINNED_ROWS] + g[_PINNED_ROWS, 2] * x_pin
-    z2, feasible = _best_vertex(g2, c2, _scales(g2, c2), grad[:2], 2)
-    assert feasible, "the pinned problem has a feasible vertex whenever the relaxed one does"
-    beta_m, p_tilde_m = float(z2[0]), float(z2[1])
-    vertex = tuple(sign * float(v) for v in z_rel)
-    if beta_m <= _BETA_TOL:
-        return CurvingResult(
-            "unnecessary",
-            None,
-            "optimal curvature is zero after aperture projection; a straight beam suffices",
-            relaxed_vertex=vertex,
-        )
-    beta, p_tilde, x_t_star = sign * beta_m, sign * p_tilde_m, sign * x_pin
-    # The KKT row is the lowest whose defining constraints all bind at z_rel.
-    binding = np.abs((g @ z_rel + c) / _scales(g, c)) <= _ACTIVE_TOL
-    kkt_index = next((i for i, rows in enumerate(_KKT_ROWS, 1) if binding[list(rows)].all()), None)
-    p = p_tilde / beta
-    q = s.user.x - beta * (s.user.y - p) ** 2
-    sol = CurvingSolution(
-        trajectory=ParabolicTrajectory(beta, p, q),
-        p_tilde=p_tilde,
-        x_adj_star=vertex[2],
-        x_t_star=x_t_star,
-        curvature_sign=sign,
-        objective_value=f_para(s, beta, p_tilde, x_t_star),
-        active_elements=sign * s.cfg.element_xs() <= sign * x_t_star + s.cfg.spacing * 1e-9,
-        kkt_candidate_index=kkt_index,
-        relaxed_objective=sign * float(grad @ z_rel),
-    )
-    side = "positive" if sign > 0 else "negative"
-    return CurvingResult("solved", sol, f"{side}-curvature trajectory found", relaxed_vertex=vertex)
-
-
-def _optimize(s: AvoidanceScenario, sign: int) -> CurvingResult:
-    m = s if sign > 0 else _mirror_scenario(s)
-    g, c = _constraints(m)
     scales = _scales(g, c)
-    z_star, feasible = _best_vertex(g, c, scales, _objective_grad(m), 3)
+    grad = _objective_grad(m)
+    z_star, feasible = _best_vertex(g, c, scales, grad, 3)
     if not feasible:
         if z_star is None:
             worst = "near-corner clearance"
@@ -480,8 +445,39 @@ def _optimize(s: AvoidanceScenario, sign: int) -> CurvingResult:
     # Snap the cut to the last element not past it; there is one, as
     # xs[0] == -R and a cut at -R returned degenerate above.
     xs = s.cfg.element_xs()
-    x_pin = float(xs[xs <= z_star[2] + s.cfg.spacing * 1e-9].max())
-    return _pinned_result(s, sign, z_star, x_pin)
+    x_pin = min(float(xs[xs <= z_star[2] + s.cfg.spacing * 1e-9].max()), limit)
+    g2 = g[_PINNED_ROWS, :2]
+    c2 = c[_PINNED_ROWS] + g[_PINNED_ROWS, 2] * x_pin
+    z2, feasible = _best_vertex(g2, c2, _scales(g2, c2), grad[:2], 2)
+    assert feasible, "the pinned problem has a feasible vertex whenever the relaxed one does"
+    beta_m, p_tilde_m = float(z2[0]), float(z2[1])
+    if beta_m <= _BETA_TOL:
+        return CurvingResult(
+            "unnecessary",
+            None,
+            "optimal curvature is zero after aperture projection; a straight beam suffices",
+            relaxed_vertex=vertex,
+        )
+    beta, p_tilde, x_t_star = sign * beta_m, sign * p_tilde_m, sign * x_pin
+    # The KKT row is the lowest whose defining constraints all bind at z_star.
+    binding = np.abs((g @ z_star + c) / scales) <= _ACTIVE_TOL
+    kkt_index = next((i for i, rows in enumerate(_KKT_ROWS, 1) if binding[list(rows)].all()), None)
+    p = p_tilde / beta
+    q = s.user.x - beta * (s.user.y - p) ** 2
+    sol = CurvingSolution(
+        trajectory=ParabolicTrajectory(beta, p, q),
+        p_tilde=p_tilde,
+        x_adj_star=vertex[2],
+        x_t_star=x_t_star,
+        curvature_sign=sign,
+        # f_para(s, beta, p_tilde, x_t_star); mirroring leaves the gradient as it is.
+        objective_value=float(grad[0] * beta + grad[1] * p_tilde + grad[2] * x_t_star),
+        active_elements=sign * xs <= sign * x_t_star + s.cfg.spacing * 1e-9,
+        kkt_candidate_index=kkt_index,
+        relaxed_objective=sign * float(grad @ z_star),
+    )
+    side = "positive" if sign > 0 else "negative"
+    return CurvingResult("solved", sol, f"{side}-curvature trajectory found", relaxed_vertex=vertex)
 
 
 def optimize_positive(s: AvoidanceScenario) -> CurvingResult:
@@ -516,8 +512,9 @@ def plan_with_fallback(s: AvoidanceScenario) -> AvoidancePlan:
 
     Positive curvature is attempted first. When the primary keeps only part
     of the array, the remaining elements get a reverse-curvature trajectory
-    through the same user, with its aperture cut clamped so the two element
-    sets stay disjoint. Both signs failing yields a combined infeasibility.
+    through the same user, solved once with its aperture cut bounded at
+    the first element the primary leaves, so the two element sets are
+    disjoint. Both signs failing yields a combined infeasibility.
     """
     pos = optimize_positive(s)
     if pos.status == "unnecessary":
@@ -526,18 +523,11 @@ def plan_with_fallback(s: AvoidanceScenario) -> AvoidancePlan:
         remaining = s.cfg.element_xs()[~pos.solution.active_elements]
         if remaining.size == 0:
             return AvoidancePlan("solved", pos, None, "primary uses the full array")
-        neg = optimize_negative(s)
+        neg = _optimize(s, -1, -float(remaining.min()))
         if neg.status != "solved":
             return AvoidancePlan(
                 "solved", pos, None, "no reverse-curvature secondary for the remaining elements"
             )
-        x_t_sec = max(neg.solution.x_t_star, float(remaining.min()))
-        if x_t_sec != neg.solution.x_t_star:
-            neg = _pinned_result(s, -1, -np.array(neg.relaxed_vertex), -x_t_sec)
-            if neg.status != "solved":
-                return AvoidancePlan(
-                    "solved", pos, None, "reverse-curvature secondary collapsed; primary only"
-                )
         return AvoidancePlan("solved", pos, neg, "primary plus reverse-curvature secondary")
 
     neg = optimize_negative(s)

@@ -19,7 +19,7 @@ Proves:
    pinned numbers including the negative-curvature fallback and the
    unnecessary classification
  - a two-beam plan keeps disjoint element sets and splits the power
-   budget evenly
+   budget evenly; the secondary's cut stops where the primary's ends
 """
 
 import math
@@ -385,6 +385,23 @@ def test_two_beam_plan_disjoint_and_power_split(cfg1024):
         assert anchor < 1e-9 and max(side) < 1e-9
 
 
+def test_secondary_cut_is_bounded_at_the_primary(cfg1024):
+    # Alone, the reverse-curvature beam keeps the whole array; in the plan
+    # its cut stops at the first element the primary leaves.
+    s = AvoidanceScenario(Point2(0.07, 0.86), RectObstacle(0.0, -0.04, 0.46, 0.57), cfg1024, 1.0)
+    assert int(optimize_negative(s).solution.active_elements.sum()) == 1024
+    plan = plan_with_fallback(s)
+    assert plan.status == "solved"
+    assert plan.secondary is not None and plan.secondary.status == "solved"
+    m1 = plan.primary.solution.active_elements
+    m2 = plan.secondary.solution.active_elements
+    assert int(m1.sum()) == 766 and int(m2.sum()) == 258
+    assert plan.secondary.solution.x_t_star == cfg1024.element_xs()[~m1].min()
+    assert not np.any(m1 & m2) and np.all(m1 | m2)
+    anchor, side = solution_geometry_slacks(s, plan.secondary.solution)
+    assert anchor < 1e-9 and max(side) < 1e-9
+
+
 def test_far_obstacle_plan_keeps_full_aperture(cfg1024):
     s = AvoidanceScenario(Point2(0.0, 1.0), RectObstacle(-1.86, -2.14, 0.10, 0.57), cfg1024, 1.0)
     plan = plan_with_fallback(s)
@@ -409,3 +426,5 @@ def test_scenario_validation(cfg1024):
         AvoidanceScenario(Point2(0.0, 0.4), RectObstacle(0.1, -0.1, 0.2, 0.5), cfg1024)
     with pytest.raises(ValueError):
         AvoidanceScenario(Point2(0.0, 1.0), RectObstacle(0.1, -0.1, 0.2, 0.5), cfg1024, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        AvoidanceScenario(Point2(0.0, 1.0), RectObstacle(0.14, -0.14, 0.10, 0.57), cfg1024, math.inf)

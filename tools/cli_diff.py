@@ -10,16 +10,17 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   with ``--line-cut 1.5,200``;
 - a curving scene whose obstacle hides the whole aperture, through
   synthesize, simulate, optimize and compare (the plan is infeasible);
-- five curving scenes on 1,024 elements, one per planner outcome,
+- six curving scenes on 1,024 elements, one per planner outcome,
   through optimize and synthesize: the negative-curvature fallback, an
   unnecessary plan, a two-beam plan, a far obstacle that keeps the full
-  aperture, and a primary with no reverse-curvature secondary;
+  aperture, a primary with no reverse-curvature secondary, and a two-beam
+  plan whose secondary's cut is bounded where the primary's ends;
 - ``compare --levels 1`` and ``simulate --grid 3`` (usage errors);
 - three invalid simulate requests on ``self_healing_cuboid``: a
   decreasing ``x_range``, ``--line-cut=1.5,1`` and ``--grid=-1,5`` (the
   ``=`` form, since argparse reads a bare ``-1,5`` as an option).
 
-With the seven shipped scenarios that makes 54 runs.
+With the seven shipped scenarios that makes 56 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -93,17 +94,18 @@ error_box:
   ny: 5
 """
 
-# Planner scenes: label -> (user x, rect (x_r1, x_r2, y_n, y_f), w); the user is at y = 1.
+# Planner scenes: label -> (user x, user y, rect (x_r1, x_r2, y_n, y_f), w).
 PLANNER = {
-    "negative_fallback": (0.0, (0.08, -0.90, 0.15, 0.55), 1.0),
-    "unnecessary": (-0.05, (0.05, -0.90, 0.10, 0.50), 1.0),
-    "two_beam": (0.0, (0.14, -0.14, 0.10, 0.57), 1.0),
-    "far_obstacle": (0.0, (-1.86, -2.14, 0.10, 0.57), 1.0),
-    "no_secondary": (0.0, (0.30, -0.10, 0.10, 0.50), 2.0),
+    "negative_fallback": (0.0, 1.0, (0.08, -0.90, 0.15, 0.55), 1.0),
+    "unnecessary": (-0.05, 1.0, (0.05, -0.90, 0.10, 0.50), 1.0),
+    "two_beam": (0.0, 1.0, (0.14, -0.14, 0.10, 0.57), 1.0),
+    "far_obstacle": (0.0, 1.0, (-1.86, -2.14, 0.10, 0.57), 1.0),
+    "no_secondary": (0.0, 1.0, (0.30, -0.10, 0.10, 0.50), 2.0),
+    "clamped_secondary": (0.07, 0.86, (0.0, -0.04, 0.46, 0.57), 1.0),
 }
 
 
-def planner_scene(x_u: float, rect: tuple, w: float) -> str:
+def planner_scene(x_u: float, y_u: float, rect: tuple, w: float) -> str:
     edges = "".join(f"  {key}: {value}\n" for key, value in zip(("x_r1", "x_r2", "y_n", "y_f"), rect))
     return f"""\
 array:
@@ -112,7 +114,7 @@ array:
   carrier_freq_hz: 140000000000.0
 user:
   x: {x_u}
-  y: 1.0
+  y: {y_u}
 beam:
   type: curving
   w: {w}
