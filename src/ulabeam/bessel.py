@@ -128,7 +128,7 @@ def bessel_phases(cfg: UlaConfig, d: BesselDesign) -> Excitation:
         k * abs(math.sin(d.alpha - d.theta_a)) * xs,
         -k * abs(math.sin(d.alpha + d.theta_a)) * xs,
     )
-    return Excitation(np.ones_like(xs), phases, np.ones_like(xs, dtype=bool))
+    return Excitation(np.ones_like(xs), phases)
 
 
 def propagation_limits(cfg: UlaConfig, d: BesselDesign) -> BesselLimits:
@@ -158,6 +158,8 @@ def min_elements(d_target: float, d: BesselDesign, spacing: float) -> int:
     if not (d_target > 0 and spacing > 0):
         raise ValueError("d_target and spacing must be positive")
     value = 2.0 * d_target * math.sin(d.alpha) / (spacing * math.cos(d.alpha + abs(d.theta_a))) + 1.0
+    if not math.isfinite(value):
+        raise ValueError("element count overflows: d_target is too far for this spacing")
     return int(math.ceil(value))
 
 

@@ -50,7 +50,6 @@ from .field import (
 )
 from .metrics import (
     ErrorBox,
-    ScenarioSet,
     empirical_cdf,
     mean_amplitude,
     scenario_amplitudes,
@@ -461,7 +460,7 @@ def cmd_compare(scenario: dict, out: str, levels: int) -> int:
     # kernel call evaluates the user and the box of every entry.
     beams = scenario["beams"]
     entries = [e for beam in beams for e in _compare_entries(cfg, user, beam, obstacles, budget)]
-    points, amps = scenario_amplitudes(ScenarioSet(cfg, entries), box)
+    points, amps = scenario_amplitudes(cfg, entries, box)
     cdfs, rows = [], []
     for b, label in enumerate(_beam_labels(beams)):
         own = slice(b * len(obstacles), (b + 1) * len(obstacles))

@@ -56,6 +56,8 @@ __all__ = [
 _FEAS_TOL = 1e-9
 _ACTIVE_TOL = 1e-7
 _BETA_TOL = 1e-10
+# Magnitude range of a scene's weight and nonzero lengths (AvoidanceScenario).
+_SCALE_MIN, _SCALE_MAX = 1e-100, 1e100
 # Subsets of k constraints with |det| below this are skipped as singular.
 _DET_TOL = {2: 1e-14, 3: 1e-12}
 
@@ -106,7 +108,10 @@ class AvoidanceScenario:
 
     The obstacle must lie strictly between the array plane and the user
     (0 < y_n < y_f < user.y); the weight trades clearance against kept
-    aperture, larger keeping more elements.
+    aperture, larger keeping more elements. The weight and every nonzero
+    length (the user's x and y, the four obstacle edges and the half
+    aperture R) must lie within 1e-100..1e100 in magnitude: the planner's
+    vertex determinants are cubes of lengths, which then stay finite.
     """
 
     user: Point2
@@ -121,8 +126,12 @@ class AvoidanceScenario:
             raise ValueError("obstacle must lie strictly between array and user")
         if not self.weight_w > 0:
             raise ValueError("weight_w must be positive")
-        if not math.isfinite(self.weight_w):
-            raise ValueError("weight_w must be finite")
+        if not _SCALE_MIN <= self.weight_w <= _SCALE_MAX:
+            raise ValueError("weight_w must be finite and within 1e-100..1e100")
+        o = self.obstacle
+        lengths = (self.user.x, self.user.y, o.x_r1, o.x_r2, o.y_n, o.y_f, self.cfg.half_aperture())
+        if not all(v == 0 or _SCALE_MIN <= abs(v) <= _SCALE_MAX for v in lengths):
+            raise ValueError("scene lengths must be 0 or within 1e-100..1e100 m in magnitude")
 
 
 @dataclass(frozen=True)
@@ -247,8 +256,7 @@ def curving_phases(cfg: UlaConfig, t: ParabolicTrajectory, active: np.ndarray) -
             f"phase formula log-domain violation at active element {int(bad[0])}"
         )
     phases[mask] = k * ((t.p + s) * np.sqrt(c1) / 2.0 - np.log(arg) / (4.0 * abs(t.beta)))
-    mags = np.where(mask, 1.0, 0.0)
-    return Excitation(mags, phases, mask)
+    return Excitation(np.where(mask, 1.0, 0.0), phases)
 
 
 def f_para(s: AvoidanceScenario, beta: float, p_tilde: float, x_adj: float) -> float:
@@ -372,12 +380,13 @@ def _best_vertex(
     feasible = np.nonzero(worst <= _FEAS_TOL)[0]
     if feasible.size == 0:
         return zs[np.argmin(worst)], False
-    best, best_f = None, math.inf
-    for i in feasible:
+    best = feasible[0]
+    best_f = float(grad @ zs[best])
+    for i in feasible[1:]:
         f = float(grad @ zs[i])
         if f < best_f - 1e-12 * max(1.0, abs(f)):
-            best, best_f = zs[i], f
-    return best, True
+            best, best_f = i, f
+    return zs[best], True
 
 
 def _mirror_scenario(s: AvoidanceScenario) -> AvoidanceScenario:
@@ -568,6 +577,5 @@ def plan_excitation(cfg: UlaConfig, plan: AvoidancePlan, power_budget: float) ->
         exc = Excitation(
             np.where(exc.active, exc.magnitudes, other.magnitudes),
             np.where(exc.active, exc.phases, other.phases),
-            exc.active | other.active,
         )
     return exc

@@ -1,6 +1,8 @@
 """Scalar field superposition, excitation builders, and hard-shadow occlusion.
 
-The field at p from the active, non-occluded elements is
+An excitation is plain data: per element a magnitude gamma_n >= 0 and a
+phase phi_n; an element is driven iff gamma_n > 0. The field at p from
+the driven, non-occluded elements is
 
     E(p) = sum_n gamma_n / r_n * exp(-j k r_n) * exp(j phi_n),
 
@@ -17,8 +19,8 @@ non-finite sentinel (NaN) on grids and raise for single-point queries.
 Kernel
 ------
 ``field_points_per_entry`` evaluates a list of (excitation, obstacle)
-entries at one point set; ``field_points`` and ``field_at`` are its
-one-entry calls. The excitation's phase is split off the trig: with
+entries at one point set; ``field_at``, ``field_grid`` and ``line_cut``
+are its one-entry calls. The excitation's phase is split off the trig: with
 a_n = gamma_n cos(phi_n), b_n = gamma_n sin(phi_n), U_n = cos(k r_n) / r_n
 and V_n = sin(k r_n) / r_n, a point's field is
 
@@ -36,9 +38,9 @@ Per chunk of points, r, 1 / r and U and V (side by side in one row of 2N
 values, ``uv``) are computed once for all entries. Trig is skipped on the
 pairs no entry needs: the elements hidden under every obstacle (the
 intersection [max_j lo_j, min_j hi_j) of the obstacles' runs) and the
-elements of zero weight in every excitation (inactive elements have
-gamma = 0); uv is zero there. A chunk with nothing to skip takes cos and
-sin on every pair. The entries are grouped by obstacle: each obstacle
+elements of zero weight in every excitation (the undriven ones); uv is
+zero there. A chunk with nothing to skip takes cos and sin on every
+pair. The entries are grouped by obstacle: each obstacle
 zeroes uv on its own runs (a lone obstacle's run is the common run,
 already zero), each of its entries takes two row dot products, of uv
 with (a, b) and with (b, -a), and the obstacle restores what it zeroed
@@ -93,7 +95,6 @@ __all__ = [
     "focusing_excitation",
     "field_at",
     "field_grid",
-    "field_points",
     "field_points_per_entry",
     "line_cut",
     "normalize_power",
@@ -108,33 +109,35 @@ _CHUNK_PAIRS = 16_384
 
 @dataclass(frozen=True)
 class Excitation:
-    """Per-element excitation: magnitudes gamma_n >= 0, phases [rad], active mask.
+    """Per-element excitation: magnitudes gamma_n >= 0 and phases [rad].
 
-    Inactive elements are forced to gamma_n = 0 and phase 0. Arrays are
-    copied and made read-only.
+    An element is driven iff gamma_n > 0; an undriven element's phase is
+    set to 0. Arrays are copied and made read-only.
     """
 
     magnitudes: np.ndarray
     phases: np.ndarray
-    active: np.ndarray
 
     def __post_init__(self) -> None:
         mag = np.array(self.magnitudes, dtype=float)
         ph = np.array(self.phases, dtype=float)
-        act = np.array(self.active, dtype=bool)
-        if not (mag.shape == ph.shape == act.shape) or mag.ndim != 1:
-            raise ValueError("magnitudes, phases, active must be equal-length 1-D arrays")
-        if np.any(mag[act] < 0) or not np.all(np.isfinite(mag[act])):
+        if mag.shape != ph.shape or mag.ndim != 1:
+            raise ValueError("magnitudes and phases must be equal-length 1-D arrays")
+        if not np.all((mag >= 0) & np.isfinite(mag)):
             raise ValueError("active magnitudes must be finite and non-negative")
-        if not np.all(np.isfinite(ph[act])):
+        driven = mag > 0
+        if not np.all(np.isfinite(ph[driven])):
             raise ValueError("active phases must be finite")
-        mag[~act] = 0.0
-        ph[~act] = 0.0
-        for a in (mag, ph, act):
+        ph[~driven] = 0.0
+        for a in (mag, ph):
             a.flags.writeable = False
         object.__setattr__(self, "magnitudes", mag)
         object.__setattr__(self, "phases", ph)
-        object.__setattr__(self, "active", act)
+
+    @property
+    def active(self) -> np.ndarray:
+        """The driven elements, gamma_n > 0."""
+        return self.magnitudes > 0
 
     @property
     def n_elements(self) -> int:
@@ -166,7 +169,7 @@ def gaussian_excitation(cfg: UlaConfig, theta_a: float) -> Excitation:
     xs = cfg.element_xs()
     # + 0.0 turns -0.0 into 0.0 so broadside phases serialize as plain zeros
     phases = -cfg.wavenumber() * math.sin(theta_a) * xs + 0.0
-    return Excitation(np.ones_like(xs), phases, np.ones_like(xs, dtype=bool))
+    return Excitation(np.ones_like(xs), phases)
 
 
 def focusing_excitation(cfg: UlaConfig, focus: Point2) -> Excitation:
@@ -176,7 +179,7 @@ def focusing_excitation(cfg: UlaConfig, focus: Point2) -> Excitation:
     xs = cfg.element_xs()
     r = np.hypot(focus.x - xs, focus.y)
     phases = cfg.wavenumber() * r
-    return Excitation(np.ones_like(xs), phases, np.ones_like(xs, dtype=bool))
+    return Excitation(np.ones_like(xs), phases)
 
 
 def _interior_mask(obstacle, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -318,7 +321,7 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
         members[obstacles.index(obstacle)].append(t)
     weights = {id(exc): _weights(exc) for exc, _ in entries}
     stacks = [np.concatenate([weights[id(entries[t][0])] for t in ts]) for ts in members]
-    # Elements of zero weight in every excitation (inactive ones included).
+    # Elements of zero weight in every excitation.
     live_elements = np.any([exc.magnitudes != 0.0 for exc, _ in entries], axis=0)
     silent = not live_elements.all()
     # Free space hides the empty run [0, 0).
@@ -387,24 +390,13 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
     return out
 
 
-def field_points(
-    cfg: UlaConfig,
-    exc: Excitation,
-    px: np.ndarray,
-    py: np.ndarray,
-    obstacle: RectObstacle | CircleObstacle | None = None,
-) -> np.ndarray:
-    """Complex field at the points (px[i], py[i]); interior points yield NaN."""
-    return field_points_per_entry(cfg, ((exc, obstacle),), px, py)[0]
-
-
 def field_at(
     cfg: UlaConfig, exc: Excitation, p: Point2, obstacle: RectObstacle | CircleObstacle | None = None
 ) -> complex:
     """Complex field at a single point; raises if p lies inside the obstacle."""
     if _interior_mask(obstacle, np.array([p.x]), np.array([p.y]))[0]:
         raise ValueError("field point lies inside the obstacle")
-    return complex(field_points(cfg, exc, np.array([p.x]), np.array([p.y]), obstacle)[0])
+    return complex(field_points_per_entry(cfg, ((exc, obstacle),), np.array([p.x]), np.array([p.y]))[0, 0])
 
 
 def field_grid(
@@ -424,7 +416,7 @@ def field_grid(
     x = np.linspace(x_range[0], x_range[1], nx)
     y = np.linspace(y_range[0], y_range[1], ny)
     gx, gy = np.meshgrid(x, y, indexing="ij")
-    values = field_points(cfg, exc, gx.ravel(), gy.ravel(), obstacle).reshape(nx, ny)
+    values = field_points_per_entry(cfg, ((exc, obstacle),), gx.ravel(), gy.ravel())[0].reshape(nx, ny)
     return FieldGrid((float(x_range[0]), float(x_range[1])), (float(y_range[0]), float(y_range[1])), values)
 
 
@@ -448,7 +440,7 @@ def line_cut(
     d = d_max_plot * np.arange(1, samples + 1) / samples
     px = d * math.sin(theta_a)
     py = d * math.cos(theta_a)
-    vals = field_points(cfg, exc, px, py, obstacle)
+    vals = field_points_per_entry(cfg, ((exc, obstacle),), px, py)[0]
     return [(float(di), float(abs(v))) for di, v in zip(d, vals)]
 
 
@@ -460,7 +452,7 @@ def normalize_power(exc: Excitation, budget: float) -> Excitation:
     if total == 0.0:
         raise ValueError("cannot normalize an excitation with no active power")
     factor = math.sqrt(budget / total)
-    return Excitation(exc.magnitudes * factor, exc.phases, exc.active)
+    return Excitation(exc.magnitudes * factor, exc.phases)
 
 
 def write_columns(path: str, header: str, columns) -> None:

@@ -4,10 +4,14 @@ Point amplitude at the user, the amplitudes over a positioning error box
 and their mean, and empirical CDFs of amplitudes pooled across obstacle
 scenarios. The box is sampled on a deterministic uniform grid, so the
 metrics are reproducible; samples falling inside an obstacle are excluded.
+``scenario_amplitudes`` takes the array and a list of (excitation,
+obstacle) entries of one power budget, and evaluates the user and the box
+of every entry in one call of ``field.field_points_per_entry``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +21,6 @@ from .field import Excitation, field_at, field_points_per_entry, write_columns
 
 __all__ = [
     "ErrorBox",
-    "ScenarioSet",
     "amplitude_at_user",
     "mean_amplitude",
     "scenario_amplitudes",
@@ -50,29 +53,6 @@ class ErrorBox:
         return gx.ravel(), gy.ravel()
 
 
-@dataclass(frozen=True)
-class ScenarioSet:
-    """Obstacle scenarios sharing one array: (excitation, obstacle) pairs.
-
-    All excitations must carry the same power budget, so pooled amplitude
-    statistics compare beams rather than power levels.
-    """
-
-    cfg: UlaConfig
-    entries: tuple[tuple[Excitation, RectObstacle | CircleObstacle | None], ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
-        if not entries:
-            raise ValueError("scenario set must be non-empty")
-        budgets = [float(np.sum(exc.magnitudes**2)) for exc, _ in entries]
-        ref = budgets[0]
-        for b in budgets[1:]:
-            if abs(b - ref) > 1e-9 * max(1.0, abs(ref)):
-                raise ValueError("power budgets differ across scenarios")
-
-
 def amplitude_at_user(
     cfg: UlaConfig, exc: Excitation, user: Point2, obstacle: RectObstacle | CircleObstacle | None = None
 ) -> float:
@@ -80,16 +60,24 @@ def amplitude_at_user(
     return abs(field_at(cfg, exc, user, obstacle))
 
 
-def scenario_amplitudes(scenarios: ScenarioSet, box: ErrorBox) -> tuple[list[float], list[np.ndarray]]:
+def scenario_amplitudes(
+    cfg: UlaConfig, entries: Sequence[tuple[Excitation, RectObstacle | CircleObstacle | None]], box: ErrorBox
+) -> tuple[list[float], list[np.ndarray]]:
     """|E| at the box center and at the box samples, for every entry, from one kernel call.
 
-    Each entry's box amplitudes leave out the samples inside its obstacle;
-    the center's amplitude is NaN under an obstacle that contains it.
+    The (excitation, obstacle) entries share the array cfg and must carry
+    one power budget, so pooled amplitude statistics compare beams rather
+    than power levels. Each entry's box amplitudes leave out the samples
+    inside its obstacle; the center's amplitude is NaN under an obstacle
+    that contains it.
     """
+    if not entries:
+        raise ValueError("scenario set must be non-empty")
+    budgets = [float(np.sum(exc.magnitudes**2)) for exc, _ in entries]
+    if any(abs(b - budgets[0]) > 1e-9 * max(1.0, abs(budgets[0])) for b in budgets[1:]):
+        raise ValueError("power budgets differ across scenarios")
     px, py = box.sample_points()
-    values = field_points_per_entry(
-        scenarios.cfg, scenarios.entries, np.append(px, box.center.x), np.append(py, box.center.y)
-    )
+    values = field_points_per_entry(cfg, entries, np.append(px, box.center.x), np.append(py, box.center.y))
     amps = np.abs(values[:, :-1])
     # Python's complex abs, as amplitude_at_user takes it: np.abs rounds some values differently.
     return [abs(v) for v in values[:, -1].tolist()], [row[np.isfinite(row)] for row in amps]

@@ -11,7 +11,7 @@ Proves:
    on the axis at d_max
  - element-count / spacing bounds reproduce the printed design numbers, and
    the element count is the least that reaches the target distance at each
-   of three spacings
+   of three spacings; a count that overflows is rejected
  - self-healing reports match frozen values for the cuboid and cylinder
    fixtures, and the clearing element's ray really does clear the circle
    while its inward neighbor does not
@@ -210,6 +210,9 @@ def test_sampling_bound_argument_validation():
         min_elements(-1.0, d, 1e-3)
     with pytest.raises(ValueError):
         max_spacing(d, 0.0)
+    # the count for a target 1e306 m away at half-wavelength spacing overflows
+    with pytest.raises(ValueError, match="element count overflows"):
+        min_elements(1e306, BesselDesign(0.0, 10 * DEG), 299792458.0 / 140e9 / 2.0)
 
 
 # ------------------------------------------------------------- self-healing

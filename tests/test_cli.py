@@ -32,6 +32,11 @@ Proves:
   entry by entry the user and its box.
 - optimize exits 0 on solved or unnecessary plans and 3 on infeasible
   ones, always writing the plan JSON.
+- Scenes whose numbers reach across the float range (up to three of
+  them +-m 10^e with e in [-300, 307], in otherwise ordinary scenes, and
+  six regression scenes) make analyze, optimize and synthesize exit 0, 2
+  or 3, never raise, and write only standard JSON; analyze exits 2 and
+  writes nothing when the element count for the user overflows.
 - Repeated runs produce byte-identical data files.
 - The JSON reports keep their key sets: the plan in optimize.json
   (solved two-beam, unnecessary, infeasible), analyze.json (rect and
@@ -45,11 +50,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import ulabeam
@@ -201,6 +209,16 @@ def test_analyze_requires_bessel_beam(tmp_path):
     data = scenario_dict(beam={"type": "gaussian", "theta_deg": 0.0})
     path = write_scenario(tmp_path, data)
     assert main(["analyze", "--scenario", path, "--out", str(tmp_path)]) == 2
+
+
+def test_analyze_element_count_overflow_exits_2(tmp_path, capsys):
+    # the element count that reaches a user 1e306 m away is not a finite number
+    data = scenario_dict(user={"x": 0.0, "y": 1e306}, beam={"type": "bessel", "theta_deg": 0.0, "alpha_deg": 10.0})
+    data["array"]["n_elements"] = 64
+    out = tmp_path / "out"
+    assert main(["analyze", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: element count overflows: d_target is too far for this spacing\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -808,3 +826,107 @@ def test_compare_errors_come_in_a_fixed_order(tmp_path, capsys, case):
     assert main(["compare", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == code
     assert capsys.readouterr().err == err
     assert list(out.iterdir()) == []
+
+
+def extreme_dict(n, spacing, freq, user, beam, rect=None):
+    """A scene; spacing None means half-wavelength spacing, rect None no obstacle."""
+    array = {"n_elements": n, "carrier_freq_hz": freq, "spacing_mode": "half_wavelength"}
+    if spacing is not None:
+        array.update(spacing_mode="explicit", spacing_m=spacing)
+    scene = {"array": array, "user": dict(zip("xy", user)), "beam": beam}
+    if rect is not None:
+        scene["obstacle"] = {"type": "rect", **dict(zip(("x_r1", "x_r2", "y_n", "y_f"), rect))}
+    return scene
+
+
+def extreme_curving(n, spacing, freq, user, rect, w=1.0):
+    return extreme_dict(n, spacing, freq, user, {"type": "curving", "w": w}, rect)
+
+
+def scaled(exponents, signs=(1.0,)):
+    """Numbers +-m 10^e with m in [1, 10) and e drawn from exponents."""
+    return st.builds(lambda s, m, e: s * m * 10.0**e, st.sampled_from(signs), st.floats(1.0, 10.0, exclude_max=True), exponents)
+
+
+# Each number of an ordinary scene: its exponents and signs.
+ORDINARY = {
+    "spacing": (st.integers(-4, -2), (1.0,)),
+    "freq": (st.integers(9, 11), (1.0,)),
+    "user_x": (st.integers(-2, 0), (1.0, -1.0)),
+    "heights": (st.integers(-2, 0), (1.0,)),
+    "edge": (st.integers(-2, 0), (1.0, -1.0)),
+    "w": (st.integers(-1, 0), (1.0,)),
+}
+
+
+@st.composite
+def extreme_scene(draw):
+    """A Bessel scene for analyze or a curving scene for optimize and synthesize.
+
+    The numbers are those of an ordinary scene, except that up to three of
+    them are +-m 10^e with e anywhere in [-300, 307].
+    """
+    extreme = draw(st.sets(st.sampled_from(list(ORDINARY)), max_size=3))
+
+    def number(name):
+        exponents, signs = ORDINARY[name]
+        return draw(scaled(st.integers(-300, 307), (1.0, -1.0)) if name in extreme else scaled(exponents, signs))
+
+    n = draw(st.sampled_from((2, 3, 64, 1024)))
+    spacing = number("spacing") if "spacing" in extreme or draw(st.booleans()) else None
+    freq, user_x = number("freq"), number("user_x")
+    if draw(st.booleans()):
+        beam = {"type": "bessel", "theta_deg": draw(st.floats(-90.0, 90.0)), "alpha_deg": draw(st.floats(0.0, 90.0))}
+        return extreme_dict(n, spacing, freq, (user_x, number("heights")), beam)
+    x_r2, x_r1 = sorted((number("edge"), number("edge")))
+    y_n, y_f, y_u = sorted(number("heights") for _ in range(3))
+    return extreme_curving(n, spacing, freq, (user_x, y_u), (x_r1, x_r2, y_n, y_f), number("w"))
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(extreme_scene())
+# a user 1e160 m away, whose y_u**2 overflows a float
+@example(extreme_curving(1024, None, 140e9, (0.0, 1e160), (0.1, -0.1, 0.3, 0.5)))
+# an 8e300 m spacing and w 2.9e160, where no vertex objective is finite
+@example(
+    extreme_curving(
+        2,
+        8.182259636637394e300,
+        8.920417103551834e100,
+        (0.0, 1.0),
+        (4.929595226941069e155, -4.929595226941069e155, 8.788757825799525e-200, 1.3183136738699289e-199),
+        2.9035569747574905e160,
+    )
+)
+# a user 6.7e160 m to the side, where the pinned solve finds no feasible vertex
+@example(
+    extreme_curving(
+        3,
+        7.058036998462971e300,
+        140e9,
+        (6.707909796214506e160, 32.37009941841077),
+        (8.503507511589003e160, -8.503507511589003e160, 0.2, 0.20000000000020002),
+    )
+)
+# a 1e300 m spacing, where the curving phases overflow beta**2 and the plan holds inf
+@example(extreme_curving(64, 1e300, 140e9, (0.0, 1.0), (0.1, -0.1, 0.2, 0.3), 1e10))
+# a 5e307 m spacing at 2.8e-300 Hz, where the vertex enumeration multiplies inf by 0
+@example(extreme_curving(3, None, 2.846241208551663e-300, (0.0, 1.0), (0.05, -0.05, 0.2, 0.20000000000020002)))
+# a Bessel user 1e306 m away, whose element count overflows
+@example(extreme_dict(64, None, 140e9, (0.0, 1e306), {"type": "bessel", "theta_deg": 0.0, "alpha_deg": 10.0}))
+def test_extreme_scenes_exit_cleanly(scene):
+    # numbers across the whole float range end in a result (0), a rejected
+    # scene (2) or no beam (3): never a traceback, never non-standard JSON
+    commands = ("analyze",) if scene["beam"]["type"] == "bessel" else ("optimize", "synthesize")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.yaml"
+        path.write_text(yaml.safe_dump(scene), encoding="utf-8")
+        for command in commands:
+            out = Path(tmp) / command
+            assert main([command, "--scenario", str(path), "--out", str(out)]) in (0, 2, 3)
+            for report in out.glob("*.json"):
+                json.loads(report.read_text(encoding="ascii"), parse_constant=reject_constant)

@@ -20,6 +20,9 @@ Proves:
    unnecessary classification
  - a two-beam plan keeps disjoint element sets and splits the power
    budget evenly; the secondary's cut stops where the primary's ends
+ - a scene is rejected unless w and every nonzero length lie within
+   1e-100..1e100 in magnitude; the vertex enumeration returns a feasible
+   vertex even when no objective value compares
 """
 
 import math
@@ -45,6 +48,7 @@ from ulabeam import (
     tangent_y,
     trajectory_eval,
 )
+from ulabeam.curving import _best_vertex
 from oracles import highs_optimum, lp_violation, random_feasible_scenarios, solution_geometry_slacks, sweep_scenarios
 
 
@@ -419,6 +423,15 @@ def test_plan_excitation_requires_solved_plan(cfg1024):
         plan_excitation(cfg1024, plan, 1.0)
 
 
+def test_best_vertex_keeps_a_feasible_vertex_whatever_its_objective():
+    # the unit square 0 <= z <= 1; a NaN objective compares false with every bound
+    g = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    c = np.array([0.0, 0.0, -1.0, -1.0])
+    z, feasible = _best_vertex(g, c, np.ones(4), np.array([math.nan, 0.0]), 2)
+    assert feasible and z is not None
+    assert np.all(g @ z + c <= 0)
+
+
 def test_scenario_validation(cfg1024):
     with pytest.raises(ValueError):
         AvoidanceScenario(Point2(0.0, -1.0), RectObstacle(0.1, -0.1, 0.2, 0.5), cfg1024)
@@ -428,3 +441,25 @@ def test_scenario_validation(cfg1024):
         AvoidanceScenario(Point2(0.0, 1.0), RectObstacle(0.1, -0.1, 0.2, 0.5), cfg1024, 0.0)
     with pytest.raises(ValueError, match="finite"):
         AvoidanceScenario(Point2(0.0, 1.0), RectObstacle(0.14, -0.14, 0.10, 0.57), cfg1024, math.inf)
+    # w and every nonzero length lie within 1e-100..1e100 in magnitude
+    rect = RectObstacle(0.1, -0.1, 0.3, 0.5)
+    for w in (1e101, 1e-101):
+        with pytest.raises(ValueError, match="weight_w must be finite and within 1e-100..1e100"):
+            AvoidanceScenario(Point2(0.0, 1.0), rect, cfg1024, w)
+    out_of_range = [
+        (Point2(0.0, 1e160), rect, cfg1024),
+        (Point2(-1e101, 1.0), rect, cfg1024),
+        (Point2(1e-101, 1.0), rect, cfg1024),
+        (Point2(0.0, 1.0), RectObstacle(1e-101, -0.1, 0.3, 0.5), cfg1024),
+        (Point2(0.0, 1.0), RectObstacle(0.1, -2e100, 0.3, 0.5), cfg1024),
+        (Point2(0.0, 1.0), RectObstacle(0.1, -0.1, 1e-101, 0.5), cfg1024),
+        (Point2(0.0, 2e100), RectObstacle(0.1, -0.1, 0.3, 1.5e100), cfg1024),
+        # R = 1e101 m
+        (Point2(0.0, 1.0), rect, UlaConfig(3, 1e101, 140e9)),
+    ]
+    for user, obstacle, cfg in out_of_range:
+        with pytest.raises(ValueError, match="scene lengths must be 0 or within 1e-100..1e100 m in magnitude"):
+            AvoidanceScenario(user, obstacle, cfg)
+    # zero lengths and both ends of the range are accepted
+    AvoidanceScenario(Point2(0.0, 1e100), RectObstacle(0.0, -1e-100, 1e-100, 0.5), cfg1024, 1e100)
+    AvoidanceScenario(Point2(-1e100, 1.0), rect, UlaConfig(2, 2e100, 140e9), 1e-100)

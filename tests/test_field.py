@@ -1,8 +1,10 @@
 """Scalar field evaluation, excitation families, occlusion, serialization.
 
 Proves:
- - Excitation sanitizes inactive slots, rejects bad shapes and non-finite
-   active entries, and is immutable
+ - Excitation holds magnitudes and phases only: an element is driven iff
+   its magnitude is positive, an undriven one's phase is 0; it rejects a
+   mask, bad shapes, negative or non-finite magnitudes and non-finite
+   driven phases, and is immutable
  - gaussian / focusing excitations follow their closed forms; the focusing
    phases converge to the linear-steering phases for a very distant focus;
    a focused beam beats every other family at its own focus at equal power
@@ -69,7 +71,6 @@ from ulabeam import (
     bessel_phases,
     field_at,
     field_grid,
-    field_points,
     field_points_per_entry,
     focusing_excitation,
     gaussian_excitation,
@@ -96,25 +97,37 @@ def two_element_cfg() -> UlaConfig:
 # -------------------------------------------------------------- excitation
 
 def test_excitation_zeroes_inactive_slots():
-    exc = Excitation([2.0, math.nan], [0.3, math.inf], [True, False])
+    # a zero-magnitude element is undriven, and its phase becomes 0
+    exc = Excitation([2.0, 0.0], [0.3, math.inf])
     assert exc.magnitudes[1] == 0.0 and exc.phases[1] == 0.0
     assert exc.magnitudes[0] == 2.0 and exc.phases[0] == 0.3
+    assert exc.active.tolist() == [True, False]
     assert exc.n_elements == 2
+    # a NaN magnitude is neither driven nor zero: it is rejected
+    with pytest.raises(ValueError, match="^active magnitudes must be finite and non-negative$"):
+        Excitation([2.0, math.nan], [0.3, 0.0])
 
 
 def test_excitation_rejects_bad_input():
     with pytest.raises(ValueError):
-        Excitation([1.0, 1.0], [0.0], [True, True])
-    with pytest.raises(ValueError):
-        Excitation([-1.0], [0.0], [True])
-    with pytest.raises(ValueError):
-        Excitation([1.0], [math.nan], [True])
+        Excitation([1.0, 1.0], [0.0])
+    with pytest.raises(ValueError, match="^active magnitudes must be finite and non-negative$"):
+        Excitation([-1.0], [0.0])
+    with pytest.raises(ValueError, match="^active magnitudes must be finite and non-negative$"):
+        Excitation([math.inf], [0.0])
+    with pytest.raises(ValueError, match="^active phases must be finite$"):
+        Excitation([1.0], [math.nan])
+    # the driven elements follow from the magnitudes; there is no mask to pass
+    with pytest.raises(TypeError):
+        Excitation([1.0], [0.0], [True])
 
 
 def test_excitation_is_immutable():
-    exc = Excitation([1.0], [0.0], [True])
+    exc = Excitation([1.0], [0.0])
     with pytest.raises(ValueError):
         exc.magnitudes[0] = 2.0
+    with pytest.raises(AttributeError):
+        exc.active = np.array([False])
 
 
 def test_gaussian_phases_linear():
@@ -163,7 +176,7 @@ def test_focusing_wins_at_its_focus_at_equal_power(cfg1024):
 
 def test_single_element_inverse_distance_phase():
     cfg = two_element_cfg()
-    exc = Excitation([1.0, 1.0], [0.0, 0.0], [True, False])
+    exc = Excitation([1.0, 0.0], [0.0, 0.0])
     p = Point2(cfg.element_xs()[0], 2.0)
     r = 2.0
     val = field_at(cfg, exc, p)
@@ -172,7 +185,7 @@ def test_single_element_inverse_distance_phase():
 
 def test_one_over_r_law_random_points():
     cfg = two_element_cfg()
-    exc = Excitation([1.0, 0.0], [0.0, 0.0], [True, False])
+    exc = Excitation([1.0, 0.0], [0.0, 0.0])
     rng = np.random.default_rng(3)
     for _ in range(20):
         p = Point2(rng.uniform(-3, 3), rng.uniform(0.1, 5.0))
@@ -193,10 +206,9 @@ def test_superposition_linearity():
     rng = np.random.default_rng(11)
     c1 = rng.uniform(0.5, 2.0, 16) * np.exp(1j * rng.uniform(-math.pi, math.pi, 16))
     c2 = rng.uniform(0.5, 2.0, 16) * np.exp(1j * rng.uniform(-math.pi, math.pi, 16))
-    act = np.ones(16, dtype=bool)
-    e1 = Excitation(np.abs(c1), np.angle(c1), act)
-    e2 = Excitation(np.abs(c2), np.angle(c2), act)
-    e3 = Excitation(np.abs(c1 + c2), np.angle(c1 + c2), act)
+    e1 = Excitation(np.abs(c1), np.angle(c1))
+    e2 = Excitation(np.abs(c2), np.angle(c2))
+    e3 = Excitation(np.abs(c1 + c2), np.angle(c1 + c2))
     for _ in range(10):
         p = Point2(rng.uniform(-1, 1), rng.uniform(0.2, 3.0))
         lhs = field_at(cfg, e3, p)
@@ -216,7 +228,7 @@ def test_field_rejects_points_behind_array():
 def test_field_rejects_length_mismatch():
     cfg = two_element_cfg()
     with pytest.raises(ValueError):
-        field_at(cfg, Excitation([1.0], [0.0], [True]), Point2(0.0, 1.0))
+        field_at(cfg, Excitation([1.0], [0.0]), Point2(0.0, 1.0))
 
 
 # --------------------------------------------------------------- occlusion
@@ -280,7 +292,7 @@ def test_hard_shadow_equals_manual_element_removal(obstacle, points):
             [not _segment_hits_obstacle(obstacle, x_e, p) for x_e in cfg.element_xs()]
         )
         assert 0 < visible.sum() < cfg.n_elements
-        manual = Excitation(exc.magnitudes, exc.phases, exc.active & visible)
+        manual = Excitation(np.where(visible, exc.magnitudes, 0.0), exc.phases)
         assert field_at(cfg, exc, p, obstacle) == field_at(cfg, manual, p)
 
 
@@ -396,14 +408,14 @@ def test_normalize_power_identity_and_split(cfg1024):
 
     act = np.zeros(1024, dtype=bool)
     act[::2] = True
-    half = Excitation(np.ones(1024), np.zeros(1024), act)
+    half = Excitation(np.where(act, 1.0, 0.0), np.zeros(1024))
     scaled = normalize_power(half, 1024.0)
     assert np.all(scaled.magnitudes[act] == math.sqrt(2.0))
     assert np.all(scaled.magnitudes[~act] == 0.0)
 
 
 def test_normalize_power_idempotent():
-    exc = Excitation([0.3, 1.7, 0.0], [0.1, -0.2, 0.0], [True, True, False])
+    exc = Excitation([0.3, 1.7, 0.0], [0.1, -0.2, 0.0])
     once = normalize_power(exc, 2.5)
     twice = normalize_power(once, 2.5)
     assert_allclose(twice.magnitudes, once.magnitudes, rtol=1e-14)
@@ -411,11 +423,11 @@ def test_normalize_power_idempotent():
 
 
 def test_normalize_power_errors():
-    exc = Excitation([1.0], [0.0], [False])
+    exc = Excitation([0.0], [0.0])
     with pytest.raises(ValueError):
         normalize_power(exc, 1.0)
     with pytest.raises(ValueError):
-        normalize_power(Excitation([1.0], [0.0], [True]), 0.0)
+        normalize_power(Excitation([1.0], [0.0]), 0.0)
 
 
 # ------------------------------------------------------------ grid + files
@@ -558,33 +570,32 @@ def test_field_points_matches_field_at():
     obstacle = CircleObstacle(Point2(-0.03, 0.35), 0.09)
     px = np.array([-0.1, -0.25, 0.05, -0.03])
     py = np.array([1.0, 0.7, 0.6, 0.35])
-    values = field_points(cfg, exc, px, py, obstacle)
+    values = field_points_per_entry(cfg, ((exc, obstacle),), px, py)[0]
     for x, y, v in zip(px[:3], py[:3], values[:3]):
         assert v == field_at(cfg, exc, Point2(x, y), obstacle)
     assert np.isnan(values[3])
     with pytest.raises(ValueError):
-        field_points(cfg, exc, px, py[:2], obstacle)
+        field_points_per_entry(cfg, ((exc, obstacle),), px, py[:2])
     with pytest.raises(ValueError):
-        field_points(cfg, exc, np.array([math.inf]), np.array([1.0]), obstacle)
+        field_points_per_entry(cfg, ((exc, obstacle),), np.array([math.inf]), np.array([1.0]))
 
 
 def random_excitation(draw, n: int) -> Excitation:
-    """n random magnitudes and phases, some inactive or zero-magnitude elements or none."""
+    """n random magnitudes and phases, some zero-magnitude (undriven) elements or none."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     magnitudes = rng.uniform(0.0, 1.0, n)
-    if draw(st.booleans()):
-        # active elements of zero magnitude
-        magnitudes[rng.random(n) < 0.2] = 0.0
-    active = rng.random(n) > 0.2 if draw(st.booleans()) else np.ones(n, dtype=bool)
-    return Excitation(magnitudes, rng.uniform(-math.pi, math.pi, n), active)
+    # two independent draws of undriven elements
+    for _ in range(2):
+        if draw(st.booleans()):
+            magnitudes[rng.random(n) < 0.2] = 0.0
+    return Excitation(magnitudes, rng.uniform(-math.pi, math.pi, n))
 
 
 @st.composite
 def per_obstacle_case(draw):
     """An array, a random excitation, 1-4 obstacles and points to evaluate.
 
-    The excitation may have inactive elements and active elements of zero
-    magnitude, or neither.
+    The excitation may have undriven (zero-magnitude) elements, or none.
 
     Obstacles are rects, circles, free space (None) and walls that hide the
     whole aperture; the points hold each obstacle's y-band and interior
@@ -630,7 +641,7 @@ def per_obstacle_case(draw):
 @given(per_obstacle_case())
 def test_per_obstacle_rows_match_single_obstacle_calls(case):
     cfg, exc, obstacles, px, py, hidden = case
-    singles = [field_points(cfg, exc, px, py, obstacle) for obstacle in obstacles]
+    singles = [field_points_per_entry(cfg, ((exc, obstacle),), px, py)[0] for obstacle in obstacles]
     with pytest.MonkeyPatch.context() as mp:
         for chunk_pairs in (1, 7, 65_536, 10**9):
             mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
@@ -642,10 +653,10 @@ def test_per_obstacle_rows_match_single_obstacle_calls(case):
                     # equal bits: equal values, NaN positions and signs of zero
                     assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
     # A wall hides every element, so the point sums w = +0 terms: its bits,
-    # signs of zero included, are those of the same phases at zero magnitude.
-    dark = Excitation(np.zeros(cfg.n_elements), exc.phases, np.ones(cfg.n_elements, dtype=bool))
+    # signs of zero included, are those of an excitation of zero magnitude.
+    dark = Excitation(np.zeros(cfg.n_elements), exc.phases)
     for j, i in hidden:
-        want = field_points(cfg, dark, px[i : i + 1], py[i : i + 1])
+        want = field_points_per_entry(cfg, ((dark, None),), px[i : i + 1], py[i : i + 1])[0]
         assert want[0] == 0.0
         assert np.array_equal(singles[j][i : i + 1].view(np.uint64), want.view(np.uint64))
     for obstacle, single in zip(obstacles, singles):
@@ -727,7 +738,7 @@ def test_entry_rows_match_dense_reference_and_single_entry_calls(case):
 def test_point_whose_distance_overflows_is_rejected():
     # (x - x_n)^2 overflows to inf at x = 1e155 m, and y^2 at y = 1e160 m
     cfg = UlaConfig(16, 1e-3, 140e9)
-    exc = Excitation(np.ones(16), np.zeros(16), np.arange(16) > 3)
+    exc = Excitation(np.where(np.arange(16) > 3, 1.0, 0.0), np.zeros(16))
     entries = [(exc, RectObstacle(0.01, -0.01, 0.1, 0.2)), (exc, None)]
     message = "within about 1e154 m"
     for px, py in (([0.0, 1e155], [1.0, 1.0]), ([0.0, 0.0], [1.0, 1e160]), ([-1e155], [1.0])):
@@ -753,7 +764,7 @@ def test_point_on_an_element_is_rejected():
     message = "at least about 1e-154 m from every element"
     for x in cfg.element_xs():
         with pytest.raises(ValueError, match=message):
-            field_points(cfg, exc, np.array([0.5, x]), np.array([1.0, 1e-200]))
+            field_points_per_entry(cfg, ((exc, None),), np.array([0.5, x]), np.array([1.0, 1e-200]))
         with pytest.raises(ValueError, match=message):
             field_at(cfg, exc, Point2(x, 1e-200))
     with pytest.raises(ValueError, match=message):
@@ -761,7 +772,7 @@ def test_point_on_an_element_is_rejected():
     with pytest.raises(ValueError, match=message):
         line_cut(cfg, exc, 0.0, 1e-200, 2)
     # between elements, and just far enough above one, the field is finite
-    values = field_points(cfg, exc, np.array([5e-4, 0.0, -1e-3]), np.array([1e-200, 1e-153, 2e-154]))
+    values = field_points_per_entry(cfg, ((exc, None),), np.array([5e-4, 0.0, -1e-3]), np.array([1e-200, 1e-153, 2e-154]))
     assert np.all(np.isfinite(values))
 
 
@@ -784,10 +795,10 @@ def test_point_rejected_iff_some_squared_distance_is_not_normal(n, spacing, inde
     r2 = (px - xs) ** 2 + py * py
     exc = gaussian_excitation(cfg, 0.0)
     if r2.min() >= np.finfo(float).tiny:
-        assert np.all(np.isfinite(field_points(cfg, exc, np.array([px]), np.array([py]))))
+        assert np.all(np.isfinite(field_points_per_entry(cfg, ((exc, None),), np.array([px]), np.array([py]))))
     else:
         with pytest.raises(ValueError, match="from every element"):
-            field_points(cfg, exc, np.array([px]), np.array([py]))
+            field_points_per_entry(cfg, ((exc, None),), np.array([px]), np.array([py]))
 
 
 @st.composite

@@ -53,7 +53,7 @@ def test_no_module_imports_another_modules_private_names():
 def test_private_import_check_sees_relative_and_absolute_imports(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text(
-        "from .field import _blocked_runs, field_points\n"
+        "from .field import _blocked_runs, field_grid\n"
         "from ulabeam.cli import _flag_pair\n"
         "from os.path import _get_sep\n",
         encoding="utf-8",
@@ -74,7 +74,7 @@ def test_foreign_import_check_sees_stdlib_and_third_party(tmp_path):
         "from __future__ import annotations\n"
         "import dataclasses\n"
         "from dataclasses import fields\n"
-        "from .field import field_points\n"
+        "from .field import field_grid\n"
         "from ulabeam.metrics import ErrorBox\n"
         "from numpy.linalg import solve\n",
         encoding="utf-8",

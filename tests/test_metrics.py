@@ -10,9 +10,10 @@ Proves:
   amplitudes of the single-obstacle call, a buried box's empty one
   included, and exactly the user amplitude, NaN where an obstacle holds
   the user.
-- ScenarioSet enforces equal power budgets across entries and keeps its
-  (excitation, obstacle) pairs in order, each obstacle as given; pooling
-  its entries' box amplitudes keeps every sample of every scenario.
+- scenario_amplitudes rejects an empty scenario set and unequal power
+  budgets across entries, and keeps the (excitation, obstacle) entries in
+  order; pooling the entries' box amplitudes keeps every sample of every
+  scenario.
 - With the user at the box center and odd sample counts, the point
   amplitude is bracketed by the box min and max.
 - Frozen free-space mean box amplitudes rank focusing > Bessel > curving >
@@ -36,13 +37,12 @@ from ulabeam import (
     ErrorBox,
     Point2,
     RectObstacle,
-    ScenarioSet,
     UlaConfig,
     amplitude_at_user,
     bessel_phases,
     empirical_cdf,
     field_at,
-    field_points,
+    field_points_per_entry,
     focusing_excitation,
     gaussian_excitation,
     mean_amplitude,
@@ -66,7 +66,7 @@ POSITIONS = (
 
 def box_amplitudes(cfg, exc, box, obstacle=None):
     """|E| at the box samples outside the obstacle, from a one-entry scenario set."""
-    return scenario_amplitudes(ScenarioSet(cfg, [(exc, obstacle)]), box)[1][0]
+    return scenario_amplitudes(cfg, [(exc, obstacle)], box)[1][0]
 
 
 def curving_for(cfg, obstacle, budget=1.0):
@@ -148,10 +148,10 @@ def test_buried_box_is_rejected(cfg1024):
 def test_per_obstacle_box_amplitudes_match_single_calls(cfg1024):
     exc = focusing_excitation(cfg1024, USER)
     obstacles = (*POSITIONS, None, RectObstacle(0.05, -0.05, 0.95, 1.05), RectObstacle(0.5, -0.5, 0.5, 1.5))
-    points, rows = scenario_amplitudes(ScenarioSet(cfg1024, [(exc, obstacle) for obstacle in obstacles]), BOX)
+    points, rows = scenario_amplitudes(cfg1024, [(exc, obstacle) for obstacle in obstacles], BOX)
     assert len(rows) == len(points) == len(obstacles)
     for row, obstacle in zip(rows, obstacles):
-        single = np.abs(field_points(cfg1024, exc, *BOX.sample_points(), obstacle))
+        single = np.abs(field_points_per_entry(cfg1024, ((exc, obstacle),), *BOX.sample_points())[0])
         assert np.array_equal(row, single[np.isfinite(single)])
     for point, obstacle in zip(points[:-2], obstacles):
         assert point == amplitude_at_user(cfg1024, exc, USER, obstacle)
@@ -163,23 +163,21 @@ def test_per_obstacle_box_amplitudes_match_single_calls(cfg1024):
 
 def test_scenario_set_requires_entries(cfg1024):
     with pytest.raises(ValueError, match="non-empty"):
-        ScenarioSet(cfg1024, ())
+        scenario_amplitudes(cfg1024, (), BOX)
 
 
 def test_scenario_set_rejects_budget_mismatch(cfg1024):
     a = normalize_power(gaussian_excitation(cfg1024, 0.0), 1.0)
     b = normalize_power(focusing_excitation(cfg1024, USER), 2.0)
     with pytest.raises(ValueError, match="budgets differ"):
-        ScenarioSet(cfg1024, ((a, POSITIONS[0]), (b, POSITIONS[0])))
+        scenario_amplitudes(cfg1024, ((a, POSITIONS[0]), (b, POSITIONS[0])), BOX)
 
 
 def test_pooling_concatenates_per_scenario_amplitudes(cfg1024):
     exc = normalize_power(focusing_excitation(cfg1024, USER), 1.0)
     obstacles = (None, *POSITIONS)
-    sset = ScenarioSet(cfg1024, [(exc, obs) for obs in obstacles])
-    assert isinstance(sset.entries, tuple) and len(sset.entries) == len(obstacles)
-    assert all(got is want for (_, got), want in zip(sset.entries, obstacles))
-    parts = scenario_amplitudes(sset, BOX)[1]
+    parts = scenario_amplitudes(cfg1024, [(exc, obs) for obs in obstacles], BOX)[1]
+    assert len(parts) == len(obstacles)
     pooled = np.concatenate(parts)
     # no obstacle reaches the box, so every scenario pools every sample
     assert pooled.size == len(obstacles) * BOX.nx * BOX.ny
@@ -218,9 +216,9 @@ def test_frozen_free_space_area_averages(cfg1024):
 
 def test_pooled_cdf_curving_dominates_fixed_focus(cfg1024):
     focus = normalize_power(focusing_excitation(cfg1024, USER), 1.0)
-    focus_set = ScenarioSet(cfg1024, tuple((focus, obs) for obs in POSITIONS))
-    curving_set = ScenarioSet(cfg1024, tuple((curving_for(cfg1024, obs), obs) for obs in POSITIONS))
-    pool_f, pool_c = (np.concatenate(scenario_amplitudes(sset, BOX)[1]) for sset in (focus_set, curving_set))
+    focus_set = [(focus, obs) for obs in POSITIONS]
+    curving_set = [(curving_for(cfg1024, obs), obs) for obs in POSITIONS]
+    pool_f, pool_c = (np.concatenate(scenario_amplitudes(cfg1024, entries, BOX)[1]) for entries in (focus_set, curving_set))
     assert pool_f.size == pool_c.size == 4 * 21 * 21
     assert_allclose(pool_f.min(), 0.005527651848, rtol=1e-6)
     assert_allclose(pool_c.min(), 0.067103979125, rtol=1e-6)

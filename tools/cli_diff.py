@@ -15,12 +15,18 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   unnecessary plan, a two-beam plan, a far obstacle that keeps the full
   aperture, a primary with no reverse-curvature secondary, and a two-beam
   plan whose secondary's cut is bounded where the primary's ends;
+- six scenes of extreme but finite numbers, each through the command
+  that once exited 1 or warned on it: optimize on a user 1e160 m away,
+  on a 2-element array 8e300 m apart and on a user 6.7e160 m to the
+  side, synthesize on a 64-element array 1e300 m apart, optimize on a
+  3-element array at 2.8e-300 Hz, and analyze on a Bessel beam whose
+  user is 1e306 m away;
 - ``compare --levels 1`` and ``simulate --grid 3`` (usage errors);
 - three invalid simulate requests on ``self_healing_cuboid``: a
   decreasing ``x_range``, ``--line-cut=1.5,1`` and ``--grid=-1,5`` (the
   ``=`` form, since argparse reads a bare ``-1,5`` as an option).
 
-With the seven shipped scenarios that makes 56 runs.
+With the seven shipped scenarios that makes 62 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -105,13 +111,64 @@ PLANNER = {
 }
 
 
-def planner_scene(x_u: float, y_u: float, rect: tuple, w: float) -> str:
-    edges = "".join(f"  {key}: {value}\n" for key, value in zip(("x_r1", "x_r2", "y_n", "y_f"), rect))
-    return f"""\
+# Extreme scenes: label -> (command, (user x, user y, rect, w, N, explicit
+# spacing or None for half-wavelength, carrier frequency)).
+EXTREME = {
+    "huge_user_distance": ("optimize", (0.0, 1e160, (0.1, -0.1, 0.3, 0.5), 1.0)),
+    "no_best_vertex": (
+        "optimize",
+        (
+            0.0,
+            1.0,
+            (4.929595226941069e155, -4.929595226941069e155, 8.788757825799525e-200, 1.3183136738699289e-199),
+            2.9035569747574905e160,
+            2,
+            8.182259636637394e300,
+            8.920417103551834e100,
+        ),
+    ),
+    "pinned_solve_assert": (
+        "optimize",
+        (
+            6.707909796214506e160,
+            32.37009941841077,
+            (8.503507511589003e160, -8.503507511589003e160, 0.2, 0.20000000000020002),
+            1.0,
+            3,
+            7.058036998462971e300,
+        ),
+    ),
+    "phase_overflow": ("synthesize", (0.0, 1.0, (0.1, -0.1, 0.2, 0.3), 1e10, 64, 1e300)),
+    "matmul_warning": (
+        "optimize",
+        (0.0, 1.0, (0.05, -0.05, 0.2, 0.20000000000020002), 1.0, 3, None, 2.846241208551663e-300),
+    ),
+}
+BESSEL_FAR_USER = """\
 array:
-  n_elements: 1024
+  n_elements: 64
   spacing_mode: half_wavelength
   carrier_freq_hz: 140000000000.0
+user:
+  x: 0.0
+  y: 1.0e+306
+beam:
+  type: bessel
+  theta_deg: 0.0
+  alpha_deg: 10.0
+"""
+
+
+def planner_scene(
+    x_u: float, y_u: float, rect: tuple, w: float, n: int = 1024, spacing: float | None = None, freq: float = 140e9
+) -> str:
+    edges = "".join(f"  {key}: {value}\n" for key, value in zip(("x_r1", "x_r2", "y_n", "y_f"), rect))
+    mode = "half_wavelength" if spacing is None else f"explicit\n  spacing_m: {spacing}"
+    return f"""\
+array:
+  n_elements: {n}
+  spacing_mode: {mode}
+  carrier_freq_hz: {freq}
 user:
   x: {x_u}
   y: {y_u}
@@ -138,6 +195,9 @@ def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
     for label, scene in PLANNER.items():
         for command in ("optimize", "synthesize"):
             out[f"{command} {label}"] = (planner_scene(*scene), [command])
+    for label, (command, scene) in EXTREME.items():
+        out[f"{command} {label}"] = (planner_scene(*scene), [command])
+    out["analyze bessel_far_user"] = (BESSEL_FAR_USER, ["analyze"])
     compare_text = (shipped / "compare_four_positions.yaml").read_text(encoding="utf-8")
     out["compare --levels 1"] = (compare_text, ["compare", "--levels", "1"])
     smoke_text = (shipped / "smoke_two_element.yaml").read_text(encoding="utf-8")
