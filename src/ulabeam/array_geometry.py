@@ -3,6 +3,9 @@
 Coordinates: the array lies on the x-axis of the xy-plane, centered on the
 origin, radiating toward +y. Lengths are meters, frequencies Hz, angles
 radians (the CLI converts from degrees).
+
+Each obstacle class answers its own geometry (``contains``, ``shadow``,
+``support``); an obstacle of None is free space, left to the callers.
 """
 
 from __future__ import annotations
@@ -101,6 +104,44 @@ class RectObstacle:
         if not 0.0 < self.y_n < self.y_f:
             raise ValueError("require 0 < y_n < y_f")
 
+    def contains(self, px, py):
+        """True where a point lies inside (or on the boundary of) the rectangle; scalars or arrays."""
+        return (px >= self.x_r2) & (px <= self.x_r1) & (py >= self.y_n) & (py <= self.y_f)
+
+    def shadow(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Closed x-interval [a, b] on y = 0 hidden from each point (px, py).
+
+        The element at (x, 0) is blocked iff its sight segment meets the
+        rectangle, i.e. iff x lies in the central projection, from the
+        point onto y = 0, of the rectangle clipped to y < py. The rectangle
+        is convex, so that projection is one interval; a side whose
+        rectangle points reach the height py projects to -inf or +inf. No
+        shadow gives a = +inf, b = -inf. Points inside get an arbitrary
+        interval.
+        """
+        # A corner (qx, qy) with qy < py projects to px + (qx - px) * py / (py - qy).
+        reaches = py > self.y_n
+        above = py > self.y_f
+        s_n = np.divide(py, py - self.y_n, out=np.ones_like(py), where=reaches)
+        s_f = np.divide(py, py - self.y_f, out=np.ones_like(py), where=above)
+        left_n = px + (self.x_r2 - px) * s_n
+        right_n = px + (self.x_r1 - px) * s_n
+        a = np.where(
+            above,
+            np.minimum(left_n, px + (self.x_r2 - px) * s_f),
+            np.where(px < self.x_r2, left_n, -np.inf),
+        )
+        b = np.where(
+            above,
+            np.maximum(right_n, px + (self.x_r1 - px) * s_f),
+            np.where(px > self.x_r1, right_n, np.inf),
+        )
+        return np.where(reaches, a, np.inf), np.where(reaches, b, -np.inf)
+
+    def support(self, ux: float, uy: float) -> float:
+        """Largest ux x + uy y over the rectangle, taken at a corner."""
+        return max(ux * self.x_r1, ux * self.x_r2) + max(uy * self.y_n, uy * self.y_f)
+
 
 @dataclass(frozen=True)
 class CircleObstacle:
@@ -114,6 +155,40 @@ class CircleObstacle:
             raise ValueError("radius must be positive")
         if not self.center.y - self.radius > 0:
             raise ValueError("circle must lie strictly in front of the array")
+
+    def contains(self, px, py):
+        """True where a point lies inside (or on the boundary of) the circle; scalars or arrays."""
+        dx = px - self.center.x
+        dy = py - self.center.y
+        return dx * dx + dy * dy <= self.radius**2
+
+    def shadow(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Closed x-interval [a, b] on y = 0 hidden from each point, as RectObstacle.shadow."""
+        # The tangent directions from the point, u_lo = L d - R perp(d) and
+        # u_hi = L d + R perp(d), with d the offset to the center,
+        # perp(d) = (-dy, dx) and L the tangent length, bound the hidden
+        # cone clockwise and counter-clockwise. A tangent that points down
+        # (uy < 0) meets y = 0 at px - py * ux / uy; one that does not
+        # leaves that side of the run unbounded. A tangent barely below the
+        # horizontal (subnormal uy) overflows the divide to +-inf, its limit.
+        r = self.radius
+        dx = self.center.x - px
+        dy = self.center.y - py
+        tangent = np.sqrt(np.maximum(dx * dx + dy * dy - r * r, 0.0))
+        ux_lo, uy_lo = tangent * dx + r * dy, tangent * dy - r * dx
+        ux_hi, uy_hi = tangent * dx - r * dy, tangent * dy + r * dx
+        down_lo, down_hi = uy_lo < 0, uy_hi < 0
+        with np.errstate(over="ignore"):
+            a = px - py * np.divide(ux_lo, uy_lo, out=np.zeros_like(px), where=down_lo)
+            b = px - py * np.divide(ux_hi, uy_hi, out=np.zeros_like(px), where=down_hi)
+        a = np.where(down_lo, a, -np.inf)
+        b = np.where(down_hi, b, np.inf)
+        hidden = down_lo | down_hi
+        return np.where(hidden, a, np.inf), np.where(hidden, b, -np.inf)
+
+    def support(self, ux: float, uy: float) -> float:
+        """Largest ux x + uy y over the circle, taken where (ux, uy) is its outward normal."""
+        return ux * self.center.x + uy * self.center.y + self.radius * math.hypot(ux, uy)
 
 
 def circle_bounding_square(obs: CircleObstacle) -> RectObstacle:

@@ -26,8 +26,7 @@ __all__ = [
     "propagation_limits",
     "min_elements",
     "max_spacing",
-    "self_heal_rect",
-    "self_heal_circle",
+    "self_heal",
 ]
 
 
@@ -121,13 +120,15 @@ def bessel_phases(cfg: UlaConfig, d: BesselDesign) -> Excitation:
     from element n to the wavefront curve.
     """
     _require_steerable(d)
-    xs = cfg.element_xs()
     k = cfg.wavenumber()
-    phases = np.where(
-        xs >= 0,
-        k * abs(math.sin(d.alpha - d.theta_a)) * xs,
-        -k * abs(math.sin(d.alpha + d.theta_a)) * xs,
-    )
+    # Phases that overflow are left non-finite for Excitation to reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = cfg.element_xs()
+        phases = np.where(
+            xs >= 0,
+            k * abs(math.sin(d.alpha - d.theta_a)) * xs,
+            -k * abs(math.sin(d.alpha + d.theta_a)) * xs,
+        )
     return Excitation(np.ones_like(xs), phases)
 
 
@@ -171,7 +172,22 @@ def max_spacing(d: BesselDesign, wavelength: float) -> float:
     return wavelength / 2.0 / math.sin(d.alpha + abs(d.theta_a))
 
 
-def _heal_report(cfg: UlaConfig, d: BesselDesign, thresh_p: float, thresh_m: float) -> SelfHealReport:
+def self_heal(cfg: UlaConfig, d: BesselDesign, obs: RectObstacle | CircleObstacle) -> SelfHealReport:
+    """Self-healing onset distances behind an obstacle.
+
+    The element at (x, 0) sends its positive-side ray along the line
+    x' + tan(alpha - theta_a) y' = x and its negative-side ray along
+    x' - tan(alpha + theta_a) y' = x. The positive ray clears the obstacle
+    iff x > obs.support(1, tan(alpha - theta_a)), the largest
+    x' + tan(alpha - theta_a) y' over the obstacle (x_r1 + tan(alpha - theta_a) y_f
+    for a rectangle, the ray's tangent point for a circle); the negative
+    ray iff x < -obs.support(-1, tan(alpha + theta_a)). The onset distance
+    on each side is the axis distance where the first clearing element's
+    ray lands: d_h = |x*| cos(alpha -/+ theta_a) / sin(alpha).
+    """
+    _require_steerable(d)
+    thresh_p = obs.support(1.0, math.tan(d.alpha - d.theta_a))
+    thresh_m = -obs.support(-1.0, math.tan(d.alpha + d.theta_a))
     xs = cfg.element_xs()
     sin_a = math.sin(d.alpha)
     pos = xs[xs > thresh_p]
@@ -188,35 +204,3 @@ def _heal_report(cfg: UlaConfig, d: BesselDesign, thresh_p: float, thresh_m: flo
         pos_unblocked=x_p is not None and x_p < 0,
         neg_unblocked=x_m is not None and x_m > 0,
     )
-
-
-def self_heal_rect(cfg: UlaConfig, d: BesselDesign, obs: RectObstacle) -> SelfHealReport:
-    """Self-healing onset distances behind a rectangular obstacle.
-
-    An element's positive-side ray clears the obstacle iff
-    x > x_r1 + tan(alpha - theta_a) y_f; the negative side iff
-    x < x_r2 - tan(alpha + theta_a) y_f. The onset distance on each side is
-    the axis distance where the first clearing element's ray lands:
-    d_h = |x*| cos(alpha -/+ theta_a) / sin(alpha).
-    """
-    _require_steerable(d)
-    thresh_p = obs.x_r1 + math.tan(d.alpha - d.theta_a) * obs.y_f
-    thresh_m = obs.x_r2 - math.tan(d.alpha + d.theta_a) * obs.y_f
-    return _heal_report(cfg, d, thresh_p, thresh_m)
-
-
-def self_heal_circle(cfg: UlaConfig, d: BesselDesign, obs: CircleObstacle) -> SelfHealReport:
-    """Self-healing onset distances behind a circular obstacle.
-
-    Uses the tangent points of the element rays on the circle in place of
-    the rectangle corners, per side.
-    """
-    _require_steerable(d)
-    xc, yc, r = obs.center.x, obs.center.y, obs.radius
-    x_c1 = xc + r * math.cos(d.alpha - d.theta_a)
-    y_c1 = yc + r * math.sin(d.alpha - d.theta_a)
-    x_c2 = xc - r * math.cos(d.alpha + d.theta_a)
-    y_c2 = yc + r * math.sin(d.alpha + d.theta_a)
-    thresh_p = x_c1 + math.tan(d.alpha - d.theta_a) * y_c1
-    thresh_m = x_c2 - math.tan(d.alpha + d.theta_a) * y_c2
-    return _heal_report(cfg, d, thresh_p, thresh_m)

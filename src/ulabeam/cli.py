@@ -34,8 +34,7 @@ from .bessel import (
     max_spacing,
     min_elements,
     propagation_limits,
-    self_heal_circle,
-    self_heal_rect,
+    self_heal,
 )
 from .curving import AvoidanceScenario, plan_excitation, plan_with_fallback
 from .field import (
@@ -366,12 +365,7 @@ def cmd_analyze(scenario: dict, out: str) -> int:
         }
         obstacle = scenario["obstacle"]
         if obstacle is not None:
-            heal = (
-                self_heal_circle(cfg, design, obstacle)
-                if isinstance(obstacle, CircleObstacle)
-                else self_heal_rect(cfg, design, obstacle)
-            )
-            report["self_heal"] = _report(heal)
+            report["self_heal"] = _report(self_heal(cfg, design, obstacle))
     _write_json(os.path.join(out, "analyze.json"), report)
     return 0
 

@@ -12,16 +12,19 @@ element, lowered to a caller's bound if that is smaller, and (beta, p_tilde)
 re-solved with the cut pinned, by the same enumeration over pairs of the
 six constraints left. One build of the constraint rows per curvature
 serves the relaxed solve, the pinned solve and the lookup of the KKT row.
-The pinned problem always has a feasible vertex (proof in `_optimize`),
-so there is no second route. The paper's nine closed-form KKT
-candidates (`kkt_candidates`) are not used by the solve; they stay as a
-cross-check, and a solution reports which of them its vertex is.
+The pinned problem has a feasible vertex in exact arithmetic (proof in
+`_optimize`), so there is no second route; a scene whose rounding loses
+that vertex is rejected as ill-conditioned. The paper's nine closed-form
+KKT candidates (`kkt_candidates`) are not used by the solve; they stay as
+a cross-check, and a solution reports which of them its vertex is.
 
 Positive curvature clears the obstacle on its left edge using a prefix of
-the array; negative curvature is solved by mirroring the scenario about the
-y-axis and mapping the result back. A two-beam plan solves each curvature
-once: the reverse-curvature secondary's cut is bounded at the first
-element the primary leaves, so the two element sets are disjoint.
+the array; negative curvature writes the rows of the scene mirrored about
+the y-axis (the user's x negated, the right edge as the one to clear),
+solves them the same way and maps the result back. A two-beam plan
+solves each curvature once: the reverse-curvature secondary's cut is
+bounded at the first element the primary leaves, so the two element sets
+are disjoint.
 """
 
 from __future__ import annotations
@@ -255,7 +258,9 @@ def curving_phases(cfg: UlaConfig, t: ParabolicTrajectory, active: np.ndarray) -
         raise ValueError(
             f"phase formula log-domain violation at active element {int(bad[0])}"
         )
-    phases[mask] = k * ((t.p + s) * np.sqrt(c1) / 2.0 - np.log(arg) / (4.0 * abs(t.beta)))
+    # Phases that overflow are left non-finite for Excitation to reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases[mask] = k * ((t.p + s) * np.sqrt(c1) / 2.0 - np.log(arg) / (4.0 * abs(t.beta)))
     return Excitation(np.where(mask, 1.0, 0.0), phases)
 
 
@@ -272,14 +277,17 @@ def _objective_grad(s: AvoidanceScenario) -> np.ndarray:
     )
 
 
-def _constraints(s: AvoidanceScenario) -> tuple[np.ndarray, np.ndarray]:
-    """Constraints of the positive-curvature LP as (g, c), named by _CONSTRAINT_NAMES.
+def _constraints(s: AvoidanceScenario, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constraints of curvature `sign`'s LP as (g, c), named by _CONSTRAINT_NAMES.
 
-    Row i reads g[i] . (beta, p_tilde, x_adj) + c[i] <= 0.
+    Row i reads g[i] . (beta, p_tilde, x_adj) + c[i] <= 0, in the
+    positive-curvature frame: for sign -1 the rows are those of the scene
+    mirrored about the y-axis, whose user is at -x_u and whose left edge,
+    the one to clear, is -x_r1.
     """
     y_n, y_f, y_u = s.obstacle.y_n, s.obstacle.y_f, s.user.y
-    x_u = s.user.x
-    x_r2 = s.obstacle.x_r2
+    x_u = sign * s.user.x
+    x_r2 = s.obstacle.x_r2 if sign > 0 else -s.obstacle.x_r1
     r_half = s.cfg.half_aperture()
     a_n, d_n = y_n**2 - y_u**2, y_n - y_u
     a_f, d_f = y_f**2 - y_u**2, y_f - y_u
@@ -389,12 +397,6 @@ def _best_vertex(
     return zs[best], True
 
 
-def _mirror_scenario(s: AvoidanceScenario) -> AvoidanceScenario:
-    o = s.obstacle
-    obstacle = RectObstacle(-o.x_r2, -o.x_r1, o.y_n, o.y_f)
-    return AvoidanceScenario(Point2(-s.user.x, s.user.y), obstacle, s.cfg, s.weight_w)
-
-
 _MIRROR_NAMES = {
     "aperture lower bound": "aperture upper bound",
     "aperture upper bound": "aperture lower bound",
@@ -404,25 +406,27 @@ _MIRROR_NAMES = {
 def _optimize(s: AvoidanceScenario, sign: int, limit: float = math.inf) -> CurvingResult:
     """Result of curvature `sign`, its aperture cut pinned at no more than `limit`.
 
-    One build of the LP in the positive-curvature frame (the mirrored
-    scenario for sign -1; `limit` is in that frame too) serves the relaxed
+    One build of the LP in the positive-curvature frame (mirrored rows
+    for sign -1; `limit` is in that frame too) serves the relaxed
     solve, the pinned 2-variable solve and the KKT-row lookup. The result
     is mapped back to s and keeps a prefix of the array for sign +1, a
     suffix for sign -1. The relaxed cut is snapped to the last element not
     past it, then lowered to `limit` (>= -R) if that is smaller.
 
-    The pinned solve always has a feasible vertex, as -R <= x_pin <= x_adj.
+    In exact arithmetic the pinned solve has a feasible vertex, as
+    -R <= x_pin <= x_adj.
     Proof: keep the relaxed beta and lower the leftmost-tangent intercept
     l = 2 y_u p_tilde - 2 beta y_u^2 + x_u to min(l_rel, x_pin). Lowering
     p_tilde only adds corner clearance; l <= x_pin is the reach row;
     l >= -R as l_rel >= -R and x_pin >= -R; the cut row holds as
     x_pin <= x_adj (up to the snap's 1e-9 spacing) and beta >= 0. The rows
     have rank 2 (beta >= 0 and the span row), so a feasible vertex exists.
+    Rounding can still lose it when the scene's lengths span many orders
+    of magnitude; such a scene raises ValueError as ill-conditioned.
     """
-    m = s if sign > 0 else _mirror_scenario(s)
-    g, c = _constraints(m)
+    g, c = _constraints(s, sign)
     scales = _scales(g, c)
-    grad = _objective_grad(m)
+    grad = _objective_grad(s)
     z_star, feasible = _best_vertex(g, c, scales, grad, 3)
     if not feasible:
         if z_star is None:
@@ -458,7 +462,10 @@ def _optimize(s: AvoidanceScenario, sign: int, limit: float = math.inf) -> Curvi
     g2 = g[_PINNED_ROWS, :2]
     c2 = c[_PINNED_ROWS] + g[_PINNED_ROWS, 2] * x_pin
     z2, feasible = _best_vertex(g2, c2, _scales(g2, c2), grad[:2], 2)
-    assert feasible, "the pinned problem has a feasible vertex whenever the relaxed one does"
+    if not feasible:
+        raise ValueError(
+            "ill-conditioned scene: rounding leaves the pinned aperture problem without a feasible vertex"
+        )
     beta_m, p_tilde_m = float(z2[0]), float(z2[1])
     if beta_m <= _BETA_TOL:
         return CurvingResult(
@@ -506,12 +513,13 @@ def optimize_positive(s: AvoidanceScenario) -> CurvingResult:
 def optimize_negative(s: AvoidanceScenario) -> CurvingResult:
     """Solve the negative-curvature problem by mirror reduction.
 
-    The scenario is reflected about the y-axis, solved as in
-    optimize_positive, and mapped back (beta, p_tilde, aperture cut and
-    element set all change sign/side; the reported candidate index refers
-    to the mirrored problem's table, and an infeasible result names the
-    violated constraint of the original side). The aperture cut keeps a
-    suffix of the array.
+    The LP's rows are those of the scenario reflected about the y-axis
+    (user at -x_u, the edge to clear at -x_r1), solved as in
+    optimize_positive, and the result mapped back (beta, p_tilde,
+    aperture cut and element set all change sign/side; the reported
+    candidate index refers to the mirrored problem's table, and an
+    infeasible result names the violated constraint of the original
+    side). The aperture cut keeps a suffix of the array.
     """
     return _optimize(s, -1)
 

@@ -15,6 +15,8 @@ the straight segment between them does not intersect the obstacle. A segment
 touching the obstacle boundary counts as blocked; a field point on the
 obstacle boundary counts as interior. Interior points evaluate to a
 non-finite sentinel (NaN) on grids and raise for single-point queries.
+The geometry is the obstacle's own (``contains`` and ``shadow`` of the
+classes in ``array_geometry``); an obstacle of None is free space.
 
 Kernel
 ------
@@ -30,9 +32,9 @@ so cos and sin, most of the cost, depend on the geometry alone and are
 taken once for every excitation of the call. The obstacle is convex, so
 the elements a point cannot see form one contiguous index run: the
 central projection, from the point onto y = 0, of the obstacle below the
-point's height. Each point gets that run [lo, hi) from O(1) geometry and
-a binary search (a point level with the obstacle has a run that reaches
-one end of the array).
+point's height. Each point gets that run [lo, hi) from the obstacle's
+``shadow`` interval, O(1) geometry, and a binary search (a point level
+with the obstacle has a run that reaches one end of the array).
 
 Per chunk of points, r, 1 / r and U and V (side by side in one row of 2N
 values, ``uv``) are computed once for all entries. Trig is skipped on the
@@ -166,9 +168,11 @@ def gaussian_excitation(cfg: UlaConfig, theta_a: float) -> Excitation:
     """Linear-phase steering excitation, phi_n = -k sin(theta_a) x_n."""
     if not abs(theta_a) < math.pi / 2:
         raise ValueError("|theta_a| must be < pi/2")
-    xs = cfg.element_xs()
-    # + 0.0 turns -0.0 into 0.0 so broadside phases serialize as plain zeros
-    phases = -cfg.wavenumber() * math.sin(theta_a) * xs + 0.0
+    # Phases that overflow are left non-finite for Excitation to reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = cfg.element_xs()
+        # + 0.0 turns -0.0 into 0.0 so broadside phases serialize as plain zeros
+        phases = -cfg.wavenumber() * math.sin(theta_a) * xs + 0.0
     return Excitation(np.ones_like(xs), phases)
 
 
@@ -176,85 +180,17 @@ def focusing_excitation(cfg: UlaConfig, focus: Point2) -> Excitation:
     """Phase-conjugation excitation, phi_n = k * |focus - element_n|."""
     if not focus.y > 0:
         raise ValueError("focus must lie in front of the array")
-    xs = cfg.element_xs()
-    r = np.hypot(focus.x - xs, focus.y)
-    phases = cfg.wavenumber() * r
+    # Phases that overflow are left non-finite for Excitation to reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = cfg.element_xs()
+        r = np.hypot(focus.x - xs, focus.y)
+        phases = cfg.wavenumber() * r
     return Excitation(np.ones_like(xs), phases)
-
-
-def _interior_mask(obstacle, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """True where a point lies inside (or on the boundary of) the obstacle."""
-    if obstacle is None:
-        return np.zeros_like(px, dtype=bool)
-    if isinstance(obstacle, RectObstacle):
-        return (
-            (px >= obstacle.x_r2)
-            & (px <= obstacle.x_r1)
-            & (py >= obstacle.y_n)
-            & (py <= obstacle.y_f)
-        )
-    if isinstance(obstacle, CircleObstacle):
-        dx = px - obstacle.center.x
-        dy = py - obstacle.center.y
-        return dx * dx + dy * dy <= obstacle.radius**2
-    raise TypeError(f"unsupported obstacle type {type(obstacle).__name__}")
-
-
-def _shadow_interval(obstacle, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed x-interval [a, b] on y = 0 hidden from each point (px, py).
-
-    The element at (x, 0) is blocked iff its sight segment meets the
-    obstacle, i.e. iff x lies in the central projection, from the point onto
-    y = 0, of the obstacle clipped to y < py. The obstacle is convex, so that
-    projection is one interval; a side whose obstacle points reach the
-    height py projects to -inf or +inf. No shadow gives a = +inf, b = -inf.
-    Points inside the obstacle get an arbitrary interval.
-    """
-    if isinstance(obstacle, RectObstacle):
-        # A corner (qx, qy) with qy < py projects to px + (qx - px) * py / (py - qy).
-        reaches = py > obstacle.y_n
-        above = py > obstacle.y_f
-        s_n = np.divide(py, py - obstacle.y_n, out=np.ones_like(py), where=reaches)
-        s_f = np.divide(py, py - obstacle.y_f, out=np.ones_like(py), where=above)
-        left_n = px + (obstacle.x_r2 - px) * s_n
-        right_n = px + (obstacle.x_r1 - px) * s_n
-        a = np.where(
-            above,
-            np.minimum(left_n, px + (obstacle.x_r2 - px) * s_f),
-            np.where(px < obstacle.x_r2, left_n, -np.inf),
-        )
-        b = np.where(
-            above,
-            np.maximum(right_n, px + (obstacle.x_r1 - px) * s_f),
-            np.where(px > obstacle.x_r1, right_n, np.inf),
-        )
-        return np.where(reaches, a, np.inf), np.where(reaches, b, -np.inf)
-    if isinstance(obstacle, CircleObstacle):
-        # The tangent directions from the point, u_lo = L d - R perp(d) and
-        # u_hi = L d + R perp(d), with d the offset to the center,
-        # perp(d) = (-dy, dx) and L the tangent length, bound the hidden
-        # cone clockwise and counter-clockwise. A tangent that points down
-        # (uy < 0) meets y = 0 at px - py * ux / uy; one that does not
-        # leaves that side of the run unbounded.
-        r = obstacle.radius
-        dx = obstacle.center.x - px
-        dy = obstacle.center.y - py
-        tangent = np.sqrt(np.maximum(dx * dx + dy * dy - r * r, 0.0))
-        ux_lo, uy_lo = tangent * dx + r * dy, tangent * dy - r * dx
-        ux_hi, uy_hi = tangent * dx - r * dy, tangent * dy + r * dx
-        down_lo, down_hi = uy_lo < 0, uy_hi < 0
-        a = px - py * np.divide(ux_lo, uy_lo, out=np.zeros_like(px), where=down_lo)
-        b = px - py * np.divide(ux_hi, uy_hi, out=np.zeros_like(px), where=down_hi)
-        a = np.where(down_lo, a, -np.inf)
-        b = np.where(down_hi, b, np.inf)
-        hidden = down_lo | down_hi
-        return np.where(hidden, a, np.inf), np.where(hidden, b, -np.inf)
-    raise TypeError(f"unsupported obstacle type {type(obstacle).__name__}")
 
 
 def _blocked_runs(obstacle, xs: np.ndarray, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per point, the index run [lo, hi) of ascending xs hidden by the obstacle."""
-    a, b = _shadow_interval(obstacle, px, py)
+    a, b = obstacle.shadow(px, py)
     lo = np.searchsorted(xs, a, side="left")
     hi = np.searchsorted(xs, b, side="right")
     return lo, np.maximum(lo, hi)
@@ -386,7 +322,8 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(chunk, starts))
     for obstacle, ts in zip(obstacles, members):
-        out[np.ix_(ts, _interior_mask(obstacle, px, py))] = complex(np.nan, np.nan)
+        if obstacle is not None:
+            out[np.ix_(ts, obstacle.contains(px, py))] = complex(np.nan, np.nan)
     return out
 
 
@@ -394,7 +331,7 @@ def field_at(
     cfg: UlaConfig, exc: Excitation, p: Point2, obstacle: RectObstacle | CircleObstacle | None = None
 ) -> complex:
     """Complex field at a single point; raises if p lies inside the obstacle."""
-    if _interior_mask(obstacle, np.array([p.x]), np.array([p.y]))[0]:
+    if obstacle is not None and obstacle.contains(p.x, p.y):
         raise ValueError("field point lies inside the obstacle")
     return complex(field_points_per_entry(cfg, ((exc, obstacle),), np.array([p.x]), np.array([p.y]))[0, 0])
 

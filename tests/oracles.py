@@ -4,9 +4,10 @@ Kept free of any imports from the package's internal solver helpers; only
 public data types are used, so the oracles cannot inherit a bug from the
 code under test. The one exception is ``dense_field``: it checks the field
 kernel's arithmetic, not its geometry, so it takes the kernel's blocked
-runs and interior test (which ``visible_pairs`` and ``inside_obstacle``
-check on their own). ``highs_optimum`` solves the curving LP, built from
-this module's own rows, with scipy's HiGHS rather than by enumeration.
+runs and the obstacle's ``contains`` (which ``visible_pairs`` and
+``inside_obstacle`` check on their own). ``highs_optimum`` solves the
+curving LP, built from this module's own rows, with scipy's HiGHS rather
+than by enumeration.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ulabeam import (
     tangent_y,
     trajectory_eval,
 )
-from ulabeam.field import _blocked_runs, _interior_mask
+from ulabeam.field import _blocked_runs
 
 
 def polyline_min_distances(points_x: np.ndarray, curve_x: np.ndarray, curve_y: np.ndarray) -> np.ndarray:
@@ -383,6 +384,27 @@ def inside_obstacle(obstacle, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     return np.hypot(px - obstacle.center.x, py - obstacle.center.y) <= obstacle.radius
 
 
+def sampled_support(obstacle, ux: float, uy: float, samples: int = 100_000) -> float:
+    """Largest ux x + uy y over points sampled densely on the obstacle's boundary.
+
+    A rect's four edges get `samples` points each, corners included, so
+    the value is its corner maximum up to rounding; a circle gets `samples`
+    equally spaced angles, so the value falls short of the true maximum by
+    at most r |u| (1 - cos(pi / samples)).
+    """
+    if isinstance(obstacle, RectObstacle):
+        t = np.linspace(0.0, 1.0, samples)
+        across = obstacle.x_r2 + (obstacle.x_r1 - obstacle.x_r2) * t
+        up = obstacle.y_n + (obstacle.y_f - obstacle.y_n) * t
+        x = np.concatenate((across, across, np.full(samples, obstacle.x_r2), np.full(samples, obstacle.x_r1)))
+        y = np.concatenate((np.full(samples, obstacle.y_n), np.full(samples, obstacle.y_f), up, up))
+    else:
+        angle = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        x = obstacle.center.x + obstacle.radius * np.cos(angle)
+        y = obstacle.center.y + obstacle.radius * np.sin(angle)
+    return float((ux * x + uy * y).max())
+
+
 def field_by_elements(ex, k, gamma, phi, obstacle, px, py) -> tuple[np.ndarray, np.ndarray]:
     """Field at points (px, py), one element at a time, and sum(gamma / r) per point.
 
@@ -432,5 +454,6 @@ def dense_field(ex, k, entries, px, py) -> np.ndarray:
         b = exc.magnitudes * np.sin(exc.phases)
         out.real[t] = np.vecdot(masked, np.concatenate((a, b)))
         out.imag[t] = np.vecdot(masked, np.concatenate((b, -a)))
-        out[t, _interior_mask(obstacle, px, py)] = complex(np.nan, np.nan)
+        if obstacle is not None:
+            out[t, obstacle.contains(px, py)] = complex(np.nan, np.nan)
     return out

@@ -54,7 +54,7 @@ from ulabeam import (
     plan_excitation,
     plan_with_fallback,
     propagation_limits,
-    self_heal_rect,
+    self_heal,
     tangent_y,
     trajectory_eval,
     wavefront,
@@ -297,7 +297,7 @@ def test_c11_shadow_recovery(cfg1024):
         t0 = time.monotonic()
         design = BesselDesign(0.0, math.radians(30))
         obstacle = RectObstacle(0.14, -0.14, 0.10, 0.57)
-        heal = self_heal_rect(cfg1024, design, obstacle)
+        heal = self_heal(cfg1024, design, obstacle)
         assert_allclose(heal.d_h_pos, 0.813191623923532, rtol=1e-12)
         assert heal.d_h_neg == heal.d_h_pos
         exc = bessel_phases(cfg1024, design)

@@ -6,13 +6,19 @@ Proves:
  - half-aperture, wavelength, and wavenumber arithmetic
  - obstacle invariant violations raise
  - the bounding square of a circle has the expected corners
+ - each obstacle's support, the largest ux x + uy y over it, equals the
+   maximum over densely sampled boundary points, for random rects, circles
+   and directions
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from oracles import sampled_support
 
 from ulabeam import (
     SPEED_OF_LIGHT,
@@ -94,3 +100,29 @@ def test_circle_obstacle_validation():
 def test_circle_bounding_square():
     sq = circle_bounding_square(CircleObstacle(Point2(0.05, 0.30), 0.14))
     assert_allclose((sq.x_r1, sq.x_r2, sq.y_n, sq.y_f), (0.19, -0.09, 0.16, 0.44))
+
+
+@st.composite
+def obstacles(draw):
+    """A random rect or circle within a few meters of the array."""
+    if draw(st.booleans()):
+        x_r2 = draw(st.floats(-2.0, 2.0))
+        y_n = draw(st.floats(0.01, 2.0))
+        return RectObstacle(x_r2 + draw(st.floats(0.01, 1.0)), x_r2, y_n, y_n + draw(st.floats(0.01, 1.0)))
+    radius = draw(st.floats(0.01, 1.0))
+    return CircleObstacle(Point2(draw(st.floats(-2.0, 2.0)), radius + draw(st.floats(0.01, 2.0))), radius)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(obstacles(), st.floats(-math.pi, math.pi), st.floats(0.01, 100.0))
+def test_support_matches_sampled_boundary(obstacle, angle, length):
+    ux, uy = length * math.cos(angle), length * math.sin(angle)
+    support = obstacle.support(ux, uy)
+    sampled = sampled_support(obstacle, ux, uy)
+    # the sampled points' rounding; a circle's samples also miss the maximum
+    # by at most the gap between them
+    rounding = 1e-11 * length
+    gap = 0.0
+    if isinstance(obstacle, CircleObstacle):
+        gap = obstacle.radius * length * (1.0 - math.cos(math.pi / 100_000))
+    assert sampled - rounding <= support <= sampled + gap + rounding

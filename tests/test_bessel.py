@@ -14,7 +14,8 @@ Proves:
    of three spacings; a count that overflows is rejected
  - self-healing reports match frozen values for the cuboid and cylinder
    fixtures, and the clearing element's ray really does clear the circle
-   while its inward neighbor does not
+   while its inward neighbor does not; steered designs behind a circle
+   report the first elements past the literal tangent-point thresholds
 """
 
 import math
@@ -33,8 +34,7 @@ from ulabeam import (
     max_spacing,
     min_elements,
     propagation_limits,
-    self_heal_circle,
-    self_heal_rect,
+    self_heal,
     wavefront,
 )
 from oracles import direct_ray, polyline_min_distances
@@ -219,21 +219,21 @@ def test_sampling_bound_argument_validation():
 
 def test_self_heal_rect_frozen_cuboid(cfg1024):
     obs = RectObstacle(0.14, -0.14, 0.10, 0.57)
-    heal30 = self_heal_rect(cfg1024, BesselDesign(0.0, 30 * DEG), obs)
+    heal30 = self_heal(cfg1024, BesselDesign(0.0, 30 * DEG), obs)
     assert_allclose(heal30.d_h_pos, 0.813191623923532, rtol=1e-12)
     assert heal30.d_h_neg == heal30.d_h_pos
     assert_allclose(heal30.x_p_star, 0.469496402975, rtol=1e-12)
     assert heal30.x_m_star == -heal30.x_p_star
     assert not heal30.pos_unblocked and not heal30.neg_unblocked
 
-    heal20 = self_heal_rect(cfg1024, BesselDesign(0.0, 20 * DEG), obs)
+    heal20 = self_heal(cfg1024, BesselDesign(0.0, 20 * DEG), obs)
     assert_allclose(heal20.d_h_pos, 0.9575198728204405, rtol=1e-12)
 
 
 def test_self_heal_rect_matches_literal_threshold(cfg1024):
     d = BesselDesign(10 * DEG, 25 * DEG)
     obs = RectObstacle(0.10, -0.20, 0.15, 0.40)
-    heal = self_heal_rect(cfg1024, d, obs)
+    heal = self_heal(cfg1024, d, obs)
     xs = cfg1024.element_xs()
     thresh_p = obs.x_r1 + math.tan(d.alpha - d.theta_a) * obs.y_f
     thresh_m = obs.x_r2 - math.tan(d.alpha + d.theta_a) * obs.y_f
@@ -254,7 +254,7 @@ def test_self_heal_rect_matches_literal_threshold(cfg1024):
 def test_self_heal_circle_frozen_cylinder(cfg1024):
     theta = math.atan2(-0.1, 1.0)
     d = BesselDesign(theta, 20 * DEG + abs(theta))
-    heal = self_heal_circle(cfg1024, d, CircleObstacle(Point2(0.0, 0.24), 0.14))
+    heal = self_heal(cfg1024, d, CircleObstacle(Point2(0.0, 0.24), 0.14))
     assert_allclose(heal.d_h_pos, 0.6118216863745884, rtol=1e-12)
     assert_allclose(heal.d_h_neg, 0.5136969290859927, rtol=1e-12)
     assert_allclose(heal.x_p_star, 0.311034675175, rtol=1e-12)
@@ -266,7 +266,7 @@ def test_self_heal_circle_clearing_ray_geometry(cfg1024):
     # the reported element's ray misses the circle; one element inward hits it
     d = BesselDesign(0.0, 25 * DEG)
     obs = CircleObstacle(Point2(0.05, 0.30), 0.12)
-    heal = self_heal_circle(cfg1024, d, obs)
+    heal = self_heal(cfg1024, d, obs)
     ys = np.linspace(obs.center.y - obs.radius, obs.center.y + obs.radius, 20001)
 
     def min_gap(x_elem):
@@ -279,10 +279,33 @@ def test_self_heal_circle_clearing_ray_geometry(cfg1024):
     assert min_gap(heal.x_m_star + cfg1024.spacing) < obs.radius
 
 
+@pytest.mark.parametrize(
+    "theta_deg, alpha_deg, center, radius",
+    [(-8.0, 22.0, (0.07, 0.28), 0.11), (12.0, 30.0, (-0.10, 0.35), 0.08)],
+)
+def test_self_heal_circle_steered_matches_tangent_points(cfg1024, theta_deg, alpha_deg, center, radius):
+    # a steered design against the thresholds through the tangent points
+    # (x_c + r cos(a -/+ t), y_c + r sin(a -/+ t)) of the element rays; no
+    # element lies within a tenth of a spacing of either threshold
+    d = BesselDesign(theta_deg * DEG, alpha_deg * DEG)
+    obs = CircleObstacle(Point2(*center), radius)
+    heal = self_heal(cfg1024, d, obs)
+    xs = cfg1024.element_xs()
+    b, g = d.alpha - d.theta_a, d.alpha + d.theta_a
+    x_c1, y_c1 = obs.center.x + radius * math.cos(b), obs.center.y + radius * math.sin(b)
+    x_c2, y_c2 = obs.center.x - radius * math.cos(g), obs.center.y + radius * math.sin(g)
+    thresh_p = x_c1 + math.tan(b) * y_c1
+    thresh_m = x_c2 - math.tan(g) * y_c2
+    assert heal.x_p_star == xs[xs > thresh_p].min()
+    assert heal.x_m_star == xs[xs < thresh_m].max()
+    assert_allclose(heal.d_h_pos, abs(heal.x_p_star) * math.cos(b) / math.sin(d.alpha), rtol=1e-12)
+    assert_allclose(heal.d_h_neg, abs(heal.x_m_star) * math.cos(g) / math.sin(d.alpha), rtol=1e-12)
+
+
 def test_self_heal_unblocked_flags(cfg1024):
     # obstacle far off to the left: the positive-side beam never crosses it
     d = BesselDesign(0.0, 30 * DEG)
-    heal = self_heal_rect(cfg1024, d, RectObstacle(-0.80, -0.90, 0.05, 0.10))
+    heal = self_heal(cfg1024, d, RectObstacle(-0.80, -0.90, 0.05, 0.10))
     assert heal.pos_unblocked
     assert heal.x_p_star < 0
     # and no negative-side element can pass left of it

@@ -71,8 +71,7 @@ from ulabeam import (
     field_grid,
     gaussian_excitation,
     normalize_power,
-    self_heal_circle,
-    self_heal_rect,
+    self_heal,
 )
 from ulabeam.cli import main
 
@@ -222,21 +221,13 @@ def test_analyze_element_count_overflow_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "name, obstacle, heal_fn",
+    "name, obstacle",
     [
-        (
-            "self_healing_cuboid.yaml",
-            RectObstacle(0.14, -0.14, 0.10, 0.57),
-            self_heal_rect,
-        ),
-        (
-            "self_healing_cylinder.yaml",
-            CircleObstacle(Point2(0.05, 0.30), 0.10),
-            self_heal_circle,
-        ),
+        ("self_healing_cuboid.yaml", RectObstacle(0.14, -0.14, 0.10, 0.57)),
+        ("self_healing_cylinder.yaml", CircleObstacle(Point2(0.05, 0.30), 0.10)),
     ],
 )
-def test_analyze_self_heal_matches_library(tmp_path, name, obstacle, heal_fn):
+def test_analyze_self_heal_matches_library(tmp_path, name, obstacle):
     rc = main(["analyze", "--scenario", str(SCENARIOS / name), "--out", str(tmp_path)])
     assert rc == 0
     rep = read_json(tmp_path, "analyze.json")["self_heal"]
@@ -245,7 +236,7 @@ def test_analyze_self_heal_matches_library(tmp_path, name, obstacle, heal_fn):
     design = BesselDesign(
         math.radians(data["beam"]["theta_deg"]), math.radians(data["beam"]["alpha_deg"])
     )
-    heal = heal_fn(cfg, design, obstacle)
+    heal = self_heal(cfg, design, obstacle)
     assert rep["d_h_pos"] == heal.d_h_pos
     assert rep["d_h_neg"] == heal.d_h_neg
     assert rep["x_p_star"] == heal.x_p_star
@@ -861,7 +852,8 @@ ORDINARY = {
 
 @st.composite
 def extreme_scene(draw):
-    """A Bessel scene for analyze or a curving scene for optimize and synthesize.
+    """A Bessel scene for analyze, a gaussian or focus scene for synthesize,
+    or a curving scene for optimize and synthesize.
 
     The numbers are those of an ordinary scene, except that up to three of
     them are +-m 10^e with e anywhere in [-300, 307].
@@ -875,8 +867,13 @@ def extreme_scene(draw):
     n = draw(st.sampled_from((2, 3, 64, 1024)))
     spacing = number("spacing") if "spacing" in extreme or draw(st.booleans()) else None
     freq, user_x = number("freq"), number("user_x")
-    if draw(st.booleans()):
-        beam = {"type": "bessel", "theta_deg": draw(st.floats(-90.0, 90.0)), "alpha_deg": draw(st.floats(0.0, 90.0))}
+    kind = draw(st.sampled_from(("bessel", "gaussian", "focus", "curving")))
+    if kind != "curving":
+        beam = {"type": kind}
+        if kind != "focus":
+            beam["theta_deg"] = draw(st.floats(-90.0, 90.0))
+        if kind == "bessel":
+            beam["alpha_deg"] = draw(st.floats(0.0, 90.0))
         return extreme_dict(n, spacing, freq, (user_x, number("heights")), beam)
     x_r2, x_r1 = sorted((number("edge"), number("edge")))
     y_n, y_f, y_u = sorted(number("heights") for _ in range(3))
@@ -918,10 +915,24 @@ def reject_constant(name):
 @example(extreme_curving(3, None, 2.846241208551663e-300, (0.0, 1.0), (0.05, -0.05, 0.2, 0.20000000000020002)))
 # a Bessel user 1e306 m away, whose element count overflows
 @example(extreme_dict(64, None, 140e9, (0.0, 1e306), {"type": "bessel", "theta_deg": 0.0, "alpha_deg": 10.0}))
+# a focus 1e12 m away at 1e306 Hz, whose phases overflow
+@example(extreme_dict(64, 1e-3, 1e306, (0.0, 1e12), {"type": "focus"}))
+# lengths from 1e-84 to 1e99 m, where rounding loses the pinned solve's feasible vertex
+@example(
+    extreme_curving(
+        2,
+        1.3414397884608778e99,
+        7.560775913239614e86,
+        (-8.887629045465305e-84, 47.682160334920155),
+        (3.538163208491615e48, -5.927345688447419e95, 9.170806982666714e-55, 44.50407206776284),
+        993.7135445987072,
+    )
+)
 def test_extreme_scenes_exit_cleanly(scene):
     # numbers across the whole float range end in a result (0), a rejected
     # scene (2) or no beam (3): never a traceback, never non-standard JSON
-    commands = ("analyze",) if scene["beam"]["type"] == "bessel" else ("optimize", "synthesize")
+    by_beam = {"bessel": ("analyze",), "curving": ("optimize", "synthesize")}
+    commands = by_beam.get(scene["beam"]["type"], ("synthesize",))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scene.yaml"
         path.write_text(yaml.safe_dump(scene), encoding="utf-8")

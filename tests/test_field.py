@@ -11,7 +11,9 @@ Proves:
  - field values obey the one-term and two-term closed forms, the 1/r law,
    and superposition to 1e-12
  - hard-shadow occlusion zeroes a fully shadowed point, matches manual
-   element removal bit for bit, and marks obstacle-interior samples NaN
+   element removal bit for bit, and marks obstacle-interior samples NaN,
+   without a warning for a circle-boundary point whose shadow tangent is
+   within a subnormal of horizontal
  - on-axis cuts show the steered knee at d_max, residual one-sided reach
    to d_lim, shadow-then-recovery behind an obstacle, and doubling the
    element spacing past the sampling bound injects interference on axis
@@ -251,6 +253,13 @@ def test_interior_point_rejected_and_grid_gets_nan():
     inside = (gx >= -0.2) & (gx <= 0.2) & (gy >= 0.4) & (gy <= 0.6)
     assert np.all(np.isnan(grid.values[inside]))
     assert np.all(np.isfinite(grid.values[~inside]))
+    # a point on a circle's boundary whose shadow tangent is within a
+    # subnormal of horizontal: its divide overflows, silently, to its limit
+    cfg = UlaConfig(2, 0.0078125, 1e9)
+    circle = CircleObstacle(Point2(0.0, 0.75), 0.25)
+    entries = ((gaussian_excitation(cfg, 0.0), circle),)
+    row = field_points_per_entry(cfg, entries, np.array([2.225e-311]), np.array([0.5]))
+    assert np.isnan(row[0, 0])
 
 
 def _segment_hits_obstacle(obstacle, x_e: float, p: Point2, n: int = 4001) -> bool:

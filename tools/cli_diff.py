@@ -15,18 +15,23 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   unnecessary plan, a two-beam plan, a far obstacle that keeps the full
   aperture, a primary with no reverse-curvature secondary, and a two-beam
   plan whose secondary's cut is bounded where the primary's ends;
-- six scenes of extreme but finite numbers, each through the command
+- eight scenes of extreme but finite numbers, each through the command
   that once exited 1 or warned on it: optimize on a user 1e160 m away,
-  on a 2-element array 8e300 m apart and on a user 6.7e160 m to the
-  side, synthesize on a 64-element array 1e300 m apart, optimize on a
-  3-element array at 2.8e-300 Hz, and analyze on a Bessel beam whose
-  user is 1e306 m away;
+  on a 2-element array 8e300 m apart, on a user 6.7e160 m to the side
+  and on a 2-element scene whose lengths run from 1e-84 to 1e99 m,
+  synthesize on a 64-element array 1e300 m apart, optimize on a
+  3-element array at 2.8e-300 Hz, analyze on a Bessel beam whose user is
+  1e306 m away, and synthesize on a focus 1e12 m away at 1e306 Hz;
+- analyze on a steered Bessel beam behind an off-axis circle and behind
+  an off-axis rect;
+- simulate on a grid whose first node lies on a circle's boundary, with
+  a shadow tangent within a subnormal of horizontal;
 - ``compare --levels 1`` and ``simulate --grid 3`` (usage errors);
 - three invalid simulate requests on ``self_healing_cuboid``: a
   decreasing ``x_range``, ``--line-cut=1.5,1`` and ``--grid=-1,5`` (the
   ``=`` form, since argparse reads a bare ``-1,5`` as an option).
 
-With the seven shipped scenarios that makes 62 runs.
+With the seven shipped scenarios that makes 67 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -143,6 +148,18 @@ EXTREME = {
         "optimize",
         (0.0, 1.0, (0.05, -0.05, 0.2, 0.20000000000020002), 1.0, 3, None, 2.846241208551663e-300),
     ),
+    "pinned_solve_rounding": (
+        "optimize",
+        (
+            -8.887629045465305e-84,
+            47.682160334920155,
+            (3.538163208491615e48, -5.927345688447419e95, 9.170806982666714e-55, 44.50407206776284),
+            993.7135445987072,
+            2,
+            1.3414397884608778e99,
+            7.560775913239614e86,
+        ),
+    ),
 }
 BESSEL_FAR_USER = """\
 array:
@@ -156,6 +173,76 @@ beam:
   type: bessel
   theta_deg: 0.0
   alpha_deg: 10.0
+"""
+FOCUS_PHASE_OVERFLOW = """\
+array:
+  n_elements: 64
+  spacing_mode: explicit
+  spacing_m: 0.001
+  carrier_freq_hz: 1.0e+306
+user:
+  x: 0.0
+  y: 1.0e+12
+beam:
+  type: focus
+"""
+_STEERED_BESSEL_HEAD = """\
+array:
+  n_elements: 1024
+  spacing_mode: half_wavelength
+  carrier_freq_hz: 140000000000.0
+user:
+  x: 0.3
+  y: 2.0
+"""
+STEERED_BESSEL = {
+    "steered_bessel_circle": _STEERED_BESSEL_HEAD + """\
+beam:
+  type: bessel
+  theta_deg: 12.0
+  alpha_deg: 30.0
+obstacle:
+  type: circle
+  x: -0.1
+  y: 0.35
+  radius: 0.08
+""",
+    "steered_bessel_rect": _STEERED_BESSEL_HEAD + """\
+beam:
+  type: bessel
+  theta_deg: -8.0
+  alpha_deg: 22.0
+obstacle:
+  type: rect
+  x_r1: 0.25
+  x_r2: 0.05
+  y_n: 0.1
+  y_f: 0.4
+""",
+}
+# The first grid node, (2.225e-311, 0.5), lies on the circle's lowest point.
+CIRCLE_BOUNDARY_POINT = """\
+array:
+  n_elements: 2
+  spacing_mode: explicit
+  spacing_m: 0.0078125
+  carrier_freq_hz: 140000000000.0
+user:
+  x: 0.0
+  y: 1.0
+beam:
+  type: gaussian
+  theta_deg: 0.0
+obstacle:
+  type: circle
+  x: 0.0
+  y: 0.75
+  radius: 0.25
+grid:
+  x_range: [2.225e-311, 0.5]
+  y_range: [0.5, 1.0]
+  nx: 2
+  ny: 2
 """
 
 
@@ -198,6 +285,10 @@ def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
     for label, (command, scene) in EXTREME.items():
         out[f"{command} {label}"] = (planner_scene(*scene), [command])
     out["analyze bessel_far_user"] = (BESSEL_FAR_USER, ["analyze"])
+    out["synthesize focus_phase_overflow"] = (FOCUS_PHASE_OVERFLOW, ["synthesize"])
+    for label, text in STEERED_BESSEL.items():
+        out[f"analyze {label}"] = (text, ["analyze"])
+    out["simulate circle_boundary_point"] = (CIRCLE_BOUNDARY_POINT, ["simulate"])
     compare_text = (shipped / "compare_four_positions.yaml").read_text(encoding="utf-8")
     out["compare --levels 1"] = (compare_text, ["compare", "--levels", "1"])
     smoke_text = (shipped / "smoke_two_element.yaml").read_text(encoding="utf-8")
