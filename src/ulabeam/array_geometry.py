@@ -153,6 +153,8 @@ class CircleObstacle:
     def __post_init__(self) -> None:
         if not self.radius > 0:
             raise ValueError("radius must be positive")
+        if not math.isfinite(self.radius * self.radius):
+            raise ValueError("radius must be small enough that its square is finite")
         if not self.center.y - self.radius > 0:
             raise ValueError("circle must lie strictly in front of the array")
 

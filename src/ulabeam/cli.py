@@ -113,6 +113,8 @@ def _parse_array(node) -> UlaConfig:
     d = _mapping(node, "array")
     n = _integer(_pop(d, "n_elements", "array"), "array.n_elements")
     freq = _number(_pop(d, "carrier_freq_hz", "array"), "array.carrier_freq_hz")
+    if not freq > 0:
+        raise UsageError("array.carrier_freq_hz must be positive")
     mode = _pop(d, "spacing_mode", "array")
     if mode == "half_wavelength":
         spacing = SPEED_OF_LIGHT / freq / 2.0

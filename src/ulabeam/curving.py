@@ -13,7 +13,7 @@ re-solved with the cut pinned, by the same enumeration over pairs of the
 six constraints left. One build of the constraint rows per curvature
 serves the relaxed solve, the pinned solve and the lookup of the KKT row.
 The pinned problem has a feasible vertex in exact arithmetic (proof in
-`_optimize`), so there is no second route; a scene whose rounding loses
+`optimize`), so there is no second route; a scene whose rounding loses
 that vertex is rejected as ill-conditioned. The paper's nine closed-form
 KKT candidates (`kkt_candidates`) are not used by the solve; they stay as
 a cross-check, and a solution reports which of them its vertex is.
@@ -50,8 +50,7 @@ __all__ = [
     "curving_phases",
     "f_para",
     "kkt_candidates",
-    "optimize_positive",
-    "optimize_negative",
+    "optimize",
     "plan_with_fallback",
     "plan_excitation",
 ]
@@ -403,15 +402,18 @@ _MIRROR_NAMES = {
 }
 
 
-def _optimize(s: AvoidanceScenario, sign: int, limit: float = math.inf) -> CurvingResult:
-    """Result of curvature `sign`, its aperture cut pinned at no more than `limit`.
+def optimize(s: AvoidanceScenario, sign: int, limit: float = math.inf) -> CurvingResult:
+    """Result of curvature `sign` (+1 or -1), its aperture cut pinned at no more than `limit`.
 
     One build of the LP in the positive-curvature frame (mirrored rows
     for sign -1; `limit` is in that frame too) serves the relaxed
     solve, the pinned 2-variable solve and the KKT-row lookup. The result
     is mapped back to s and keeps a prefix of the array for sign +1, a
     suffix for sign -1. The relaxed cut is snapped to the last element not
-    past it, then lowered to `limit` (>= -R) if that is smaller.
+    past it, then lowered to `limit` (>= -R) if that is smaller. An
+    infeasible result names the constraint most violated at the
+    least-violating vertex, on s's own side; a sign -1 solution's KKT
+    index refers to the mirrored problem's table.
 
     In exact arithmetic the pinned solve has a feasible vertex, as
     -R <= x_pin <= x_adj.
@@ -424,6 +426,8 @@ def _optimize(s: AvoidanceScenario, sign: int, limit: float = math.inf) -> Curvi
     Rounding can still lose it when the scene's lengths span many orders
     of magnitude; such a scene raises ValueError as ill-conditioned.
     """
+    if sign not in (1, -1):
+        raise ValueError("curvature sign must be +1 or -1")
     g, c = _constraints(s, sign)
     scales = _scales(g, c)
     grad = _objective_grad(s)
@@ -486,42 +490,13 @@ def _optimize(s: AvoidanceScenario, sign: int, limit: float = math.inf) -> Curvi
         x_adj_star=vertex[2],
         x_t_star=x_t_star,
         curvature_sign=sign,
-        # f_para(s, beta, p_tilde, x_t_star); mirroring leaves the gradient as it is.
-        objective_value=float(grad[0] * beta + grad[1] * p_tilde + grad[2] * x_t_star),
+        objective_value=f_para(s, beta, p_tilde, x_t_star),
         active_elements=sign * xs <= sign * x_t_star + s.cfg.spacing * 1e-9,
         kkt_candidate_index=kkt_index,
         relaxed_objective=sign * float(grad @ z_star),
     )
     side = "positive" if sign > 0 else "negative"
     return CurvingResult("solved", sol, f"{side}-curvature trajectory found", relaxed_vertex=vertex)
-
-
-def optimize_positive(s: AvoidanceScenario) -> CurvingResult:
-    """Solve the positive-curvature avoidance LP and build the trajectory.
-
-    Every vertex of the LP (each nonsingular triple of its eight
-    constraints) is computed in one batched solve; the feasible one
-    (normalized slack <= 1e-9) of least objective is the relaxed optimum.
-    The relaxed aperture cut is then projected onto the element grid and
-    the two remaining parameters re-optimized with the cut pinned. With no
-    feasible vertex the result is infeasible and names the constraint most
-    violated at the least-violating vertex.
-    """
-    return _optimize(s, 1)
-
-
-def optimize_negative(s: AvoidanceScenario) -> CurvingResult:
-    """Solve the negative-curvature problem by mirror reduction.
-
-    The LP's rows are those of the scenario reflected about the y-axis
-    (user at -x_u, the edge to clear at -x_r1), solved as in
-    optimize_positive, and the result mapped back (beta, p_tilde,
-    aperture cut and element set all change sign/side; the reported
-    candidate index refers to the mirrored problem's table, and an
-    infeasible result names the violated constraint of the original
-    side). The aperture cut keeps a suffix of the array.
-    """
-    return _optimize(s, -1)
 
 
 def plan_with_fallback(s: AvoidanceScenario) -> AvoidancePlan:
@@ -533,21 +508,21 @@ def plan_with_fallback(s: AvoidanceScenario) -> AvoidancePlan:
     the first element the primary leaves, so the two element sets are
     disjoint. Both signs failing yields a combined infeasibility.
     """
-    pos = optimize_positive(s)
+    pos = optimize(s, 1)
     if pos.status == "unnecessary":
         return AvoidancePlan("unnecessary", pos, None, pos.message)
     if pos.status == "solved":
         remaining = s.cfg.element_xs()[~pos.solution.active_elements]
         if remaining.size == 0:
             return AvoidancePlan("solved", pos, None, "primary uses the full array")
-        neg = _optimize(s, -1, -float(remaining.min()))
+        neg = optimize(s, -1, -float(remaining.min()))
         if neg.status != "solved":
             return AvoidancePlan(
                 "solved", pos, None, "no reverse-curvature secondary for the remaining elements"
             )
         return AvoidancePlan("solved", pos, neg, "primary plus reverse-curvature secondary")
 
-    neg = optimize_negative(s)
+    neg = optimize(s, -1)
     if neg.status == "solved" or neg.status == "unnecessary":
         status = neg.status
         return AvoidancePlan(

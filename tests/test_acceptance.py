@@ -50,7 +50,7 @@ from ulabeam import (
     max_spacing,
     min_elements,
     normalize_power,
-    optimize_positive,
+    optimize,
     plan_excitation,
     plan_with_fallback,
     propagation_limits,
@@ -76,7 +76,7 @@ def kkt_batch(cfg1024):
     scenarios = random_feasible_scenarios(cfg1024, rng, 200)
     batch = []
     for s in scenarios:
-        res = optimize_positive(s)
+        res = optimize(s, 1)
         f_kkt = f_para(s, *res.relaxed_vertex) if res.relaxed_vertex else math.inf
         found = grid_search(s, n=400)
         batch.append((s, res, f_kkt, found))
@@ -184,7 +184,7 @@ def test_c06_optimizer_matches_grid_search(kkt_batch):
                 disagreements.append(s)
         assert len(disagreements) <= 10  # >= 95% of 200
         for s in disagreements:
-            res = optimize_positive(s)
+            res = optimize(s, 1)
             f_kkt = f_para(s, *res.relaxed_vertex)
             f_grid, _ = grid_search(s, n=1600)
             assert f_grid - f_kkt <= grid_tolerance(s, 1600)

@@ -95,6 +95,10 @@ def test_circle_obstacle_validation():
         CircleObstacle(Point2(0.0, 0.24), 0.0)
     with pytest.raises(ValueError):
         CircleObstacle(Point2(0.0, 0.10), 0.14)
+    # contains squares the radius; a square that overflows would mark every point inside
+    with pytest.raises(ValueError, match="square"):
+        CircleObstacle(Point2(0.0, 1e200), 1e199)
+    CircleObstacle(Point2(0.0, 1e200), 1e150)
 
 
 def test_circle_bounding_square():

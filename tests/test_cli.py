@@ -3,7 +3,9 @@
 Proves:
 - Scenario files parse strictly: unknown keys, bad types, bad ranges,
   non-finite numbers and unparseable YAML all exit 2; a missing file
-  exits 4.
+  exits 4. A carrier frequency that is not positive exits 2 with a
+  message naming array.carrier_freq_hz, and so does a circle whose
+  squared radius overflows, through simulate and compare.
 - Importing the CLI does not load scipy.
 - analyze reproduces the printed design numbers (max spacing to five
   significant figures, exact element counts for three spacings), reports
@@ -149,6 +151,7 @@ def test_unknown_top_level_key_exits_2(tmp_path, capsys):
         lambda d: d["user"].update(x=math.nan),
         lambda d: d["beam"].update(theta_deg=math.inf),
         lambda d: d["user"].update(x=10**400),
+        lambda d: d["array"].update(carrier_freq_hz=0.0),
     ],
 )
 def test_bad_scenario_values_exit_2(tmp_path, mangle):
@@ -156,6 +159,33 @@ def test_bad_scenario_values_exit_2(tmp_path, mangle):
     mangle(data)
     path = write_scenario(tmp_path, data)
     assert main(["analyze", "--scenario", path, "--out", str(tmp_path)]) == 2
+
+
+def test_negative_carrier_frequency_is_named(tmp_path, capsys):
+    # the half-wavelength spacing divides by the frequency, so it is checked
+    # first; a negative spacing would otherwise be blamed
+    data = scenario_dict()
+    data["array"]["carrier_freq_hz"] = -140e9
+    path = write_scenario(tmp_path, data)
+    assert main(["analyze", "--scenario", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: array.carrier_freq_hz must be positive\n"
+
+
+def test_circle_whose_radius_squared_overflows_exits_2(tmp_path, capsys):
+    circle = {"type": "circle", "x": 0.0, "y": 1e200, "radius": 1e199}
+    message = "error: radius must be small enough that its square is finite\n"
+    data = scenario_dict(obstacle=circle, grid={"x_range": [-0.8, 0.8], "y_range": [0.02, 2.0], "nx": 4, "ny": 4})
+    data["array"]["n_elements"] = 64
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    data = yaml.safe_load((SCENARIOS / "compare_four_positions.yaml").read_text())
+    data["beams"] = [b for b in data["beams"] if b["type"] != "curving"]
+    data["obstacles"] = [circle]
+    assert main(["compare", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def analyze_report(tmp_path, data, name="a.yaml"):

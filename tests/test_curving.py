@@ -14,12 +14,15 @@ Proves:
    optimum and no feasible row beats it
  - the relaxed and pinned optima equal scipy's HiGHS on the oracle's own
    LP rows, across feasible, unnecessary and infeasible scenes
+ - the grid-search oracle's closed-form x_adj reduction finds the same
+   objective and point as a literal scan of all n^3 grid points
  - mirror reduction is an exact sign map, on a fixed case and a seeded
    random batch; frozen instances reproduce
    pinned numbers including the negative-curvature fallback and the
    unnecessary classification
  - a two-beam plan keeps disjoint element sets and splits the power
    budget evenly; the secondary's cut stops where the primary's ends
+ - optimize takes curvature sign +1 or -1 and nothing else
  - a scene is rejected unless w and every nonzero length lie within
    1e-100..1e100 in magnitude; the vertex enumeration returns a feasible
    vertex even when no objective value compares
@@ -41,15 +44,22 @@ from ulabeam import (
     curving_phases,
     f_para,
     kkt_candidates,
-    optimize_negative,
-    optimize_positive,
+    optimize,
     plan_excitation,
     plan_with_fallback,
     tangent_y,
     trajectory_eval,
 )
 from ulabeam.curving import _best_vertex
-from oracles import highs_optimum, lp_violation, random_feasible_scenarios, solution_geometry_slacks, sweep_scenarios
+from oracles import (
+    grid_search,
+    grid_search_literal,
+    highs_optimum,
+    lp_violation,
+    random_feasible_scenarios,
+    solution_geometry_slacks,
+    sweep_scenarios,
+)
 
 
 def frozen_scenario(cfg) -> AvoidanceScenario:
@@ -95,7 +105,7 @@ def test_tangent_domain_errors():
 
 def test_phase_formula_matches_quadrature(cfg1024):
     s = frozen_scenario(cfg1024)
-    sol = optimize_negative(s).solution
+    sol = optimize(s, -1).solution
     t = sol.trajectory
     exc = curving_phases(cfg1024, t, sol.active_elements)
     xa = cfg1024.element_xs()[sol.active_elements]
@@ -113,7 +123,7 @@ def test_phase_formula_matches_quadrature(cfg1024):
 
 def test_phase_slope_matches_tangent_ray_angle(cfg1024):
     s = frozen_scenario(cfg1024)
-    sol = optimize_negative(s).solution
+    sol = optimize(s, -1).solution
     t = sol.trajectory
     exc = curving_phases(cfg1024, t, sol.active_elements)
     xa = cfg1024.element_xs()[sol.active_elements]
@@ -190,7 +200,7 @@ def test_solved_results_pass_geometric_checks(cfg1024):
     rng = np.random.default_rng(777)
     solved = 0
     for s in random_feasible_scenarios(cfg1024, rng, 20):
-        res = optimize_positive(s)
+        res = optimize(s, 1)
         if res.status != "solved":
             continue
         solved += 1
@@ -205,11 +215,7 @@ def test_solved_results_pass_geometric_checks(cfg1024):
         assert np.array_equal(
             sol.active_elements, xs <= sol.x_t_star + cfg1024.spacing * 1e-9
         )
-        assert_allclose(
-            sol.objective_value,
-            f_para(s, sol.trajectory.beta, sol.p_tilde, sol.x_t_star),
-            rtol=1e-12,
-        )
+        assert sol.objective_value == f_para(s, sol.trajectory.beta, sol.p_tilde, sol.x_t_star)
         # pinning the cut can only cost objective relative to the relaxed LP
         assert sol.objective_value >= sol.relaxed_objective - 1e-9
         assert res.relaxed_vertex is not None
@@ -232,7 +238,7 @@ def test_enumeration_matches_highs():
     # scipy's HiGHS solves the oracle's own LP rows, not the solver's
     seen = set()
     for s in sweep_scenarios(np.random.default_rng(2503), 1000):
-        res = optimize_positive(s)
+        res = optimize(s, 1)
         seen.add(res.status)
         if res.relaxed_vertex is None:
             continue
@@ -248,6 +254,15 @@ def test_enumeration_matches_highs():
     assert seen >= {"solved", "unnecessary", "infeasible"}
 
 
+def test_grid_search_matches_literal_scan(cfg1024):
+    # grid_search reduces the x_adj axis in closed form; the literal
+    # n^3 loop must find the same objective at the same grid point
+    scenes = random_feasible_scenarios(cfg1024, np.random.default_rng(3), 40)
+    for s in scenes:
+        for n in (7, 12):
+            assert grid_search(s, n) == grid_search_literal(s, n)
+
+
 def mirror_pair_status(s: AvoidanceScenario) -> str:
     """Solve s with positive and its mirror image with negative curvature.
 
@@ -260,8 +275,8 @@ def mirror_pair_status(s: AvoidanceScenario) -> str:
         s.cfg,
         s.weight_w,
     )
-    pos = optimize_positive(s)
-    neg = optimize_negative(mirrored)
+    pos = optimize(s, 1)
+    neg = optimize(mirrored, -1)
     assert neg.status == pos.status
     swap = {"aperture lower bound": "aperture upper bound", "aperture upper bound": "aperture lower bound"}
     assert neg.most_violated == swap.get(pos.most_violated, pos.most_violated)
@@ -301,7 +316,7 @@ def test_weight_trades_clearance_for_aperture(cfg1024):
     statuses = []
     prev_cut = -math.inf
     for w in (0.3, 0.8, 1.0, 3.0, 10.0):
-        res = optimize_positive(AvoidanceScenario(user, obstacle, cfg1024, w))
+        res = optimize(AvoidanceScenario(user, obstacle, cfg1024, w), 1)
         statuses.append(res.status)
         # LP sensitivity: a larger aperture reward never shrinks the kept cut
         assert res.relaxed_vertex[2] >= prev_cut - 1e-9
@@ -314,7 +329,7 @@ def test_weight_trades_clearance_for_aperture(cfg1024):
 
 def test_frozen_negative_fallback_instance(cfg1024):
     s = frozen_scenario(cfg1024)
-    pos = optimize_positive(s)
+    pos = optimize(s, 1)
     assert pos.status == "infeasible"
     assert pos.most_violated == "far-corner clearance"
     assert pos.relaxed_vertex is None and pos.solution is None
@@ -347,7 +362,7 @@ def test_frozen_negative_fallback_instance(cfg1024):
 
 def test_frozen_negative_variant(cfg1024):
     s = AvoidanceScenario(Point2(0.0, 1.0), RectObstacle(0.10, -0.90, 0.15, 0.55), cfg1024, 1.0)
-    res = optimize_negative(s)
+    res = optimize(s, -1)
     assert res.status == "solved"
     assert_allclose(res.solution.trajectory.beta, -0.5053644292, rtol=1e-9)
     assert_allclose(res.solution.x_t_star, 0.042292150325, rtol=1e-9)
@@ -357,12 +372,18 @@ def test_frozen_negative_variant(cfg1024):
 
 def test_frozen_unnecessary_plan(cfg1024):
     s = AvoidanceScenario(Point2(-0.05, 1.0), RectObstacle(0.05, -0.90, 0.10, 0.50), cfg1024, 1.0)
-    assert optimize_positive(s).status == "infeasible"
+    assert optimize(s, 1).status == "infeasible"
     plan = plan_with_fallback(s)
     assert plan.status == "unnecessary"
     assert plan.primary.solution is None
     assert plan.primary.relaxed_vertex is not None
     assert abs(plan.primary.relaxed_vertex[0]) < 1e-6
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2, 0.5])
+def test_optimize_rejects_a_sign_other_than_plus_or_minus_one(cfg1024, sign):
+    with pytest.raises(ValueError, match="curvature sign"):
+        optimize(frozen_scenario(cfg1024), sign)
 
 
 # ------------------------------------------------------------------ plans
@@ -393,7 +414,7 @@ def test_secondary_cut_is_bounded_at_the_primary(cfg1024):
     # Alone, the reverse-curvature beam keeps the whole array; in the plan
     # its cut stops at the first element the primary leaves.
     s = AvoidanceScenario(Point2(0.07, 0.86), RectObstacle(0.0, -0.04, 0.46, 0.57), cfg1024, 1.0)
-    assert int(optimize_negative(s).solution.active_elements.sum()) == 1024
+    assert int(optimize(s, -1).solution.active_elements.sum()) == 1024
     plan = plan_with_fallback(s)
     assert plan.status == "solved"
     assert plan.secondary is not None and plan.secondary.status == "solved"

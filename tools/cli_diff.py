@@ -26,12 +26,15 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   an off-axis rect;
 - simulate on a grid whose first node lies on a circle's boundary, with
   a shadow tangent within a subnormal of horizontal;
+- analyze on ``bessel_axis`` at a carrier frequency of 0 Hz, and
+  simulate on ``bessel_axis`` with 64 elements behind a circle of radius
+  1e199 m, whose square overflows;
 - ``compare --levels 1`` and ``simulate --grid 3`` (usage errors);
 - three invalid simulate requests on ``self_healing_cuboid``: a
   decreasing ``x_range``, ``--line-cut=1.5,1`` and ``--grid=-1,5`` (the
   ``=`` form, since argparse reads a bare ``-1,5`` as an option).
 
-With the seven shipped scenarios that makes 67 runs.
+With the seven shipped scenarios that makes 69 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -289,6 +292,13 @@ def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
     for label, text in STEERED_BESSEL.items():
         out[f"analyze {label}"] = (text, ["analyze"])
     out["simulate circle_boundary_point"] = (CIRCLE_BOUNDARY_POINT, ["simulate"])
+    axis_text = (shipped / "bessel_axis.yaml").read_text(encoding="utf-8")
+    zero_freq = axis_text.replace("carrier_freq_hz: 140000000000.0", "carrier_freq_hz: 0.0")
+    out["analyze zero_frequency"] = (zero_freq, ["analyze"])
+    # the circle's radius squared overflows a float
+    circle = "  type: circle\n  x: 0.0\n  y: 1.0e+200\n  radius: 1.0e+199\n"
+    huge_circle = axis_text.replace("n_elements: 1024", "n_elements: 64").replace("  type: none\n", circle)
+    out["simulate huge_circle"] = (huge_circle, ["simulate"])
     compare_text = (shipped / "compare_four_positions.yaml").read_text(encoding="utf-8")
     out["compare --levels 1"] = (compare_text, ["compare", "--levels", "1"])
     smoke_text = (shipped / "smoke_two_element.yaml").read_text(encoding="utf-8")
