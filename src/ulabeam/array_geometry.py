@@ -27,6 +27,10 @@ __all__ = [
 SPEED_OF_LIGHT = 299792458.0
 """Speed of light in vacuum [m/s], CODATA exact value."""
 
+# Obstacle coordinates are bounded so that their shadow geometry (products
+# and squares of lengths) stays finite.
+_FAR = 1e100
+
 
 @dataclass(frozen=True)
 class Point2:
@@ -90,7 +94,7 @@ class RectObstacle:
     """Axis-aligned rectangular obstacle footprint in the xy-plane.
 
     x_r1/x_r2 are the right/left edges, y_n/y_f the near/far edges as seen
-    from the array.
+    from the array; each is at most 1e100 m in magnitude.
     """
 
     x_r1: float
@@ -103,6 +107,8 @@ class RectObstacle:
             raise ValueError("require x_r1 > x_r2")
         if not 0.0 < self.y_n < self.y_f:
             raise ValueError("require 0 < y_n < y_f")
+        if not all(abs(v) <= _FAR for v in (self.x_r1, self.x_r2, self.y_n, self.y_f)):
+            raise ValueError("obstacle edges must be at most 1e100 m in magnitude")
 
     def contains(self, px, py):
         """True where a point lies inside (or on the boundary of) the rectangle; scalars or arrays."""
@@ -145,7 +151,10 @@ class RectObstacle:
 
 @dataclass(frozen=True)
 class CircleObstacle:
-    """Circular obstacle cross-section, strictly in front of the array."""
+    """Circular obstacle cross-section, strictly in front of the array.
+
+    The center's coordinates and the radius are at most 1e100 m in magnitude.
+    """
 
     center: Point2
     radius: float
@@ -153,10 +162,10 @@ class CircleObstacle:
     def __post_init__(self) -> None:
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-        if not math.isfinite(self.radius * self.radius):
-            raise ValueError("radius must be small enough that its square is finite")
         if not self.center.y - self.radius > 0:
             raise ValueError("circle must lie strictly in front of the array")
+        if not all(abs(v) <= _FAR for v in (self.center.x, self.center.y, self.radius)):
+            raise ValueError("circle center and radius must be at most 1e100 m in magnitude")
 
     def contains(self, px, py):
         """True where a point lies inside (or on the boundary of) the circle; scalars or arrays."""

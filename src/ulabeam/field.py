@@ -48,6 +48,23 @@ already zero), each of its entries takes two row dot products, of uv
 with (a, b) and with (b, -a), and the obstacle restores what it zeroed
 for the next one.
 
+A point (x, y) and its mirror (-x, y) share their trig. The element
+positions are exactly symmetric, ``element_xs()[::-1] == -element_xs()``,
+and IEEE subtraction and squaring are symmetric in sign, so the mirror's
+distances are the point's in reverse order, bit for bit, and so are its
+cos and sin. When the undriven elements are mirror-symmetric too, each
+point with x < 0 whose exact mirror is in the call (px[j] == -px[i],
+py[j] == py[i], each point in one pair at most) represents the pair: it
+alone computes r, 1 / r and trig, on every element that it or its partner
+needs (all but the intersection of its common run and its partner's,
+reversed). The partner's row of uv is the representative's reversed, and
+each of the two rows then zeroes its own common run. Every row of uv
+holds the bits it would hold unpaired. A point on x = 0 stays single. A
+curving beam drives one contiguous block of elements, not mirror-symmetric
+unless it is the whole array, so its calls usually pair nothing.
+``field_grid`` builds a symmetric x range mirror-exact, so that every grid
+node off x = 0 finds its partner.
+
 Each sum is one ``np.vecdot`` of a row of uv with a weight row, so its
 bits depend on those two vectors only: not on the chunk's row count, the
 number of threads or the other entries of the call. A row of the result
@@ -62,13 +79,19 @@ squared distance to the nearest element is not a positive normal float
 element), so every r and 1 / r is positive and finite.
 
 Points are processed in chunks of about ``_CHUNK_PAIRS`` = 16,384
-point-element pairs. A chunk holds r (reused for k r) and 1 / r as
-float64 arrays of 128 KB, uv of 256 KB, a boolean mask of the pairs that
-need trig when it skips any, and copies of the runs an obstacle zeroes.
-Larger chunks ran no faster and raised peak memory. Chunks run on a
-thread pool with one thread per CPU this process may use (there is no
-setting); a batch of one chunk runs in the calling thread. Each chunk
-writes its own slice of the output.
+point-element pairs, step = ``_CHUNK_PAIRS`` // N points. A chunk holds r
+(reused for k r) and 1 / r side by side in one float64 array of 256 KB,
+uv of 256 KB, a boolean mask of the pairs that need trig when it skips
+any, and copies of the runs an obstacle zeroes. A paired chunk holds step
+representatives and their step partners: the partners' uv fills the
+array that held r and 1 / r, so it takes trig on step points, writes
+2 step, and needs no more memory than an unpaired chunk. The points in
+no pair follow in chunks of step. A call with no pairs keeps its points
+in order and each chunk writes one slice of the output; otherwise a
+chunk writes its own points. Larger chunks ran no faster and raised peak
+memory. Chunks run on a thread pool with one thread per CPU this process
+may use (there is no setting); a batch of one chunk runs in the calling
+thread.
 
 File formats
 ------------
@@ -151,6 +174,8 @@ class FieldGrid:
     """Complex field sampled on a regular grid.
 
     values, of shape (nx, ny), holds at [ix, iy] the field at (x_coords()[ix], y_coords()[iy]).
+    The nodes are np.linspace's, except that a symmetric x range is made
+    mirror-exact (see ``_grid_axis``).
     """
 
     x_range: tuple[float, float]
@@ -158,10 +183,27 @@ class FieldGrid:
     values: np.ndarray
 
     def x_coords(self) -> np.ndarray:
-        return np.linspace(self.x_range[0], self.x_range[1], self.values.shape[0])
+        return _grid_axis(self.x_range[0], self.x_range[1], self.values.shape[0])
 
     def y_coords(self) -> np.ndarray:
         return np.linspace(self.y_range[0], self.y_range[1], self.values.shape[1])
+
+
+def _grid_axis(lo: float, hi: float, count: int) -> np.ndarray:
+    """count nodes from lo to hi as np.linspace, made mirror-exact on a symmetric range.
+
+    When lo == -hi, node count - 1 - i is -node[i] for i < count // 2 and
+    an odd count's middle node is 0.0. The left half and both ends are
+    np.linspace's; the right half moves by a few ulp of hi, at most 2 on
+    the ranges and sizes of the shipped scenes and the benchmark.
+    """
+    nodes = np.linspace(lo, hi, count)
+    if hi > 0 and lo == -hi:
+        half = count // 2
+        nodes[count - half :] = -nodes[half - 1 :: -1]
+        if count % 2:
+            nodes[half] = 0.0
+    return nodes
 
 
 def gaussian_excitation(cfg: UlaConfig, theta_a: float) -> Excitation:
@@ -199,6 +241,26 @@ def _blocked_runs(obstacle, xs: np.ndarray, px: np.ndarray, py: np.ndarray) -> t
 def _nonempty_runs(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int, int]]:
     """(row, lo, hi) of each row whose run [lo, hi) is not empty, as Python ints."""
     return [(i, a, b) for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())) if b > a]
+
+
+def _mirror_pairs(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (rep, mate) with px[mate] == -px[rep] > 0 and py[mate] == py[rep].
+
+    The points off x = 0 are sorted stably by (|x|, y), those with x < 0
+    first, so a point with x < 0 sits just before its mirror unless an
+    equal point comes between them; such points stay single.
+    """
+    neg, pos = np.flatnonzero(px < 0), np.flatnonzero(px > 0)
+    if not (neg.size and pos.size):
+        return neg[:0], pos[:0]
+    # Complex keys sort by real part, then imaginary part.
+    key = np.empty(neg.size + pos.size, dtype=complex)
+    key.real[: neg.size], key.real[neg.size :] = -px[neg], px[pos]
+    key.imag[: neg.size], key.imag[neg.size :] = py[neg], py[pos]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero((key[1:] == key[:-1]) & (order[:-1] < neg.size) & (order[1:] >= neg.size))
+    return neg[order[first]], pos[order[first + 1] - neg.size]
 
 
 def _workers() -> int:
@@ -267,60 +329,93 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
     common_lo = np.maximum.reduce([lo for lo, _ in runs])
     common_hi = np.maximum(common_lo, np.minimum.reduce([hi for _, hi in runs]))
     last = len(runs) - 1
+    # Mirror pairs share their trig when the undriven elements are mirrored too.
+    if silent and not np.array_equal(live_elements, live_elements[::-1]):
+        rep = np.empty(0, dtype=np.intp)
+    else:
+        rep, mate = _mirror_pairs(px, py)
+    step = max(1, _CHUNK_PAIRS // n)
+    # A chunk is its representatives, a slice or indices, and their partners or None.
+    if rep.size:
+        unpaired = np.ones(px.shape, dtype=bool)
+        unpaired[rep] = unpaired[mate] = False
+        single = np.flatnonzero(unpaired)
+        chunks = [(rep[i : i + step], mate[i : i + step]) for i in range(0, rep.size, step)]
+        chunks += [(single[i : i + step], None) for i in range(0, single.size, step)]
+    else:
+        chunks = [(slice(start, start + step), None) for start in range(0, px.shape[0], step)]
 
     out = np.empty((len(entries), px.shape[0]), dtype=complex)
-    step = max(1, _CHUNK_PAIRS // n)
 
-    def chunk(start: int) -> None:
-        sl = slice(start, start + step)
-        cpy = py[sl]
-        r = np.subtract.outer(px[sl], xs)
+    def chunk(task) -> None:
+        reps, mates = task
+        cpy = py[reps]
+        m = cpy.shape[0]
+        if mates is None:
+            skip = _nonempty_runs(common_lo[reps], common_hi[reps])
+        else:
+            # A representative skips trig only where its partner does too:
+            # on the intersection of its run and its partner's, reversed.
+            lo = np.maximum(common_lo[reps], n - common_hi[mates])
+            skip = _nonempty_runs(lo, np.minimum(common_hi[reps], n - common_lo[mates]))
+        masked = bool(skip) or silent
+        # uv holds cos(k r) / r and sin(k r) / r, side by side in each row;
+        # spare holds r and 1 / r, then the partners' uv of a paired chunk.
+        uv = np.zeros((m, 2, n)) if masked else np.empty((m, 2, n))
+        spare = np.empty((m, 2, n))
+        r, inv = spare.reshape(2, m, n)
+        np.subtract.outer(px[reps], xs, out=r)
         r *= r
         r += (cpy * cpy)[:, np.newaxis]
         np.sqrt(r, out=r)
-        inv = np.divide(1.0, r)
+        np.divide(1.0, r, out=inv)
         kr = np.multiply(r, k, out=r)
-        m = kr.shape[0]
-        common = _nonempty_runs(common_lo[sl], common_hi[sl])
-        # uv holds cos(k r) / r and sin(k r) / r, side by side in each row.
-        if common or silent:
+        if masked:
             live = np.repeat(live_elements[np.newaxis], m, axis=0)
-            for i, lo, hi in common:
+            for i, lo, hi in skip:
                 live[i, lo:hi] = False
-            uv = np.zeros((m, 2, n))
             np.cos(kr, out=uv[:, 0], where=live)
             np.sin(kr, out=uv[:, 1], where=live)
         else:
-            uv = np.empty((m, 2, n))
             np.cos(kr, out=uv[:, 0])
             np.sin(kr, out=uv[:, 1])
         uv *= inv[:, np.newaxis]
-        rows = uv.reshape(m, 2 * n)
-        for j, ((lo, hi), ts) in enumerate(zip(runs, members)):
-            # With one obstacle its run is the common run, already zeroed.
-            hidden = _nonempty_runs(lo[sl], hi[sl]) if last else ()
-            # Zero this obstacle's runs, saving them for the next obstacle.
-            saved = [(i, a, b, uv[i, :, a:b].copy()) for i, a, b in hidden] if j < last else ()
-            for i, a, b in hidden:
-                uv[i, :, a:b] = 0.0
-            # One row dot product per entry and part: bit-identical whatever
-            # the chunk's row count and the number of entries.
-            sums = np.vecdot(rows[:, np.newaxis], stacks[j])
-            out.real[ts, sl] = sums[:, 0::2].T
-            out.imag[ts, sl] = sums[:, 1::2].T
-            for i, a, b, values in saved:
-                uv[i, :, a:b] = values
+        blocks = [(uv, reps)]
+        if mates is not None:
+            # A partner's row is its representative's, reversed; then each
+            # row zeroes its own common run.
+            spare[:] = uv[:, :, ::-1]
+            blocks.append((spare, mates))
+            for block, points in blocks:
+                for i, lo, hi in _nonempty_runs(common_lo[points], common_hi[points]):
+                    block[i, :, lo:hi] = 0.0
+        for block, points in blocks:
+            rows = block.reshape(m, 2 * n)
+            for j, ((lo, hi), ts) in enumerate(zip(runs, members)):
+                # With one obstacle its run is the common run, already zeroed.
+                hidden = _nonempty_runs(lo[points], hi[points]) if last else ()
+                # Zero this obstacle's runs, saving them for the next obstacle.
+                saved = [(i, a, b, block[i, :, a:b].copy()) for i, a, b in hidden] if j < last else ()
+                for i, a, b in hidden:
+                    block[i, :, a:b] = 0.0
+                # One row dot product per entry and part: bit-identical
+                # whatever the chunk's row count and the number of entries.
+                sums = np.vecdot(rows[:, np.newaxis], stacks[j])
+                cells = (ts, points) if rep.size == 0 else np.ix_(ts, points)
+                out.real[cells] = sums[:, 0::2].T
+                out.imag[cells] = sums[:, 1::2].T
+                for i, a, b, values in saved:
+                    block[i, :, a:b] = values
 
-    starts = range(0, px.shape[0], step)
-    workers = min(len(starts), _workers())
+    workers = min(len(chunks), _workers())
     if workers <= 1:
-        for start in starts:
-            chunk(start)
+        for task in chunks:
+            chunk(task)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(chunk, starts))
+            list(pool.map(chunk, chunks))
     for obstacle, ts in zip(obstacles, members):
         if obstacle is not None:
             out[np.ix_(ts, obstacle.contains(px, py))] = complex(np.nan, np.nan)
@@ -350,7 +445,7 @@ def field_grid(
         raise ValueError("nx and ny must be >= 2")
     if x_range[1] <= x_range[0] or y_range[1] <= y_range[0]:
         raise ValueError("ranges must be increasing")
-    x = np.linspace(x_range[0], x_range[1], nx)
+    x = _grid_axis(x_range[0], x_range[1], nx)
     y = np.linspace(y_range[0], y_range[1], ny)
     gx, gy = np.meshgrid(x, y, indexing="ij")
     values = field_points_per_entry(cfg, ((exc, obstacle),), gx.ravel(), gy.ravel())[0].reshape(nx, ny)

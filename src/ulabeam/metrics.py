@@ -46,7 +46,12 @@ class ErrorBox:
             raise ValueError("at least 2 samples per axis")
 
     def sample_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened (x, y) coordinates of the nx-by-ny sample grid."""
+        """Flattened (x, y) coordinates of the nx-by-ny sample grid.
+
+        The nodes are np.linspace's: a box centered on x = 0 is not made
+        mirror-exact as field_grid's x axis is, so only its exactly
+        mirrored nodes share their trig in the field kernel.
+        """
         x = np.linspace(self.center.x - self.half_width_x, self.center.x + self.half_width_x, self.nx)
         y = np.linspace(self.center.y - self.half_width_y, self.center.y + self.half_width_y, self.ny)
         gx, gy = np.meshgrid(x, y, indexing="ij")

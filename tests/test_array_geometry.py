@@ -2,7 +2,10 @@
 
 Proves:
  - element x-coordinates follow the centered 1-based layout, ascending, with
-   the end elements at minus and plus the half-aperture
+   the end elements at minus and plus the half-aperture, and are exactly
+   mirror-symmetric: reversed, they equal their own negatives, for random
+   element counts and spacings
+ - obstacle edges, circle centers and radii above 1e100 m are rejected
  - half-aperture, wavelength, and wavenumber arithmetic
  - obstacle invariant violations raise
  - the bounding square of a circle has the expected corners
@@ -63,6 +66,18 @@ def test_element_xs_matches_scalar_accessor(cfg1024):
     assert_allclose(cfg1024.half_aperture(), 0.547656579525, rtol=1e-12)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from((2, 3, 1024)), st.integers(2, 5000)), st.floats(-300.0, 300.0))
+def test_element_xs_are_mirror_exact(n, log_spacing):
+    # the field kernel's mirror pairs rest on this: (x, y) and (-x, y) see
+    # distances that are each other's reversed, bit for bit
+    xs = UlaConfig(n, 10.0**log_spacing, 140e9).element_xs()
+    # equal floats are equal bits, except that an odd array's middle
+    # element is 0.0 and its negative -0.0, which squaring makes equal
+    assert np.array_equal(xs[::-1], -xs)
+    assert np.count_nonzero(xs == 0.0) == n % 2
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         UlaConfig(n_elements=1, spacing=1.0, carrier_freq=1e9)
@@ -87,6 +102,11 @@ def test_rect_obstacle_validation():
         RectObstacle(0.14, -0.14, 0.57, 0.10)
     with pytest.raises(ValueError):
         RectObstacle(0.14, -0.14, -0.10, 0.57)
+    # every edge is at most 1e100 m in magnitude, where shadow stays finite
+    for edges in ((1e308, -1e308, 0.1, 0.5), (0.1, -2e100, 0.3, 0.5), (2e100, 0.1, 0.3, 0.5), (0.1, -0.1, 0.3, 1.5e100)):
+        with pytest.raises(ValueError, match="^obstacle edges must be at most 1e100 m in magnitude$"):
+            RectObstacle(*edges)
+    RectObstacle(1e100, -1e100, 1e-300, 1e100)
 
 
 def test_circle_obstacle_validation():
@@ -95,10 +115,20 @@ def test_circle_obstacle_validation():
         CircleObstacle(Point2(0.0, 0.24), 0.0)
     with pytest.raises(ValueError):
         CircleObstacle(Point2(0.0, 0.10), 0.14)
-    # contains squares the radius; a square that overflows would mark every point inside
-    with pytest.raises(ValueError, match="square"):
-        CircleObstacle(Point2(0.0, 1e200), 1e199)
-    CircleObstacle(Point2(0.0, 1e200), 1e150)
+    # the center and radius are at most 1e100 m in magnitude, so contains and
+    # shadow stay finite (a radius whose square overflows would put every
+    # point inside)
+    message = "^circle center and radius must be at most 1e100 m in magnitude$"
+    for center, radius in (
+        ((0.0, 1e200), 1e199),
+        ((0.0, 1e200), 1e150),
+        ((1e200, 0.5), 0.25),
+        ((-2e100, 0.5), 0.25),
+        ((0.0, 3e100), 2e100),
+    ):
+        with pytest.raises(ValueError, match=message):
+            CircleObstacle(Point2(*center), radius)
+    CircleObstacle(Point2(-1e100, 1e100), 1e99)
 
 
 def test_circle_bounding_square():

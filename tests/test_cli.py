@@ -4,8 +4,10 @@ Proves:
 - Scenario files parse strictly: unknown keys, bad types, bad ranges,
   non-finite numbers and unparseable YAML all exit 2; a missing file
   exits 4. A carrier frequency that is not positive exits 2 with a
-  message naming array.carrier_freq_hz, and so does a circle whose
-  squared radius overflows, through simulate and compare.
+  message naming array.carrier_freq_hz. A rect edge, circle center
+  coordinate or radius above 1e100 m exits 2 with the obstacle's own
+  message, through simulate and analyze, and through simulate and
+  compare for a circle whose squared radius overflows.
 - Importing the CLI does not load scipy.
 - analyze reproduces the printed design numbers (max spacing to five
   significant figures, exact element counts for three spacings), reports
@@ -36,7 +38,7 @@ Proves:
   ones, always writing the plan JSON.
 - Scenes whose numbers reach across the float range (up to three of
   them +-m 10^e with e in [-300, 307], in otherwise ordinary scenes, and
-  six regression scenes) make analyze, optimize and synthesize exit 0, 2
+  ten regression scenes) make analyze, optimize and synthesize exit 0, 2
   or 3, never raise, and write only standard JSON; analyze exits 2 and
   writes nothing when the element count for the user overflows.
 - Repeated runs produce byte-identical data files.
@@ -173,7 +175,7 @@ def test_negative_carrier_frequency_is_named(tmp_path, capsys):
 
 def test_circle_whose_radius_squared_overflows_exits_2(tmp_path, capsys):
     circle = {"type": "circle", "x": 0.0, "y": 1e200, "radius": 1e199}
-    message = "error: radius must be small enough that its square is finite\n"
+    message = "error: circle center and radius must be at most 1e100 m in magnitude\n"
     data = scenario_dict(obstacle=circle, grid={"x_range": [-0.8, 0.8], "y_range": [0.02, 2.0], "nx": 4, "ny": 4})
     data["array"]["n_elements"] = 64
     out = tmp_path / "out"
@@ -186,6 +188,31 @@ def test_circle_whose_radius_squared_overflows_exits_2(tmp_path, capsys):
     assert main(["compare", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == 2
     assert capsys.readouterr().err == message
     assert not out.exists()
+
+
+# Obstacles far beyond 1e100 m, whose shadow geometry once overflowed.
+FAR_RECT = {"type": "rect", "x_r1": 1e308, "x_r2": -1e308, "y_n": 0.1, "y_f": 0.5}
+FAR_CIRCLE = {"type": "circle", "x": 1e200, "y": 0.5, "radius": 0.25}
+
+
+@pytest.mark.parametrize(
+    "obstacle, message",
+    [
+        (FAR_RECT, "error: obstacle edges must be at most 1e100 m in magnitude\n"),
+        (FAR_CIRCLE, "error: circle center and radius must be at most 1e100 m in magnitude\n"),
+    ],
+    ids=["rect", "circle"],
+)
+def test_far_obstacle_exits_2(tmp_path, capsys, obstacle, message):
+    # simulate warned of overflow in the obstacle's shadow and exited 0
+    data = scenario_dict(obstacle=obstacle, grid={"x_range": [-0.8, 0.8], "y_range": [0.02, 2.0], "nx": 4, "ny": 4})
+    data["array"]["n_elements"] = 64
+    data["beam"] = {"type": "bessel", "theta_deg": 0.0, "alpha_deg": 20.0}
+    for command in ("simulate", "analyze"):
+        out = tmp_path / command
+        assert main([command, "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
 
 def analyze_report(tmp_path, data, name="a.yaml"):
@@ -958,6 +985,10 @@ def reject_constant(name):
         993.7135445987072,
     )
 )
+# a 64-element Bessel beam behind a rect whose x edges are +-1e308 m
+@example({**extreme_dict(64, None, 140e9, (0.0, 1.0), {"type": "bessel", "theta_deg": 0.0, "alpha_deg": 10.0}), "obstacle": FAR_RECT})
+# the same beam behind a circle 1e200 m to the side
+@example({**extreme_dict(64, None, 140e9, (0.0, 1.0), {"type": "bessel", "theta_deg": 0.0, "alpha_deg": 10.0}), "obstacle": FAR_CIRCLE})
 def test_extreme_scenes_exit_cleanly(scene):
     # numbers across the whole float range end in a result (0), a rejected
     # scene (2) or no beam (3): never a traceback, never non-standard JSON

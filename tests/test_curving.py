@@ -472,9 +472,8 @@ def test_scenario_validation(cfg1024):
         (Point2(-1e101, 1.0), rect, cfg1024),
         (Point2(1e-101, 1.0), rect, cfg1024),
         (Point2(0.0, 1.0), RectObstacle(1e-101, -0.1, 0.3, 0.5), cfg1024),
-        (Point2(0.0, 1.0), RectObstacle(0.1, -2e100, 0.3, 0.5), cfg1024),
         (Point2(0.0, 1.0), RectObstacle(0.1, -0.1, 1e-101, 0.5), cfg1024),
-        (Point2(0.0, 2e100), RectObstacle(0.1, -0.1, 0.3, 1.5e100), cfg1024),
+        (Point2(0.0, 2e100), RectObstacle(0.1, -0.1, 0.3, 0.5), cfg1024),
         # R = 1e101 m
         (Point2(0.0, 1.0), rect, UlaConfig(3, 1e101, 140e9)),
     ]

@@ -44,6 +44,17 @@ Proves:
    N in {2, 3, 1024} and random arrays, points far off, beside the array,
    between elements and right above one
  - field_grid checks its size and ranges before any field is computed
+ - a grid axis on a symmetric range is mirror-exact, with np.linspace's
+   ends and left half, and its right half within 2 ulp of the range end of
+   np.linspace on the shipped and benchmark ranges (5 ulp on random ranges);
+   an asymmetric axis is np.linspace bit for bit; x_coords() and
+   y_coords() are the nodes the kernel evaluated, bit for bit
+ - appending the exact mirror (-x, y) of every point, which the kernel
+   pairs with it to share one trig evaluation, leaves every original row
+   bit for bit that of the call without them, and the mirrors those of a
+   call on their own and of the dense reference, for chunk sizes, worker
+   counts, array sizes, obstacle mixes, duplicate points and undriven sets
+   that are mirror-symmetric or not
 """
 
 import csv
@@ -86,7 +97,7 @@ from ulabeam import (
     write_field_pgm,
 )
 from ulabeam.cli import load_scenario, main
-from ulabeam.field import _blocked_runs
+from ulabeam.field import _blocked_runs, _grid_axis
 
 DEG = math.pi / 180.0
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -471,6 +482,64 @@ def test_field_grid_validation(monkeypatch):
             field_grid(cfg, exc, x_range, y_range, nx, ny)
 
 
+def assert_mirror_exact_axis(x, h, moved_ulps):
+    """x spans [-h, h] mirror-exactly, with np.linspace's left half and ends, within moved_ulps of it."""
+    n = x.size
+    reference = np.linspace(-h, h, n)
+    assert x[0] == -h and x[-1] == h
+    assert np.array_equal(x[: n // 2].view(np.uint64), reference[: n // 2].view(np.uint64))
+    assert np.array_equal(x[::-1], -x)
+    if n % 2:
+        assert x[n // 2].hex() == "0x0.0p+0"
+    assert np.all(np.abs(x - reference) <= moved_ulps * np.spacing(h))
+
+
+@pytest.mark.parametrize("h", (0.2, 0.7, 0.8, 1.5))
+@pytest.mark.parametrize("n", (2, 3, 40, 80, 81, 300, 301, 2001))
+def test_symmetric_grid_axes_are_mirror_exact(h, n):
+    # the shipped and benchmark ranges move by at most 2 ulp of the range end
+    x = field_grid(two_element_cfg(), gaussian_excitation(two_element_cfg(), 0.0), (-h, h), (0.5, 1.0), n, 2).x_coords()
+    assert_mirror_exact_axis(x, h, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(-8.0, 8.0), st.integers(2, 3000))
+def test_any_symmetric_axis_is_mirror_exact(log_h, n):
+    # node i is fl(fl(i * s) - h) with s = fl(2h / (n - 1)); a right node and
+    # minus its mirror differ by the rounding of s times n - 1 (2 ulp of h),
+    # of the two products (1 ulp each) and of the two sums (1/2 ulp each)
+    h = 10.0**log_h
+    assert_mirror_exact_axis(_grid_axis(-h, h, n), h, 5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(-10.0, 10.0), st.floats(1e-6, 20.0), st.integers(2, 3000))
+def test_asymmetric_axes_are_linspace(lo, width, n):
+    hi = lo + width
+    if lo == -hi:
+        hi = math.nextafter(hi, math.inf)
+    assert np.array_equal(_grid_axis(lo, hi, n).view(np.uint64), np.linspace(lo, hi, n).view(np.uint64))
+
+
+@pytest.mark.parametrize("x_range", ((-0.7, 0.7), (-0.2, 0.5)))
+def test_x_coords_are_the_evaluated_nodes(monkeypatch, x_range):
+    cfg = two_element_cfg()
+    seen = []
+
+    def recording_kernel(cfg, entries, px, py):
+        seen.append((px, py))
+        return np.zeros((len(entries), px.size), dtype=complex)
+
+    monkeypatch.setattr(ulabeam.field, "field_points_per_entry", recording_kernel)
+    grid = field_grid(cfg, gaussian_excitation(cfg, 0.0), x_range, (0.5, 1.5), 81, 7)
+    (px, py), = seen
+    # values[ix, iy] is the field at (x_coords()[ix], y_coords()[iy])
+    nodes = np.meshgrid(grid.x_coords(), grid.y_coords(), indexing="ij")
+    for evaluated, node in zip((px, py), nodes):
+        assert np.array_equal(evaluated.view(np.uint64), node.ravel().view(np.uint64))
+    assert np.array_equal(grid.y_coords(), np.linspace(0.5, 1.5, 7))
+
+
 def _tiny_grid() -> FieldGrid:
     values = np.array(
         [[1.0 + 0.0j, 0.0 + 2.0j], [-1.0 + 0.0j, complex(math.nan, math.nan)]]
@@ -528,7 +597,7 @@ def _chunk_case_rows() -> np.ndarray:
     """_chunk_case_grid for every case, from one call with an entry per case."""
     cfg = UlaConfig(1024, 1.07e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
-    gx, gy = np.meshgrid(np.linspace(-0.3, 0.3, 31), np.linspace(0.1, 1.0, 23), indexing="ij")
+    gx, gy = np.meshgrid(_grid_axis(-0.3, 0.3, 31), np.linspace(0.1, 1.0, 23), indexing="ij")
     entries = [(exc, obstacle) for obstacle in CHUNK_CASES]
     return field_points_per_entry(cfg, entries, gx.ravel(), gy.ravel()).reshape(-1, 31, 23)
 
@@ -742,6 +811,50 @@ def test_entry_rows_match_dense_reference_and_single_entry_calls(case):
                     assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
     for (exc, obstacle), single in zip(entries, singles):
         assert_matches_element_oracle(cfg, exc, obstacle, px, py, single)
+
+
+def mirrored_silence(exc: Excitation) -> Excitation:
+    """exc with every element undriven whose mirror image is undriven."""
+    silent = exc.magnitudes == 0.0
+    return Excitation(np.where(silent | silent[::-1], 0.0, exc.magnitudes), exc.phases)
+
+
+@st.composite
+def mirrored_case(draw):
+    """entries_case with the exact mirror (-x, y) of every point off x = 0 appended.
+
+    The undriven elements of the excitations are mirror-symmetric or
+    drawn at random (usually not); a few points may appear twice.
+    """
+    cfg, entries, px, py = draw(entries_case())
+    if draw(st.booleans()):
+        entries = [(mirrored_silence(exc), obstacle) for exc, obstacle in entries]
+    off_axis = px != 0.0
+    qx, qy = np.concatenate((px, -px[off_axis])), np.concatenate((py, py[off_axis]))
+    twice = draw(st.lists(st.integers(0, qx.size - 1), max_size=3))
+    return cfg, entries, px, py, np.append(qx, qx[twice]), np.append(qy, qy[twice])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mirrored_case())
+def test_mirrored_points_keep_the_bits_of_the_call_without_them(case):
+    cfg, entries, px, py, qx, qy = case
+    alone = field_points_per_entry(cfg, entries, px, py)
+    # the appended points, evaluated on their own
+    tail = field_points_per_entry(cfg, entries, qx[px.size :], qy[px.size :])
+    want = dense_field(cfg.element_xs(), cfg.wavenumber(), entries, qx, qy)
+    # points equal up to the sign of x pair at least once
+    assert ulabeam.field._mirror_pairs(qx, qy)[0].size >= len({(abs(x), y) for x, y in zip(px, py) if x != 0})
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk_pairs in (1, 7, 16_384, 10**9):
+            mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
+            for workers in (1, 2):
+                mp.setattr(ulabeam.field, "_workers", lambda: workers)
+                rows = field_points_per_entry(cfg, entries, qx, qy)
+                # equal bits: equal values, NaN positions and signs of zero
+                assert np.array_equal(rows[:, : px.size].view(np.uint64), alone.view(np.uint64))
+                assert np.array_equal(rows[:, px.size :].view(np.uint64), tail.view(np.uint64))
+                assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
 
 
 def test_point_whose_distance_overflows_is_rejected():

@@ -29,12 +29,17 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
 - analyze on ``bessel_axis`` at a carrier frequency of 0 Hz, and
   simulate on ``bessel_axis`` with 64 elements behind a circle of radius
   1e199 m, whose square overflows;
+- simulate and analyze on ``bessel_axis`` with 64 elements behind a rect
+  whose x edges are +-1e308 m and behind a circle of radius 0.25 m
+  centered 1e200 m to the side;
+- simulate on ``bessel_axis`` at ``--grid 81,40``, whose odd node count
+  puts the middle x node on 0.0;
 - ``compare --levels 1`` and ``simulate --grid 3`` (usage errors);
 - three invalid simulate requests on ``self_healing_cuboid``: a
   decreasing ``x_range``, ``--line-cut=1.5,1`` and ``--grid=-1,5`` (the
   ``=`` form, since argparse reads a bare ``-1,5`` as an option).
 
-With the seven shipped scenarios that makes 69 runs.
+With the seven shipped scenarios that makes 74 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -249,6 +254,13 @@ grid:
 """
 
 
+# Obstacles of bessel_axis at 64 elements: label -> obstacle mapping.
+FAR_OBSTACLES = {
+    "far_rect": "  type: rect\n  x_r1: 1.0e+308\n  x_r2: -1.0e+308\n  y_n: 0.1\n  y_f: 0.5\n",
+    "far_circle": "  type: circle\n  x: 1.0e+200\n  y: 0.5\n  radius: 0.25\n",
+}
+
+
 def planner_scene(
     x_u: float, y_u: float, rect: tuple, w: float, n: int = 1024, spacing: float | None = None, freq: float = 140e9
 ) -> str:
@@ -299,6 +311,13 @@ def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
     circle = "  type: circle\n  x: 0.0\n  y: 1.0e+200\n  radius: 1.0e+199\n"
     huge_circle = axis_text.replace("n_elements: 1024", "n_elements: 64").replace("  type: none\n", circle)
     out["simulate huge_circle"] = (huge_circle, ["simulate"])
+    # obstacles beyond 1e100 m, whose shadow geometry overflowed
+    for label, obstacle in FAR_OBSTACLES.items():
+        far = axis_text.replace("n_elements: 1024", "n_elements: 64").replace("  type: none\n", obstacle)
+        for command in ("simulate", "analyze"):
+            out[f"{command} {label}"] = (far, [command])
+    # an odd grid size puts the middle x node of the symmetric range on 0.0
+    out["simulate bessel_axis --grid 81,40"] = (axis_text, ["simulate", "--grid", "81,40"])
     compare_text = (shipped / "compare_four_positions.yaml").read_text(encoding="utf-8")
     out["compare --levels 1"] = (compare_text, ["compare", "--levels", "1"])
     smoke_text = (shipped / "smoke_two_element.yaml").read_text(encoding="utf-8")
