@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: analyze, synthesize, simulate, compare, optimize. Scenarios
-are YAML files (strict schema, unknown keys rejected); angles are degrees
-in files and flags, radians internally. Outputs are deterministic: JSON
-reports use sorted keys, CSV floats are repr-formatted, nothing carries a
-timestamp. Exit codes: 0 success, 2 usage or validation, 3 optimizer did
-not produce a beam, 4 I/O failure.
+are YAML files (strict schema, unknown and duplicate keys rejected);
+angles are degrees in files and flags, radians internally. Outputs are
+deterministic: JSON reports use sorted keys, CSV floats are
+repr-formatted, nothing carries a timestamp. Exit codes: 0 success, 2
+usage or validation, 3 optimizer did not produce a beam, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -67,6 +67,32 @@ class PlanNotSolved(Exception):
 
 
 # -- scenario file parsing ------------------------------------------------
+
+
+class _UniqueKeys:
+    """Loader mixin: a mapping that repeats a key is a ConstructorError.
+
+    It overrides only the constructor, so it serves the pure-Python and the
+    libyaml safe loaders alike. Keys merged in with ``<<`` may be overridden.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        merge = "tag:yaml.org,2002:merge"
+        own = [key for key, _ in node.value if key.tag != merge] if isinstance(node, yaml.MappingNode) else []
+        mapping = super().construct_mapping(node, deep=deep)
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark, f"found duplicate key {key!r}", key_node.start_mark
+                )
+            seen.add(key)
+        return mapping
+
+
+class _ScenarioLoader(_UniqueKeys, yaml.SafeLoader):
+    pass
 
 
 def _mapping(node, ctx: str) -> dict:
@@ -212,7 +238,7 @@ def _parse_error_box(node, user: Point2) -> ErrorBox:
 def load_scenario(path: str, compare: bool = False) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_ScenarioLoader)
         except yaml.YAMLError as e:
             raise UsageError(f"cannot parse scenario file {path}: {e}") from e
     d = _mapping(raw, "scenario file")

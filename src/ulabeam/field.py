@@ -42,11 +42,11 @@ pairs no entry needs: the elements hidden under every obstacle (the
 intersection [max_j lo_j, min_j hi_j) of the obstacles' runs) and the
 elements of zero weight in every excitation (the undriven ones); uv is
 zero there. A chunk with nothing to skip takes cos and sin on every
-pair. The entries are grouped by obstacle: each obstacle
-zeroes uv on its own runs (a lone obstacle's run is the common run,
-already zero), each of its entries takes two row dot products, of uv
-with (a, b) and with (b, -a), and the obstacle restores what it zeroed
-for the next one.
+pair. The entries are grouped by obstacle: each obstacle zeroes uv on
+its own runs (a lone obstacle's runs are the common runs, already zero
+in a chunk that holds no partners), each of its entries takes two row
+dot products, of uv with (a, b) and with (b, -a), and the obstacle
+restores what it zeroed for the next one.
 
 A point (x, y) and its mirror (-x, y) share their trig. The element
 positions are exactly symmetric, ``element_xs()[::-1] == -element_xs()``,
@@ -58,10 +58,11 @@ py[j] == py[i], each point in one pair at most) represents the pair: it
 alone computes r, 1 / r and trig, on every element that it or its partner
 needs (all but the intersection of its common run and its partner's,
 reversed). The partner's row of uv is the representative's reversed, and
-each of the two rows then zeroes its own common run. Every row of uv
-holds the bits it would hold unpaired. A point on x = 0 stays single. A
-curving beam drives one contiguous block of elements, not mirror-symmetric
-unless it is the whole array, so its calls usually pair nothing.
+each obstacle then zeroes its own runs on both rows. Under each
+obstacle, every row of uv holds the bits it would hold unpaired. A point
+on x = 0 stays single. A curving beam drives one contiguous block of
+elements, not mirror-symmetric unless it is the whole array, so its
+calls usually pair nothing.
 ``field_grid`` builds a symmetric x range mirror-exact, so that every grid
 node off x = 0 finds its partner.
 
@@ -82,16 +83,20 @@ Points are processed in chunks of about ``_CHUNK_PAIRS`` = 16,384
 point-element pairs, step = ``_CHUNK_PAIRS`` // N points. A chunk holds r
 (reused for k r) and 1 / r side by side in one float64 array of 256 KB,
 uv of 256 KB, a boolean mask of the pairs that need trig when it skips
-any, and copies of the runs an obstacle zeroes. A paired chunk holds step
-representatives and their step partners: the partners' uv fills the
-array that held r and 1 / r, so it takes trig on step points, writes
-2 step, and needs no more memory than an unpaired chunk. The points in
-no pair follow in chunks of step. A call with no pairs keeps its points
-in order and each chunk writes one slice of the output; otherwise a
-chunk writes its own points. Larger chunks ran no faster and raised peak
-memory. Chunks run on a thread pool with one thread per CPU this process
-may use (there is no setting); a batch of one chunk runs in the calling
-thread.
+any, and copies of the runs an obstacle zeroes. The points are put once
+in chunk order: the representatives, the points in no pair, then the
+partners. Chunks cut the first two groups into runs of step points, and
+the partners of a chunk's representatives come with it; so a chunk
+holds representatives, points in no pair or both, and reads and writes
+only slices of arrays in chunk order. One scatter per call puts the
+result back in the caller's order. The partners' uv fills the array
+that held r and 1 / r, so a chunk takes trig on step points at most,
+writes up to 2 step, and needs no more memory than a chunk without
+partners. Larger chunks ran no faster and raised peak memory. Every
+batch runs on a thread pool of at most one thread per CPU this process
+may use (there is no setting); the pool starts a thread per chunk up to
+that bound, so a batch of one chunk runs on one pool thread and an
+empty batch starts none.
 
 File formats
 ------------
@@ -251,8 +256,6 @@ def _mirror_pairs(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarra
     equal point comes between them; such points stay single.
     """
     neg, pos = np.flatnonzero(px < 0), np.flatnonzero(px > 0)
-    if not (neg.size and pos.size):
-        return neg[:0], pos[:0]
     # Complex keys sort by real part, then imaginary part.
     key = np.empty(neg.size + pos.size, dtype=complex)
     key.real[: neg.size], key.real[neg.size :] = -px[neg], px[pos]
@@ -322,49 +325,46 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
     # Elements of zero weight in every excitation.
     live_elements = np.any([exc.magnitudes != 0.0 for exc, _ in entries], axis=0)
     silent = not live_elements.all()
-    # Free space hides the empty run [0, 0).
-    clear = np.zeros(px.shape, dtype=np.intp)
-    runs = [(clear, clear) if obstacle is None else _blocked_runs(obstacle, xs, px, py) for obstacle in obstacles]
-    # The elements hidden under every obstacle form one run per point.
-    common_lo = np.maximum.reduce([lo for lo, _ in runs])
-    common_hi = np.maximum(common_lo, np.minimum.reduce([hi for _, hi in runs]))
-    last = len(runs) - 1
     # Mirror pairs share their trig when the undriven elements are mirrored too.
     if silent and not np.array_equal(live_elements, live_elements[::-1]):
-        rep = np.empty(0, dtype=np.intp)
+        rep = mate = np.empty(0, dtype=np.intp)
     else:
         rep, mate = _mirror_pairs(px, py)
+    # The points in chunk order: the representatives, the points in no
+    # pair, then the partners; chunks cut the first size of them.
+    unpaired = np.ones(px.shape, dtype=bool)
+    unpaired[rep] = unpaired[mate] = False
+    order = np.concatenate((rep, np.flatnonzero(unpaired), mate))
+    size, pairs = order.size - mate.size, mate.size
+    qx, qy = px[order], py[order]
+    # Free space hides the empty run [0, 0).
+    clear = np.zeros(order.shape, dtype=np.intp)
+    runs = [(clear, clear) if obstacle is None else _blocked_runs(obstacle, xs, qx, qy) for obstacle in obstacles]
+    last = len(runs) - 1
+    # Trig is skipped on the elements hidden under every obstacle, one run
+    # per point; a representative skips it only where its partner does
+    # too: on the intersection of its run and its partner's, reversed.
+    skip_lo = np.maximum.reduce([lo for lo, _ in runs])
+    skip_hi = np.maximum(skip_lo, np.minimum.reduce([hi for _, hi in runs]))
+    skip_lo[:pairs] = np.maximum(skip_lo[:pairs], n - skip_hi[size:])
+    skip_hi[:pairs] = np.minimum(skip_hi[:pairs], n - skip_lo[size:])
     step = max(1, _CHUNK_PAIRS // n)
-    # A chunk is its representatives, a slice or indices, and their partners or None.
-    if rep.size:
-        unpaired = np.ones(px.shape, dtype=bool)
-        unpaired[rep] = unpaired[mate] = False
-        single = np.flatnonzero(unpaired)
-        chunks = [(rep[i : i + step], mate[i : i + step]) for i in range(0, rep.size, step)]
-        chunks += [(single[i : i + step], None) for i in range(0, single.size, step)]
-    else:
-        chunks = [(slice(start, start + step), None) for start in range(0, px.shape[0], step)]
+    # Columns of the result in chunk order.
+    ordered = np.empty((len(entries), order.size), dtype=complex)
 
-    out = np.empty((len(entries), px.shape[0]), dtype=complex)
-
-    def chunk(task) -> None:
-        reps, mates = task
-        cpy = py[reps]
-        m = cpy.shape[0]
-        if mates is None:
-            skip = _nonempty_runs(common_lo[reps], common_hi[reps])
-        else:
-            # A representative skips trig only where its partner does too:
-            # on the intersection of its run and its partner's, reversed.
-            lo = np.maximum(common_lo[reps], n - common_hi[mates])
-            skip = _nonempty_runs(lo, np.minimum(common_hi[reps], n - common_lo[mates]))
+    def chunk(start: int) -> None:
+        stop = min(start + step, size)
+        # The chunk's first paired points are representatives.
+        m, paired = stop - start, max(0, min(stop, pairs) - start)
+        cpy = qy[start:stop]
+        skip = _nonempty_runs(skip_lo[start:stop], skip_hi[start:stop])
         masked = bool(skip) or silent
         # uv holds cos(k r) / r and sin(k r) / r, side by side in each row;
-        # spare holds r and 1 / r, then the partners' uv of a paired chunk.
+        # spare holds r and 1 / r, then the partners' uv.
         uv = np.zeros((m, 2, n)) if masked else np.empty((m, 2, n))
         spare = np.empty((m, 2, n))
         r, inv = spare.reshape(2, m, n)
-        np.subtract.outer(px[reps], xs, out=r)
+        np.subtract.outer(qx[start:stop], xs, out=r)
         r *= r
         r += (cpy * cpy)[:, np.newaxis]
         np.sqrt(r, out=r)
@@ -380,20 +380,17 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
             np.cos(kr, out=uv[:, 0])
             np.sin(kr, out=uv[:, 1])
         uv *= inv[:, np.newaxis]
-        blocks = [(uv, reps)]
-        if mates is not None:
-            # A partner's row is its representative's, reversed; then each
-            # row zeroes its own common run.
-            spare[:] = uv[:, :, ::-1]
-            blocks.append((spare, mates))
-            for block, points in blocks:
-                for i, lo, hi in _nonempty_runs(common_lo[points], common_hi[points]):
-                    block[i, :, lo:hi] = 0.0
+        blocks = [(uv, slice(start, stop))]
+        if paired:
+            # A partner's row is its representative's, reversed.
+            spare[:paired] = uv[:paired, :, ::-1]
+            blocks.append((spare[:paired], slice(size + start, size + start + paired)))
         for block, points in blocks:
-            rows = block.reshape(m, 2 * n)
+            rows = block.reshape(-1, 2 * n)
             for j, ((lo, hi), ts) in enumerate(zip(runs, members)):
-                # With one obstacle its run is the common run, already zeroed.
-                hidden = _nonempty_runs(lo[points], hi[points]) if last else ()
+                # A lone obstacle's runs are the common runs, which a chunk
+                # without partners skipped and so left zero.
+                hidden = _nonempty_runs(lo[points], hi[points]) if last or paired else ()
                 # Zero this obstacle's runs, saving them for the next obstacle.
                 saved = [(i, a, b, block[i, :, a:b].copy()) for i, a, b in hidden] if j < last else ()
                 for i, a, b in hidden:
@@ -401,21 +398,17 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
                 # One row dot product per entry and part: bit-identical
                 # whatever the chunk's row count and the number of entries.
                 sums = np.vecdot(rows[:, np.newaxis], stacks[j])
-                cells = (ts, points) if rep.size == 0 else np.ix_(ts, points)
-                out.real[cells] = sums[:, 0::2].T
-                out.imag[cells] = sums[:, 1::2].T
+                ordered.real[ts, points] = sums[:, 0::2].T
+                ordered.imag[ts, points] = sums[:, 1::2].T
                 for i, a, b, values in saved:
                     block[i, :, a:b] = values
 
-    workers = min(len(chunks), _workers())
-    if workers <= 1:
-        for task in chunks:
-            chunk(task)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(chunk, chunks))
+    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+        list(pool.map(chunk, range(0, size, step)))
+    out = np.empty_like(ordered)
+    out[:, order] = ordered
     for obstacle, ts in zip(obstacles, members):
         if obstacle is not None:
             out[np.ix_(ts, obstacle.contains(px, py))] = complex(np.nan, np.nan)

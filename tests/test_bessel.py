@@ -8,7 +8,10 @@ Proves:
    wavefront polyline (independent point-to-segment oracle)
  - propagation limits match frozen values, the reference points lie on the
    steering axis at distances d_lim / d_max, and the edge-element ray lands
-   on the axis at d_max
+   on the axis at d_max; for random steerable designs of either sign of
+   theta, |ref_point_pos| = R cos(alpha - theta) / sin(alpha) and
+   |ref_point_neg| = R cos(alpha + theta) / sin(alpha), which are
+   {d_max, d_lim}
  - element-count / spacing bounds reproduce the printed design numbers, and
    the element count is the least that reaches the target distance at each
    of three spacings; a count that overflows is rejected
@@ -22,6 +25,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ulabeam import (
@@ -164,6 +169,35 @@ def test_reference_points_swap_for_negative_steering(cfg1024):
     lim = propagation_limits(cfg1024, BesselDesign(-15 * DEG, 20 * DEG))
     assert_allclose(lim.ref_point_pos.norm(), lim.d_max, rtol=1e-12)
     assert_allclose(lim.ref_point_neg.norm(), lim.d_lim, rtol=1e-12)
+
+
+@st.composite
+def steerable_designs(draw) -> tuple[UlaConfig, BesselDesign]:
+    """A random array and a steerable design, |theta| <= alpha < pi/2 - |theta|, theta of either sign."""
+    cfg = UlaConfig(draw(st.integers(2, 4096)), draw(st.floats(1e-4, 1e-1)), 140e9)
+    magnitude = draw(st.floats(0.0, math.pi / 4, exclude_max=True))
+    alpha = magnitude + draw(st.floats(0.0, 1.0, exclude_max=True)) * (math.pi / 2 - 2 * magnitude)
+    # An alpha so small that R / sin(alpha) overflows has no finite limits.
+    assume(alpha > 0 and math.isfinite(cfg.half_aperture() / math.sin(alpha)))
+    d = BesselDesign(draw(st.sampled_from((1.0, -1.0))) * magnitude, alpha)
+    assume(d.steering_failure() is None)
+    return cfg, d
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(steerable_designs())
+def test_reference_points_match_closed_forms_for_either_sign(case):
+    cfg, d = case
+    lim = propagation_limits(cfg, d)
+    r_half, t = cfg.half_aperture(), math.tan(d.theta_a)
+    for point in (lim.ref_point_pos, lim.ref_point_neg):
+        assert_allclose(point.x, point.y * t, rtol=1e-12)
+    # the positive side's edge ray meets the axis at R cos(alpha - theta) / sin(alpha)
+    pos = r_half * math.cos(d.alpha - d.theta_a) / math.sin(d.alpha)
+    neg = r_half * math.cos(d.alpha + d.theta_a) / math.sin(d.alpha)
+    assert_allclose(lim.ref_point_pos.norm(), pos, rtol=1e-12)
+    assert_allclose(lim.ref_point_neg.norm(), neg, rtol=1e-12)
+    assert_allclose(sorted((lim.ref_point_pos.norm(), lim.ref_point_neg.norm())), (lim.d_max, lim.d_lim), rtol=1e-12)
 
 
 def test_edge_ray_lands_at_d_max(cfg1024):

@@ -5,12 +5,17 @@ Proves:
   large for a float), at any nesting level of a scenario file exits 2, and
   the message names that level: array, user, beam, beams[i], obstacle,
   obstacles[i], a beam's design_obstacle, grid and error_box.
+- A key repeated in one mapping, or a key that is a list or a mapping,
+  at any of those levels or at the top exits 2 with PyYAML's message,
+  which names the line and column of the offending key; a key merged in
+  with ``<<`` may still be overridden.
 - simulate --grid 2,2 of a random valid single-beam scenario echoes the
   beam and the obstacle in simulate.json equal to the parsed input, with
   the defaults filled in (curving w = 1.0, a missing obstacle as type
   none).
 """
 
+import copy
 import json
 import math
 
@@ -18,7 +23,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ulabeam.cli import main
+from ulabeam.cli import load_scenario, main
 
 # The shipped curving scene: the planner solves it for every w >= 1.
 CURVING_USER = {"x": -0.1, "y": 1.0}
@@ -189,6 +194,53 @@ def test_unknown_or_nonfinite_at_any_level_exits_2_naming_it(tmp_path, capsys, d
     assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == expected
     assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=SUPPRESS)
+@given(st.data())
+def test_repeated_or_unhashable_key_at_any_level_exits_2_naming_its_line(tmp_path, capsys, data):
+    compare = data.draw(st.booleans())
+    scen = data.draw(compare_scenarios() if compare else single_scenarios())
+    levels = [scen] + [mapping for _, mapping, _ in _levels(scen)]
+    mapping = data.draw(st.sampled_from(levels))
+    key = data.draw(st.sampled_from(sorted(mapping)))
+    # A marker key, sorted after every schema key, is renamed in the text.
+    marker = "zzz_marker"
+    mapping[marker] = copy.deepcopy(mapping[key]) if data.draw(st.booleans()) else 1.0
+    text = yaml.safe_dump(scen)
+    at = text.index(marker)
+    line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    path = tmp_path / "scen.yaml"
+    if data.draw(st.booleans()):
+        problem = f"found duplicate key {key!r}"
+        path.write_text(text.replace(marker, key), encoding="utf-8")
+    else:
+        problem = "found unhashable key"
+        path.write_text(text.replace(marker, data.draw(st.sampled_from((f"[{key}, 1]", f"{{{key}: 1}}")))), encoding="utf-8")
+    capsys.readouterr()
+    command = "compare" if compare else "simulate"
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse scenario file {path}: while constructing a mapping\n")
+    assert err.endswith(f'{problem}\n  in "{path}", line {line}, column {column}\n')
+    assert not (tmp_path / "out").exists()
+
+
+def test_keys_merged_in_may_be_overridden(tmp_path):
+    path = tmp_path / "scen.yaml"
+    path.write_text(
+        "array: {n_elements: 8, spacing_mode: half_wavelength, carrier_freq_hz: 1.4e+11}\n"
+        "user: {x: 0.0, y: 1.0}\n"
+        "beams: [{type: focus}, {type: gaussian, theta_deg: 0.0}]\n"
+        "obstacles:\n"
+        "  - &rect {type: rect, x_r1: 0.1, x_r2: -0.1, y_n: 0.2, y_f: 0.4}\n"
+        "  - <<: *rect\n"
+        "    x_r1: 0.3\n",
+        encoding="utf-8",
+    )
+    first, second = load_scenario(str(path), compare=True)["obstacles"]
+    assert (first.x_r1, second.x_r1) == (0.1, 0.3)
+    assert (first.x_r2, first.y_n, first.y_f) == (second.x_r2, second.y_n, second.y_f)
 
 
 def _obstacle_echo(obstacle: dict | None) -> dict:

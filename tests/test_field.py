@@ -36,7 +36,8 @@ Proves:
  - each row of a call with 1-5 (excitation, obstacle) entries, sharing
    excitations, obstacles, both or neither, equals bit for bit the dense
    reference and the call with that entry alone, for chunk sizes and
-   worker counts, and matches the element-by-element oracle
+   worker counts, and matches the element-by-element oracle; with no
+   points every row is empty, of shape (entries, 0)
  - points whose squared distance to an element overflows are rejected by
    every caller, and so are points nearer than about 1e-154 m to an
    element: exactly those where some pair's squared distance is not a
@@ -793,6 +794,15 @@ def entries_case(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(entries_case())
+# no points: every row is empty
+@example(
+    (
+        UlaConfig(4, 1e-3, 140e9),
+        [(Excitation(np.ones(4), np.zeros(4)), obstacle) for obstacle in (RectObstacle(0.1, -0.1, 0.2, 0.4), None)],
+        np.empty(0),
+        np.empty(0),
+    )
+)
 def test_entry_rows_match_dense_reference_and_single_entry_calls(case):
     cfg, entries, px, py = case
     want = dense_field(cfg.element_xs(), cfg.wavenumber(), entries, px, py)

@@ -34,12 +34,15 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   centered 1e200 m to the side;
 - simulate on ``bessel_axis`` at ``--grid 81,40``, whose odd node count
   puts the middle x node on 0.0;
+- analyze on ``bessel_axis`` with 64 elements and ``obstacle`` given
+  twice (a rect, then none), and simulate on it with ``user.x`` given
+  twice (duplicate keys);
 - ``compare --levels 1`` and ``simulate --grid 3`` (usage errors);
 - three invalid simulate requests on ``self_healing_cuboid``: a
   decreasing ``x_range``, ``--line-cut=1.5,1`` and ``--grid=-1,5`` (the
   ``=`` form, since argparse reads a bare ``-1,5`` as an option).
 
-With the seven shipped scenarios that makes 74 runs.
+With the seven shipped scenarios that makes 76 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -307,15 +310,20 @@ def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
     axis_text = (shipped / "bessel_axis.yaml").read_text(encoding="utf-8")
     zero_freq = axis_text.replace("carrier_freq_hz: 140000000000.0", "carrier_freq_hz: 0.0")
     out["analyze zero_frequency"] = (zero_freq, ["analyze"])
+    small_axis = axis_text.replace("n_elements: 1024", "n_elements: 64")
     # the circle's radius squared overflows a float
     circle = "  type: circle\n  x: 0.0\n  y: 1.0e+200\n  radius: 1.0e+199\n"
-    huge_circle = axis_text.replace("n_elements: 1024", "n_elements: 64").replace("  type: none\n", circle)
-    out["simulate huge_circle"] = (huge_circle, ["simulate"])
+    out["simulate huge_circle"] = (small_axis.replace("  type: none\n", circle), ["simulate"])
     # obstacles beyond 1e100 m, whose shadow geometry overflowed
     for label, obstacle in FAR_OBSTACLES.items():
-        far = axis_text.replace("n_elements: 1024", "n_elements: 64").replace("  type: none\n", obstacle)
+        far = small_axis.replace("  type: none\n", obstacle)
         for command in ("simulate", "analyze"):
             out[f"{command} {label}"] = (far, [command])
+    # a key given twice, which the parser once resolved to its last value
+    rect_then_none = "  type: rect\n  x_r1: 0.1\n  x_r2: -0.1\n  y_n: 0.2\n  y_f: 0.4\nobstacle:\n  type: none\n"
+    out["analyze duplicate obstacle"] = (small_axis.replace("  type: none\n", rect_then_none), ["analyze"])
+    two_xs = small_axis.replace("user:\n  x: 0.0\n", "user:\n  x: 0.0\n  x: 0.3\n")
+    out["simulate duplicate user.x"] = (two_xs, ["simulate"])
     # an odd grid size puts the middle x node of the symmetric range on 0.0
     out["simulate bessel_axis --grid 81,40"] = (axis_text, ["simulate", "--grid", "81,40"])
     compare_text = (shipped / "compare_four_positions.yaml").read_text(encoding="utf-8")
