@@ -138,30 +138,37 @@ def propagation_limits(cfg: UlaConfig, d: BesselDesign) -> BesselLimits:
     d_max = R cos(alpha + |theta_a|) / sin(alpha) is where the shorter-lived
     side of the beam expires; d_lim = R cos(alpha - |theta_a|) / sin(alpha)
     where the other side does. Both reference points lie on the steering
-    axis x = y tan(theta_a).
+    axis x = y tan(theta_a). Raises if alpha is so small that a reference
+    height or a limit overflows.
     """
     _require_steerable(d)
     r_half = cfg.half_aperture()
     t_th = math.tan(d.theta_a)
     y_pos = r_half / (t_th + math.tan(d.alpha - d.theta_a))
-    ref_pos = Point2(y_pos * t_th, y_pos)
     y_neg = -r_half / (t_th - math.tan(d.alpha + d.theta_a))
-    ref_neg = Point2(y_neg * t_th, y_neg)
     sin_a = math.sin(d.alpha)
     d_max = r_half * math.cos(d.alpha + abs(d.theta_a)) / sin_a
     d_lim = r_half * math.cos(d.alpha - abs(d.theta_a)) / sin_a
+    if not all(map(math.isfinite, (y_pos, y_neg, d_max, d_lim))):
+        raise ValueError("alpha is too small for this aperture: the propagation limits overflow")
+    ref_pos = Point2(y_pos * t_th, y_pos)
+    ref_neg = Point2(y_neg * t_th, y_neg)
     return BesselLimits(d_max=d_max, d_lim=d_lim, ref_point_pos=ref_pos, ref_point_neg=ref_neg)
 
 
 def min_elements(d_target: float, d: BesselDesign, spacing: float) -> int:
-    """Minimum element count so the beam's d_max reaches d_target."""
+    """Minimum element count so the beam's d_max reaches d_target.
+
+    At least 2, the fewest an array has (UlaConfig rejects fewer): with a
+    tiny alpha, the closed form alone would ask for one.
+    """
     _require_steerable(d)
     if not (d_target > 0 and spacing > 0):
         raise ValueError("d_target and spacing must be positive")
     value = 2.0 * d_target * math.sin(d.alpha) / (spacing * math.cos(d.alpha + abs(d.theta_a))) + 1.0
     if not math.isfinite(value):
         raise ValueError("element count overflows: d_target is too far for this spacing")
-    return int(math.ceil(value))
+    return max(2, math.ceil(value))
 
 
 def max_spacing(d: BesselDesign, wavelength: float) -> float:

@@ -52,32 +52,34 @@ A point (x, y) and its mirror (-x, y) share their trig. The element
 positions are exactly symmetric, ``element_xs()[::-1] == -element_xs()``,
 and IEEE subtraction and squaring are symmetric in sign, so the mirror's
 distances are the point's in reverse order, bit for bit, and so are its
-cos and sin. When the undriven elements are mirror-symmetric too, each
-point with x < 0 whose exact mirror is in the call (px[j] == -px[i],
-py[j] == py[i], each point in one pair at most) represents the pair: it
-alone computes r, 1 / r and trig, on every element that it or its partner
-needs (all but the intersection of its common run and its partner's,
-reversed). The partner's row of uv is the representative's reversed, and
-each obstacle then zeroes its own runs on both rows. Under each
-obstacle, every row of uv holds the bits it would hold unpaired. A point
-on x = 0 stays single. A curving beam drives one contiguous block of
-elements, not mirror-symmetric unless it is the whole array, so its
-calls usually pair nothing.
-``field_grid`` builds a symmetric x range mirror-exact, so that every grid
-node off x = 0 finds its partner.
+cos and sin. Each point with x < 0 whose exact mirror is in the call
+(px[j] == -px[i], py[j] == py[i], each point in one pair at most)
+represents the pair: it alone computes r, 1 / r and trig, on every
+element that it or its partner needs. That is the union of the two
+points' needs: the driven elements and their reverse, less the
+intersection of its common run and its partner's, reversed. The
+partner's row of uv is the representative's reversed, and each obstacle
+then zeroes its own runs on both rows. Under each obstacle, every row of
+uv holds the bits it would hold unpaired, except on elements that no
+entry drives, where either row may hold the other's trig against a
+weight of zero. A point on x = 0 stays single. ``field_grid`` builds a
+symmetric x range mirror-exact, so that every grid node off x = 0 finds
+its partner.
 
 Each sum is one ``np.vecdot`` of a row of uv with a weight row, so its
 bits depend on those two vectors only: not on the chunk's row count, the
 number of threads or the other entries of the call. A row of the result
 is therefore bit-identical whatever the chunking and the entry list, and
 equal to the call with its entry alone. (A matrix product over the chunk
-would not be: its bits depend on the shapes.) A zeroed or skipped pair
-adds zero terms, which leave a sum that starts from +0.0 unchanged, so
-skipping trig changes no bit either. Points whose distance to an element
-overflows (beyond about 1e154 m) are rejected, and so are points whose
-squared distance to the nearest element is not a positive normal float
-(nearer than about 1e-154 m, where y^2 can underflow to 0 above an
-element), so every r and 1 / r is positive and finite.
+would not be: its bits depend on the shapes.) A zeroed or skipped pair,
+or a pair of zero weight, adds a zero term, which leaves a sum that
+starts from +0.0 unchanged (rounding to nearest, a sum is -0.0 only when
+both its terms are), so skipping trig changes no bit either. Points
+whose distance to an element overflows (beyond about 1e154 m) are
+rejected, and so are points whose squared distance to the nearest
+element is not a positive normal float (nearer than about 1e-154 m,
+where y^2 can underflow to 0 above an element), so every r and 1 / r is
+positive and finite.
 
 Points are processed in chunks of about ``_CHUNK_PAIRS`` = 16,384
 point-element pairs, step = ``_CHUNK_PAIRS`` // N points. A chunk holds r
@@ -128,6 +130,7 @@ __all__ = [
     "field_points_per_entry",
     "line_cut",
     "normalize_power",
+    "write_columns",
     "write_field_csv",
     "write_field_pgm",
 ]
@@ -178,20 +181,15 @@ class Excitation:
 class FieldGrid:
     """Complex field sampled on a regular grid.
 
-    values, of shape (nx, ny), holds at [ix, iy] the field at (x_coords()[ix], y_coords()[iy]).
-    The nodes are np.linspace's, except that a symmetric x range is made
-    mirror-exact (see ``_grid_axis``).
+    values, of shape (nx, ny), holds at [ix, iy] the field at the node
+    (x[ix], y[iy]): the nodes the kernel evaluated. They are np.linspace's,
+    except that ``field_grid`` makes a symmetric x range mirror-exact (see
+    ``_grid_axis``).
     """
 
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
+    x: np.ndarray
+    y: np.ndarray
     values: np.ndarray
-
-    def x_coords(self) -> np.ndarray:
-        return _grid_axis(self.x_range[0], self.x_range[1], self.values.shape[0])
-
-    def y_coords(self) -> np.ndarray:
-        return np.linspace(self.y_range[0], self.y_range[1], self.values.shape[1])
 
 
 def _grid_axis(lo: float, hi: float, count: int) -> np.ndarray:
@@ -325,11 +323,7 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
     # Elements of zero weight in every excitation.
     live_elements = np.any([exc.magnitudes != 0.0 for exc, _ in entries], axis=0)
     silent = not live_elements.all()
-    # Mirror pairs share their trig when the undriven elements are mirrored too.
-    if silent and not np.array_equal(live_elements, live_elements[::-1]):
-        rep = mate = np.empty(0, dtype=np.intp)
-    else:
-        rep, mate = _mirror_pairs(px, py)
+    rep, mate = _mirror_pairs(px, py)
     # The points in chunk order: the representatives, the points in no
     # pair, then the partners; chunks cut the first size of them.
     unpaired = np.ones(px.shape, dtype=bool)
@@ -372,6 +366,8 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
         kr = np.multiply(r, k, out=r)
         if masked:
             live = np.repeat(live_elements[np.newaxis], m, axis=0)
+            # A representative takes trig where its partner needs it too.
+            live[:paired] |= live_elements[::-1]
             for i, lo, hi in skip:
                 live[i, lo:hi] = False
             np.cos(kr, out=uv[:, 0], where=live)
@@ -442,7 +438,7 @@ def field_grid(
     y = np.linspace(y_range[0], y_range[1], ny)
     gx, gy = np.meshgrid(x, y, indexing="ij")
     values = field_points_per_entry(cfg, ((exc, obstacle),), gx.ravel(), gy.ravel())[0].reshape(nx, ny)
-    return FieldGrid((float(x_range[0]), float(x_range[1])), (float(y_range[0]), float(y_range[1])), values)
+    return FieldGrid(x, y, values)
 
 
 def line_cut(
@@ -497,8 +493,8 @@ def write_field_csv(grid: FieldGrid, path: str) -> None:
     nx, ny = grid.values.shape
     values = grid.values.T.ravel()
     # Each coordinate is formatted once and its string repeated.
-    xs = [str(x) for x in grid.x_coords().tolist()]
-    ys = [str(y) for y in grid.y_coords().tolist()]
+    xs = [str(x) for x in grid.x.tolist()]
+    ys = [str(y) for y in grid.y.tolist()]
     # abs per node with Python's complex abs: np.abs rounds some nodes differently.
     write_columns(
         path,

@@ -11,10 +11,11 @@ Proves:
    on the axis at d_max; for random steerable designs of either sign of
    theta, |ref_point_pos| = R cos(alpha - theta) / sin(alpha) and
    |ref_point_neg| = R cos(alpha + theta) / sin(alpha), which are
-   {d_max, d_lim}
+   {d_max, d_lim}; an alpha so small that these overflow is rejected
  - element-count / spacing bounds reproduce the printed design numbers, and
    the element count is the least that reaches the target distance at each
-   of three spacings; a count that overflows is rejected
+   of three spacings; a count that overflows is rejected, and a tiny alpha
+   still needs two elements
  - self-healing reports match frozen values for the cuboid and cylinder
    fixtures, and the clearing element's ray really does clear the circle
    while its inward neighbor does not; steered designs behind a circle
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -177,8 +178,7 @@ def steerable_designs(draw) -> tuple[UlaConfig, BesselDesign]:
     cfg = UlaConfig(draw(st.integers(2, 4096)), draw(st.floats(1e-4, 1e-1)), 140e9)
     magnitude = draw(st.floats(0.0, math.pi / 4, exclude_max=True))
     alpha = magnitude + draw(st.floats(0.0, 1.0, exclude_max=True)) * (math.pi / 2 - 2 * magnitude)
-    # An alpha so small that R / sin(alpha) overflows has no finite limits.
-    assume(alpha > 0 and math.isfinite(cfg.half_aperture() / math.sin(alpha)))
+    assume(alpha > 0)
     d = BesselDesign(draw(st.sampled_from((1.0, -1.0))) * magnitude, alpha)
     assume(d.steering_failure() is None)
     return cfg, d
@@ -186,15 +186,22 @@ def steerable_designs(draw) -> tuple[UlaConfig, BesselDesign]:
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(steerable_designs())
+# alpha = 2e-311 degrees: R / sin(alpha) overflows at 64 elements
+@example((UlaConfig(64, 299792458.0 / 140e9 / 2.0, 140e9), BesselDesign(0.0, math.radians(2.0e-311))))
 def test_reference_points_match_closed_forms_for_either_sign(case):
     cfg, d = case
-    lim = propagation_limits(cfg, d)
     r_half, t = cfg.half_aperture(), math.tan(d.theta_a)
-    for point in (lim.ref_point_pos, lim.ref_point_neg):
-        assert_allclose(point.x, point.y * t, rtol=1e-12)
     # the positive side's edge ray meets the axis at R cos(alpha - theta) / sin(alpha)
     pos = r_half * math.cos(d.alpha - d.theta_a) / math.sin(d.alpha)
     neg = r_half * math.cos(d.alpha + d.theta_a) / math.sin(d.alpha)
+    if not (math.isfinite(pos) and math.isfinite(neg)):
+        # an alpha so small that R / sin(alpha) overflows has no finite limits
+        with pytest.raises(ValueError, match="alpha is too small for this aperture"):
+            propagation_limits(cfg, d)
+        return
+    lim = propagation_limits(cfg, d)
+    for point in (lim.ref_point_pos, lim.ref_point_neg):
+        assert_allclose(point.x, point.y * t, rtol=1e-12)
     assert_allclose(lim.ref_point_pos.norm(), pos, rtol=1e-12)
     assert_allclose(lim.ref_point_neg.norm(), neg, rtol=1e-12)
     assert_allclose(sorted((lim.ref_point_pos.norm(), lim.ref_point_neg.norm())), (lim.d_max, lim.d_lim), rtol=1e-12)
@@ -247,6 +254,8 @@ def test_sampling_bound_argument_validation():
     # the count for a target 1e306 m away at half-wavelength spacing overflows
     with pytest.raises(ValueError, match="element count overflows"):
         min_elements(1e306, BesselDesign(0.0, 10 * DEG), 299792458.0 / 140e9 / 2.0)
+    # a tiny alpha reaches a near target with one element, but an array has two
+    assert min_elements(1.0, BesselDesign(0.0, math.radians(1.0e-300)), 299792458.0 / 140e9 / 2.0) == 2
 
 
 # ------------------------------------------------------------- self-healing

@@ -18,7 +18,9 @@ Proves:
   sidecar whose trajectory anchors on the user to 1e-9; infeasible
   scenarios exit 3 and leave a JSON diagnostic instead of a beam.
 - simulate honours --grid and --line-cut, writes CSV/PGM/JSON whose
-  contents equal an in-process recomputation bit for bit, and refuses to
+  contents equal an in-process recomputation bit for bit (a line cut
+  samples |E| along the steering axis, or along the ray at the user for
+  focus and curving beams, NaN inside the obstacle), and refuses to
   run without a grid section; a grid or line cut that reaches points
   whose distance to an element overflows, or points nearer than about
   1e-154 m to an element, exits 2 and writes no file; so does a compare
@@ -66,6 +68,7 @@ from numpy.testing import assert_allclose
 
 import ulabeam
 from ulabeam import (
+    AvoidanceScenario,
     BesselDesign,
     CircleObstacle,
     Point2,
@@ -73,8 +76,11 @@ from ulabeam import (
     UlaConfig,
     field_at,
     field_grid,
+    focusing_excitation,
     gaussian_excitation,
     normalize_power,
+    plan_excitation,
+    plan_with_fallback,
     self_heal,
 )
 from ulabeam.cli import main
@@ -421,7 +427,7 @@ def test_simulate_grid_override_matches_recomputation(tmp_path):
     cfg = UlaConfig(2, 299792458.0 / 140e9 / 2.0, 140e9)
     exc = normalize_power(gaussian_excitation(cfg, 0.0), 1.0)
     grid = field_grid(cfg, exc, (-0.2, 0.2), (0.1, 0.6), 10, 8)
-    gx, gy = grid.x_coords(), grid.y_coords()
+    gx, gy = grid.x, grid.y
     flat = [(gx[ix], gy[iy], grid.values[ix, iy]) for iy in range(8) for ix in range(10)]
     for row, (x, y, v) in zip(rows, flat):
         assert row[0] == repr(float(x)) and row[1] == repr(float(y))
@@ -431,30 +437,53 @@ def test_simulate_grid_override_matches_recomputation(tmp_path):
     assert len(pgm) == len(b"P5\n10 8\n255\n") + 80
 
 
-def test_simulate_line_cut_matches_field_at(tmp_path):
-    rc = main(
-        [
-            "simulate",
-            "--scenario",
-            str(SCENARIOS / "smoke_two_element.yaml"),
-            "--out",
-            str(tmp_path),
-            "--grid",
-            "4,4",
-            "--line-cut",
-            "0.4,4",
-        ]
-    )
-    assert rc == 0
-    header, rows = read_csv_rows(tmp_path / "linecut.csv")
-    assert header == "distance,amplitude"
-    expected = 0.4 * np.arange(1, 5) / 4
-    assert [float(r[0]) for r in rows] == list(expected)
-    cfg = UlaConfig(2, 299792458.0 / 140e9 / 2.0, 140e9)
+HALF_WAVE_140 = 299792458.0 / 140e9 / 2.0
+
+
+def line_cut_cases(tmp_path):
+    """(scenario path, --line-cut, cfg, excitation, cut angle, obstacle) of three beams.
+
+    A broadside Gaussian cuts along its steering axis; a focus off axis
+    and a curving beam cut along the ray at the user, atan2(x_u, y_u) from
+    the y-axis, which for the curving scene crosses the cuboid.
+    """
+    cfg = UlaConfig(2, HALF_WAVE_140, 140e9)
     exc = normalize_power(gaussian_excitation(cfg, 0.0), 1.0)
-    for r in rows:
-        d = float(r[0])
-        assert float(r[1]) == abs(field_at(cfg, exc, Point2(0.0, d)))
+    yield str(SCENARIOS / "smoke_two_element.yaml"), "0.4,4", cfg, exc, 0.0, None
+    data = scenario_dict(
+        array={"n_elements": 64, "spacing_mode": "half_wavelength", "carrier_freq_hz": 140e9},
+        user={"x": 0.3, "y": 0.8},
+        beam={"type": "focus"},
+        grid={"x_range": [-0.5, 0.5], "y_range": [0.1, 1.0], "nx": 2, "ny": 2},
+    )
+    cfg, user = UlaConfig(64, HALF_WAVE_140, 140e9), Point2(0.3, 0.8)
+    exc = normalize_power(focusing_excitation(cfg, user), 1.0)
+    yield write_scenario(tmp_path, data), "1.2,30", cfg, exc, math.atan2(0.3, 0.8), None
+    cfg, user = UlaConfig(1024, HALF_WAVE_140, 140e9), Point2(-0.1, 1.0)
+    rect = RectObstacle(0.14, -0.14, 0.10, 0.57)
+    exc = plan_excitation(cfg, plan_with_fallback(AvoidanceScenario(user, rect, cfg, 1.0)), 1.0)
+    yield str(SCENARIOS / "curving_centered_cuboid.yaml"), "1.5,40", cfg, exc, math.atan2(-0.1, 1.0), rect
+
+
+def test_simulate_line_cut_matches_field_at(tmp_path):
+    for i, (path, cut, cfg, exc, angle, obstacle) in enumerate(line_cut_cases(tmp_path)):
+        out = tmp_path / f"out{i}"
+        assert main(["simulate", "--scenario", path, "--out", str(out), "--grid", "4,4", "--line-cut", cut]) == 0
+        header, rows = read_csv_rows(out / "linecut.csv")
+        assert header == "distance,amplitude"
+        d_max, samples = float(cut.split(",")[0]), int(cut.split(",")[1])
+        assert [float(r[0]) for r in rows] == list(d_max * np.arange(1, samples + 1) / samples)
+        interior = 0
+        for r in rows:
+            d = float(r[0])
+            p = Point2(d * math.sin(angle), d * math.cos(angle))
+            if obstacle is not None and obstacle.contains(p.x, p.y):
+                interior += 1
+                assert math.isnan(float(r[1]))
+            else:
+                # |E| at (d sin(angle), d cos(angle)), bit for bit
+                assert float(r[1]) == abs(field_at(cfg, exc, p, obstacle))
+        assert (interior > 0) == (obstacle is not None)
 
 
 def test_simulate_requires_grid_section(tmp_path):

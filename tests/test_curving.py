@@ -23,6 +23,9 @@ Proves:
  - a two-beam plan keeps disjoint element sets and splits the power
    budget evenly; the secondary's cut stops where the primary's ends
  - optimize takes curvature sign +1 or -1 and nothing else
+ - on 5,000 sweep scenes, a solve that reaches the pinned problem reports
+   zero curvature after aperture projection exactly when its snapped cut,
+   in its curvature's frame, is the first element, -R
  - a scene is rejected unless w and every nonzero length lie within
    1e-100..1e100 in magnitude; the vertex enumeration returns a feasible
    vertex even when no objective value compares
@@ -435,6 +438,37 @@ def test_far_obstacle_plan_keeps_full_aperture(cfg1024):
     assert sol.curvature_sign == -1
     assert_allclose(sol.trajectory.beta, -1.09531315905, rtol=1e-9)
     assert int(sol.active_elements.sum()) == 1024
+
+
+PINNED_ZERO = "optimal curvature is zero after aperture projection; a straight beam suffices"
+
+
+def test_pinned_curvature_is_zero_exactly_when_the_cut_is_the_first_element():
+    # Along the cut row, raising beta lowers the pinned objective until the
+    # leftmost tangent reaches -R; so the pinned beta is 0 exactly when the
+    # snapped cut, in the curvature's frame, is -R: one element kept.
+    fired = solved = 0
+    for s in sweep_scenarios(np.random.default_rng(5), 5000):
+        xs = s.cfg.element_xs()
+        r_half = s.cfg.half_aperture()
+        # the solves plan_with_fallback makes: each sign, and the secondary's bounded one
+        solves = [(sign, math.inf, optimize(s, sign)) for sign in (1, -1)]
+        primary = solves[0][2]
+        if primary.status == "solved" and not primary.solution.active_elements.all():
+            limit = -float(xs[~primary.solution.active_elements].min())
+            solves.append((-1, limit, optimize(s, -1, limit)))
+        for sign, limit, res in solves:
+            if res.status != "solved" and res.message != PINNED_ZERO:
+                continue  # the pinned solve was not reached
+            # the relaxed cut snapped to an element, then bounded at limit
+            relaxed_cut = sign * res.relaxed_vertex[2]
+            cut = min(float(xs[xs <= relaxed_cut + s.cfg.spacing * 1e-9].max()), limit)
+            if res.status == "solved":
+                solved += 1
+                assert sign * res.solution.x_t_star == cut
+            fired += res.message == PINNED_ZERO
+            assert (res.message == PINNED_ZERO) == (cut == -r_half)
+    assert fired >= 5 and solved >= 1000
 
 
 def test_plan_excitation_requires_solved_plan(cfg1024):

@@ -48,14 +48,15 @@ Proves:
  - a grid axis on a symmetric range is mirror-exact, with np.linspace's
    ends and left half, and its right half within 2 ulp of the range end of
    np.linspace on the shipped and benchmark ranges (5 ulp on random ranges);
-   an asymmetric axis is np.linspace bit for bit; x_coords() and
-   y_coords() are the nodes the kernel evaluated, bit for bit
+   an asymmetric axis is np.linspace bit for bit; a grid's x and y are
+   the nodes the kernel evaluated, bit for bit
  - appending the exact mirror (-x, y) of every point, which the kernel
    pairs with it to share one trig evaluation, leaves every original row
    bit for bit that of the call without them, and the mirrors those of a
    call on their own and of the dense reference, for chunk sizes, worker
    counts, array sizes, obstacle mixes, duplicate points and undriven sets
-   that are mirror-symmetric or not
+   that are mirror-symmetric or not, points that see no driven element
+   included
 """
 
 import csv
@@ -261,7 +262,7 @@ def test_interior_point_rejected_and_grid_gets_nan():
     with pytest.raises(ValueError):
         field_at(cfg, exc, Point2(0.0, 0.5), obstacle)
     grid = field_grid(cfg, exc, (-0.3, 0.3), (0.3, 0.7), 7, 9, obstacle)
-    gx, gy = np.meshgrid(grid.x_coords(), grid.y_coords(), indexing="ij")
+    gx, gy = np.meshgrid(grid.x, grid.y, indexing="ij")
     inside = (gx >= -0.2) & (gx <= 0.2) & (gy >= 0.4) & (gy <= 0.6)
     assert np.all(np.isnan(grid.values[inside]))
     assert np.all(np.isfinite(grid.values[~inside]))
@@ -400,7 +401,7 @@ def test_grating_ridge_appears_off_axis():
     lim = propagation_limits(cfg, d)
     y0 = 0.5 * lim.d_max * math.cos(d.theta_a)
     grid = field_grid(cfg, bessel_phases(cfg, d), (-1.5, 1.5), (y0, y0 + 1e-6), 2001, 2)
-    x = grid.x_coords()
+    x = grid.x
     amp = np.abs(grid.values[:, 0])
     x_beam = y0 * math.tan(d.theta_a)
     main = amp[np.abs(x - x_beam) <= 0.05].max()
@@ -457,8 +458,8 @@ def test_field_grid_nodes_match_field_at():
     cfg = two_element_cfg()
     exc = gaussian_excitation(cfg, 10 * DEG)
     grid = field_grid(cfg, exc, (-0.4, 0.4), (0.5, 1.5), 3, 4)
-    for ix, x in enumerate(grid.x_coords()):
-        for iy, y in enumerate(grid.y_coords()):
+    for ix, x in enumerate(grid.x):
+        for iy, y in enumerate(grid.y):
             assert grid.values[ix, iy] == field_at(cfg, exc, Point2(x, y))
 
 
@@ -499,7 +500,7 @@ def assert_mirror_exact_axis(x, h, moved_ulps):
 @pytest.mark.parametrize("n", (2, 3, 40, 80, 81, 300, 301, 2001))
 def test_symmetric_grid_axes_are_mirror_exact(h, n):
     # the shipped and benchmark ranges move by at most 2 ulp of the range end
-    x = field_grid(two_element_cfg(), gaussian_excitation(two_element_cfg(), 0.0), (-h, h), (0.5, 1.0), n, 2).x_coords()
+    x = field_grid(two_element_cfg(), gaussian_excitation(two_element_cfg(), 0.0), (-h, h), (0.5, 1.0), n, 2).x
     assert_mirror_exact_axis(x, h, 2)
 
 
@@ -523,7 +524,7 @@ def test_asymmetric_axes_are_linspace(lo, width, n):
 
 
 @pytest.mark.parametrize("x_range", ((-0.7, 0.7), (-0.2, 0.5)))
-def test_x_coords_are_the_evaluated_nodes(monkeypatch, x_range):
+def test_grid_nodes_are_the_evaluated_nodes(monkeypatch, x_range):
     cfg = two_element_cfg()
     seen = []
 
@@ -534,18 +535,19 @@ def test_x_coords_are_the_evaluated_nodes(monkeypatch, x_range):
     monkeypatch.setattr(ulabeam.field, "field_points_per_entry", recording_kernel)
     grid = field_grid(cfg, gaussian_excitation(cfg, 0.0), x_range, (0.5, 1.5), 81, 7)
     (px, py), = seen
-    # values[ix, iy] is the field at (x_coords()[ix], y_coords()[iy])
-    nodes = np.meshgrid(grid.x_coords(), grid.y_coords(), indexing="ij")
+    # values[ix, iy] is the field at (x[ix], y[iy])
+    nodes = np.meshgrid(grid.x, grid.y, indexing="ij")
     for evaluated, node in zip((px, py), nodes):
         assert np.array_equal(evaluated.view(np.uint64), node.ravel().view(np.uint64))
-    assert np.array_equal(grid.y_coords(), np.linspace(0.5, 1.5, 7))
+    assert np.array_equal(grid.x, _grid_axis(*x_range, 81))
+    assert np.array_equal(grid.y, np.linspace(0.5, 1.5, 7))
 
 
 def _tiny_grid() -> FieldGrid:
     values = np.array(
         [[1.0 + 0.0j, 0.0 + 2.0j], [-1.0 + 0.0j, complex(math.nan, math.nan)]]
     )
-    return FieldGrid((0.0, 1.0), (1.0, 2.0), values)
+    return FieldGrid(np.array([0.0, 1.0]), np.array([1.0, 2.0]), values)
 
 
 def test_write_field_csv_golden(tmp_path):
@@ -847,6 +849,22 @@ def mirrored_case(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(mirrored_case())
+# the left three of eight elements driven, and a slab that hides them from
+# points near the axis: those see no driven element under the slab, but
+# all of them in free space, and their mirrors are hidden too
+@example(
+    (
+        UlaConfig(8, 1e-3, 140e9),
+        [
+            (Excitation([1.0, 0.5, 0.25, 0, 0, 0, 0, 0], [0.3, -1.0, 2.0, 0, 0, 0, 0, 0]), obstacle)
+            for obstacle in (RectObstacle(-0.0009, -1.0, 0.001, 0.01), None)
+        ],
+        np.array([0.01, 0.002, 0.3, -0.004]),
+        np.array([1.0, 0.5, 0.05, 0.02]),
+        np.array([0.01, 0.002, 0.3, -0.004, -0.01, -0.002, -0.3, 0.004]),
+        np.array([1.0, 0.5, 0.05, 0.02, 1.0, 0.5, 0.05, 0.02]),
+    )
+)
 def test_mirrored_points_keep_the_bits_of_the_call_without_them(case):
     cfg, entries, px, py, qx, qy = case
     alone = field_points_per_entry(cfg, entries, px, py)

@@ -3,6 +3,9 @@
 Proves:
 - No package module imports a _-prefixed name from another package
   module: private helpers stay private to the module that defines them.
+- Every name a package module imports from another package module is
+  listed in that module's __all__: the package surface is what the
+  modules share.
 - The package exports exactly the names its modules list in __all__, plus
   __version__, each name once, and every exported name exists.
 - cli.py takes names with ``from ... import`` only from package modules;
@@ -12,6 +15,7 @@ Proves:
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import ulabeam
@@ -31,6 +35,24 @@ def _private_imports(path: Path) -> list[str]:
         for alias in node.names:
             if alias.name.startswith("_"):
                 found.append(f"{path.name}:{node.lineno} imports {alias.name} from {'.' * node.level}{node.module or ''}")
+    return found
+
+
+def _unlisted_imports(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level > 0:
+            module = node.module
+        elif node.module.startswith("ulabeam."):
+            module = node.module.removeprefix("ulabeam.")
+        else:
+            continue
+        listed = importlib.import_module(f"ulabeam.{module}").__all__
+        for alias in node.names:
+            if alias.name != "*" and alias.name not in listed:
+                found.append(f"{path.name}:{node.lineno} imports {alias.name}, not in {module}.__all__")
     return found
 
 
@@ -61,6 +83,28 @@ def test_private_import_check_sees_relative_and_absolute_imports(tmp_path):
     assert _private_imports(sample) == [
         "sample.py:1 imports _blocked_runs from .field",
         "sample.py:2 imports _flag_pair from ulabeam.cli",
+    ]
+
+
+def test_modules_import_only_listed_names_from_each_other():
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in _unlisted_imports(path)] == []
+
+
+def test_unlisted_import_check_sees_relative_and_absolute_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from . import field\n"
+        "from .field import *\n"
+        "from .field import field_grid, ulp_helper\n"
+        "from ulabeam.metrics import ErrorBox, np\n"
+        "from .cli import load_scenario, main\n"
+        "from os.path import join\n",
+        encoding="utf-8",
+    )
+    assert _unlisted_imports(sample) == [
+        "sample.py:3 imports ulp_helper, not in field.__all__",
+        "sample.py:4 imports np, not in metrics.__all__",
+        "sample.py:5 imports load_scenario, not in cli.__all__",
     ]
 
 
