@@ -21,7 +21,6 @@ __all__ = [
     "BesselDesign",
     "BesselLimits",
     "SelfHealReport",
-    "wavefront",
     "bessel_phases",
     "propagation_limits",
     "min_elements",
@@ -42,10 +41,6 @@ class BesselDesign:
             raise ValueError("|theta_a| must be < pi/2")
         if not 0.0 < self.alpha < math.pi / 2:
             raise ValueError("alpha must be in (0, pi/2)")
-
-    def definable(self) -> bool:
-        """Wavefront function exists: alpha + |theta_a| < pi/2."""
-        return self.alpha + abs(self.theta_a) < math.pi / 2
 
     def steering_failure(self) -> str | None:
         """The bound of |theta_a| <= alpha < pi/2 - |theta_a| that fails, or None.
@@ -93,23 +88,6 @@ def _require_steerable(d: BesselDesign) -> None:
     reason = d.steering_failure()
     if reason is not None:
         raise ValueError(f"design not steerable: {reason}")
-
-
-def wavefront(x, d: BesselDesign):
-    """Wavefront curve height at transverse position x.
-
-    Piecewise linear: tan(alpha - theta_a) * x for x >= 0,
-    -tan(alpha + theta_a) * x otherwise. Scalar in, scalar out.
-    """
-    if not d.definable():
-        raise ValueError("wavefront undefined: alpha + |theta_a| >= pi/2")
-    xv = np.asarray(x, dtype=float)
-    out = np.where(
-        xv >= 0,
-        math.tan(d.alpha - d.theta_a) * xv,
-        -math.tan(d.alpha + d.theta_a) * xv,
-    )
-    return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 
 
 def bessel_phases(cfg: UlaConfig, d: BesselDesign) -> Excitation:
@@ -172,11 +150,17 @@ def min_elements(d_target: float, d: BesselDesign, spacing: float) -> int:
 
 
 def max_spacing(d: BesselDesign, wavelength: float) -> float:
-    """Spatial-sampling upper bound on element spacing for this design."""
+    """Spatial-sampling upper bound on element spacing for this design.
+
+    Raises if alpha is so small that the bound overflows.
+    """
     _require_steerable(d)
-    if not wavelength > 0:
-        raise ValueError("wavelength must be positive")
-    return wavelength / 2.0 / math.sin(d.alpha + abs(d.theta_a))
+    if not (wavelength > 0 and math.isfinite(wavelength)):
+        raise ValueError("wavelength must be positive and finite")
+    value = wavelength / 2.0 / math.sin(d.alpha + abs(d.theta_a))
+    if not math.isfinite(value):
+        raise ValueError("alpha is too small for this wavelength: the maximum spacing overflows")
+    return value
 
 
 def self_heal(cfg: UlaConfig, d: BesselDesign, obs: RectObstacle | CircleObstacle) -> SelfHealReport:

@@ -14,9 +14,10 @@ six constraints left. One build of the constraint rows per curvature
 serves the relaxed solve, the pinned solve and the lookup of the KKT row.
 The pinned problem has a feasible vertex in exact arithmetic (proof in
 `optimize`), so there is no second route; a scene whose rounding loses
-that vertex is rejected as ill-conditioned. The paper's nine closed-form
-KKT candidates (`kkt_candidates`) are not used by the solve; they stay as
-a cross-check, and a solution reports which of them its vertex is.
+that vertex is rejected as ill-conditioned. The solve never evaluates
+the paper's nine closed-form KKT candidates: a solution reports which of
+them its vertex is by the constraint triple that defines each row
+(`_KKT_ROWS`), and the closed forms are kept with the test oracles.
 
 Positive curvature clears the obstacle on its left edge using a prefix of
 the array; negative curvature writes the rows of the scene mirrored about
@@ -41,15 +42,11 @@ from .field import Excitation, normalize_power
 __all__ = [
     "ParabolicTrajectory",
     "AvoidanceScenario",
-    "KktCandidate",
     "CurvingSolution",
     "CurvingResult",
     "AvoidancePlan",
-    "trajectory_eval",
-    "tangent_y",
     "curving_phases",
     "f_para",
-    "kkt_candidates",
     "optimize",
     "plan_with_fallback",
     "plan_excitation",
@@ -74,7 +71,7 @@ _CONSTRAINT_NAMES = (
     "leftmost tangent spans user",
     "tangent exists at aperture cut",
 )
-# The constraint triple that defines each kkt_candidates row, in row order.
+# The constraint triple that defines each row of the paper's KKT table, in row order.
 _KKT_ROWS = (
     (3, 4, 7),
     (4, 6, 7),
@@ -137,15 +134,6 @@ class AvoidanceScenario:
 
 
 @dataclass(frozen=True)
-class KktCandidate:
-    index: int
-    beta: float
-    p_tilde: float
-    x_adj: float
-    valid: bool
-
-
-@dataclass(frozen=True)
 class CurvingSolution:
     trajectory: ParabolicTrajectory
     p_tilde: float
@@ -183,41 +171,6 @@ class AvoidancePlan:
     message: str
 
 
-def trajectory_eval(t: ParabolicTrajectory, y):
-    """Trajectory x-coordinate at height y."""
-    yv = np.asarray(y, dtype=float)
-    out = t.beta * (yv - t.p) ** 2 + t.q
-    return float(out) if np.isscalar(y) or yv.ndim == 0 else out
-
-
-def _tangent_radicand(t: ParabolicTrajectory, xv: np.ndarray) -> np.ndarray:
-    """Squared tangent height, with tiny negative float residue clamped.
-
-    An optimal aperture cut often makes the edge element tangent exactly at
-    the array plane (height 0), so roundoff can push the radicand a hair
-    below zero; genuine violations stay negative.
-    """
-    rad = (t.beta * t.p**2 + t.q - xv) / t.beta
-    atol = 1e-7 * max(1.0, float(np.abs(rad).max(initial=0.0)))
-    return np.where((rad < 0) & (rad >= -atol), 0.0, rad)
-
-
-def tangent_y(t: ParabolicTrajectory, x_t):
-    """Height of the tangent point on the trajectory for an element at x_t.
-
-    For beta > 0 this is non-increasing in x_t. Raises when the element has
-    no tangent (negative radicand).
-    """
-    if t.beta == 0:
-        raise ValueError("tangent undefined for beta = 0")
-    xv = np.asarray(x_t, dtype=float)
-    rad = _tangent_radicand(t, xv)
-    if np.any(rad < 0):
-        raise ValueError("element has no tangent to trajectory")
-    out = np.sqrt(rad)
-    return float(out) if np.isscalar(x_t) or xv.ndim == 0 else out
-
-
 def curving_phases(cfg: UlaConfig, t: ParabolicTrajectory, active: np.ndarray) -> Excitation:
     """Unit-magnitude excitation launching the curving beam along t.
 
@@ -242,8 +195,13 @@ def curving_phases(cfg: UlaConfig, t: ParabolicTrajectory, active: np.ndarray) -
         raise ValueError("active must be a boolean mask with one entry per element")
     k = cfg.wavenumber()
     phases = np.zeros(n)
-    xa = xs[mask]
-    rad = _tangent_radicand(t, xa)
+    # Squared tangent heights. An optimal aperture cut often makes the edge
+    # element tangent exactly at the array plane (height 0), so roundoff can
+    # push the radicand a hair below zero; such residue is clamped, and
+    # genuine violations stay negative.
+    rad = (t.beta * t.p**2 + t.q - xs[mask]) / t.beta
+    atol = 1e-7 * max(1.0, float(np.abs(rad).max(initial=0.0)))
+    rad = np.where((rad < 0) & (rad >= -atol), 0.0, rad)
     bad = np.nonzero(rad < 0)[0]
     if bad.size:
         element = int(np.nonzero(mask)[0][bad[0]])
@@ -308,61 +266,6 @@ def _constraints(s: AvoidanceScenario, sign: int) -> tuple[np.ndarray, np.ndarra
 
 def _scales(g: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.maximum(np.abs(g).max(axis=1), np.abs(c)))
-
-
-def kkt_candidates(s: AvoidanceScenario) -> list[KktCandidate]:
-    """The nine closed-form candidate vertices of the positive-curvature LP.
-
-    Rows 1..3 carry a computed aperture cut; rows 4..9 pin x_adj = R.
-    Candidates with non-finite entries are flagged invalid but returned.
-    """
-    y_n, y_f, y_u = s.obstacle.y_n, s.obstacle.y_f, s.user.y
-    x_u, x_r2 = s.user.x, s.obstacle.x_r2
-    r_half = s.cfg.half_aperture()
-
-    def pair_rows(y_e: float) -> list[tuple[float, float, float]]:
-        # Rows parameterized by one obstacle corner height y_e (y_f or y_n):
-        # edge-tangent family (computed x_adj), full-span family (x_adj = R)
-        # sharing the same (beta, p_tilde), and two more x_adj = R rows.
-        d_e = y_e - y_u
-        b2 = -(r_half * y_e - r_half * y_u + x_u * y_e - x_r2 * y_u) / (y_u * d_e**2)
-        p2 = -(
-            r_half * y_e**2 - r_half * y_u**2 + x_u * y_e**2 - 2.0 * x_r2 * y_u**2 + x_u * y_u**2
-        ) / (2.0 * y_u * d_e**2)
-        x2 = -(r_half * y_e**2 - x_r2 * y_u**2 - r_half * y_e * y_u + x_u * y_e * y_u) / d_e**2
-        b4 = (r_half * y_e - r_half * y_u - x_u * y_e + x_r2 * y_u) / (y_e * y_u * d_e)
-        p4 = (r_half * y_e**2 - r_half * y_u**2 - x_u * y_e**2 + x_r2 * y_u**2) / (
-            2.0 * y_e * y_u * d_e
-        )
-        b8 = (r_half * y_e - r_half * y_u - x_u * y_e + x_r2 * y_u) / (y_u * d_e**2)
-        p8 = -(
-            r_half * y_u**2 - r_half * y_e**2 + x_u * y_e**2 - 2.0 * x_r2 * y_u**2 + x_u * y_u**2
-        ) / (2.0 * y_u * d_e**2)
-        return [(b2, p2, x2), (b4, p4, r_half), (b2, p2, r_half), (b8, p8, r_half)]
-
-    d_f, d_n = y_f - y_u, y_n - y_u
-    b1 = -(x_r2 - x_u) / (d_f * d_n)
-    p1 = -(x_r2 * y_f - x_u * y_f + x_r2 * y_n - x_u * y_n) / (2.0 * d_f * d_n)
-    x1 = (x_r2 * y_u**2 + x_u * y_f * y_n - x_r2 * y_f * y_u - x_r2 * y_n * y_u) / (d_f * d_n)
-
-    far_rows = pair_rows(y_f)
-    near_rows = pair_rows(y_n)
-    ordered = [
-        (b1, p1, x1),
-        far_rows[0],
-        near_rows[0],
-        far_rows[1],
-        near_rows[1],
-        far_rows[2],
-        near_rows[2],
-        far_rows[3],
-        near_rows[3],
-    ]
-    out = []
-    for i, (b, pt, xa) in enumerate(ordered, start=1):
-        valid = all(math.isfinite(v) for v in (b, pt, xa))
-        out.append(KktCandidate(i, b, pt, xa, valid))
-    return out
 
 
 def _best_vertex(

@@ -1,18 +1,24 @@
-"""Independent test oracles: brute-force references the tests compare against.
+"""Independent test oracles: brute-force and closed-form references the tests compare against.
 
-Kept free of any imports from the package's internal solver helpers; only
-public data types are used, so the oracles cannot inherit a bug from the
-code under test. The one exception is ``dense_field``: it checks the field
-kernel's arithmetic, not its geometry, so it takes the kernel's blocked
-runs and the obstacle's ``contains`` (which ``visible_pairs`` and
+Kept free of any imports from the package's functions; only its data
+types are used, so the oracles cannot inherit a bug from the code under
+test. The one exception is ``dense_field``: it checks the field kernel's
+arithmetic, not its geometry, so it takes the kernel's blocked runs and
+the obstacle's ``contains`` (which ``visible_pairs`` and
 ``inside_obstacle`` check on their own). ``highs_optimum`` solves the
 curving LP, built from this module's own rows, with scipy's HiGHS rather
 than by enumeration.
+
+The paper's closed forms that no command evaluates live here too: the
+Bessel wavefront curve (``wavefront``), the parabola and its tangent
+heights (``trajectory_eval``, ``tangent_y``) and the nine KKT candidate
+vertices of the curving LP (``kkt_candidates``).
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,13 +26,53 @@ from ulabeam import (
     AvoidanceScenario,
     BesselDesign,
     CircleObstacle,
+    ParabolicTrajectory,
     Point2,
     RectObstacle,
     UlaConfig,
-    tangent_y,
-    trajectory_eval,
 )
 from ulabeam.field import _blocked_runs
+
+
+def wavefront(x, d: BesselDesign):
+    """Wavefront curve height at transverse position x.
+
+    Piecewise linear: tan(alpha - theta_a) * x for x >= 0,
+    -tan(alpha + theta_a) * x otherwise. Defined only while
+    alpha + |theta_a| < pi/2. Scalar in, scalar out.
+    """
+    if not d.alpha + abs(d.theta_a) < math.pi / 2:
+        raise ValueError("wavefront undefined: alpha + |theta_a| >= pi/2")
+    xv = np.asarray(x, dtype=float)
+    out = np.where(xv >= 0, math.tan(d.alpha - d.theta_a) * xv, -math.tan(d.alpha + d.theta_a) * xv)
+    return float(out) if np.isscalar(x) or xv.ndim == 0 else out
+
+
+def trajectory_eval(t: ParabolicTrajectory, y):
+    """Trajectory x-coordinate at height y."""
+    yv = np.asarray(y, dtype=float)
+    out = t.beta * (yv - t.p) ** 2 + t.q
+    return float(out) if np.isscalar(y) or yv.ndim == 0 else out
+
+
+def tangent_y(t: ParabolicTrajectory, x_t):
+    """Height of the tangent point on the trajectory for an element at x_t.
+
+    For beta > 0 this is non-increasing in x_t. A radicand below zero by
+    at most 1e-7 of the largest one is roundoff at an edge element tangent
+    on the array plane, and reads as height 0; raises when the element has
+    no tangent (a negative radicand beyond that).
+    """
+    if t.beta == 0:
+        raise ValueError("tangent undefined for beta = 0")
+    xv = np.asarray(x_t, dtype=float)
+    rad = (t.beta * t.p**2 + t.q - xv) / t.beta
+    atol = 1e-7 * max(1.0, float(np.abs(rad).max(initial=0.0)))
+    rad = np.where((rad < 0) & (rad >= -atol), 0.0, rad)
+    if np.any(rad < 0):
+        raise ValueError("element has no tangent to trajectory")
+    out = np.sqrt(rad)
+    return float(out) if np.isscalar(x_t) or xv.ndim == 0 else out
 
 
 def polyline_min_distances(points_x: np.ndarray, curve_x: np.ndarray, curve_y: np.ndarray) -> np.ndarray:
@@ -84,6 +130,59 @@ def _lp_data(s: AvoidanceScenario):
     x_u, x_r2 = s.user.x, s.obstacle.x_r2
     r_half = s.cfg.half_aperture()
     return y_n, y_f, y_u, x_u, x_r2, r_half
+
+
+# A NamedTuple, not a dataclass: perfbench loads this file as a module
+# that sys.modules does not hold, where a dataclass cannot resolve its
+# string annotations.
+class KktCandidate(NamedTuple):
+    index: int
+    beta: float
+    p_tilde: float
+    x_adj: float
+    valid: bool
+
+
+def kkt_candidates(s: AvoidanceScenario) -> list[KktCandidate]:
+    """The paper's nine closed-form candidate vertices of the positive-curvature LP.
+
+    Rows 1..3 carry a computed aperture cut; rows 4..9 pin x_adj = R.
+    Candidates with non-finite entries are flagged invalid but returned.
+    """
+    y_n, y_f, y_u, x_u, x_r2, r_half = _lp_data(s)
+
+    def pair_rows(y_e: float) -> list[tuple[float, float, float]]:
+        # Rows parameterized by one obstacle corner height y_e (y_f or y_n):
+        # edge-tangent family (computed x_adj), full-span family (x_adj = R)
+        # sharing the same (beta, p_tilde), and two more x_adj = R rows.
+        d_e = y_e - y_u
+        b2 = -(r_half * y_e - r_half * y_u + x_u * y_e - x_r2 * y_u) / (y_u * d_e**2)
+        p2 = -(
+            r_half * y_e**2 - r_half * y_u**2 + x_u * y_e**2 - 2.0 * x_r2 * y_u**2 + x_u * y_u**2
+        ) / (2.0 * y_u * d_e**2)
+        x2 = -(r_half * y_e**2 - x_r2 * y_u**2 - r_half * y_e * y_u + x_u * y_e * y_u) / d_e**2
+        b4 = (r_half * y_e - r_half * y_u - x_u * y_e + x_r2 * y_u) / (y_e * y_u * d_e)
+        p4 = (r_half * y_e**2 - r_half * y_u**2 - x_u * y_e**2 + x_r2 * y_u**2) / (
+            2.0 * y_e * y_u * d_e
+        )
+        b8 = (r_half * y_e - r_half * y_u - x_u * y_e + x_r2 * y_u) / (y_u * d_e**2)
+        p8 = -(
+            r_half * y_u**2 - r_half * y_e**2 + x_u * y_e**2 - 2.0 * x_r2 * y_u**2 + x_u * y_u**2
+        ) / (2.0 * y_u * d_e**2)
+        return [(b2, p2, x2), (b4, p4, r_half), (b2, p2, r_half), (b8, p8, r_half)]
+
+    d_f, d_n = y_f - y_u, y_n - y_u
+    b1 = -(x_r2 - x_u) / (d_f * d_n)
+    p1 = -(x_r2 * y_f - x_u * y_f + x_r2 * y_n - x_u * y_n) / (2.0 * d_f * d_n)
+    x1 = (x_r2 * y_u**2 + x_u * y_f * y_n - x_r2 * y_f * y_u - x_r2 * y_n * y_u) / (d_f * d_n)
+
+    far_rows = pair_rows(y_f)
+    near_rows = pair_rows(y_n)
+    ordered = [(b1, p1, x1)] + [row for pair in zip(far_rows, near_rows) for row in pair]
+    return [
+        KktCandidate(i, b, pt, xa, all(math.isfinite(v) for v in (b, pt, xa)))
+        for i, (b, pt, xa) in enumerate(ordered, start=1)
+    ]
 
 
 def grid_objective(s: AvoidanceScenario, beta, p_tilde, x_adj):

@@ -34,6 +34,9 @@ from oracles import (
     polyline_min_distances,
     random_feasible_scenarios,
     solution_geometry_slacks,
+    tangent_y,
+    trajectory_eval,
+    wavefront,
 )
 from ulabeam import (
     AvoidanceScenario,
@@ -55,9 +58,6 @@ from ulabeam import (
     plan_with_fallback,
     propagation_limits,
     self_heal,
-    tangent_y,
-    trajectory_eval,
-    wavefront,
 )
 from ulabeam.cli import main
 

@@ -15,7 +15,8 @@ Proves:
  - element-count / spacing bounds reproduce the printed design numbers, and
    the element count is the least that reaches the target distance at each
    of three spacings; a count that overflows is rejected, and a tiny alpha
-   still needs two elements
+   still needs two elements; a spacing bound that overflows is rejected
+   naming alpha, and an infinite wavelength is rejected
  - self-healing reports match frozen values for the cuboid and cylinder
    fixtures, and the clearing element's ray really does clear the circle
    while its inward neighbor does not; steered designs behind a circle
@@ -41,9 +42,8 @@ from ulabeam import (
     min_elements,
     propagation_limits,
     self_heal,
-    wavefront,
 )
-from oracles import direct_ray, polyline_min_distances
+from oracles import direct_ray, polyline_min_distances, wavefront
 
 DEG = math.pi / 180.0
 
@@ -87,11 +87,11 @@ def test_steerable_symmetric_in_theta_sign():
     assert BesselDesign(-15 * DEG, 10 * DEG).steering_failure() is not None
 
 
-def test_marginal_and_definable():
+def test_marginal():
     d = BesselDesign(15 * DEG, 15 * DEG)
     assert d.marginal() and d.steering_failure() is None
-    assert BesselDesign(15 * DEG, 20 * DEG).definable()
-    assert not BesselDesign(40 * DEG, 55 * DEG).definable()
+    assert BesselDesign(-15 * DEG, 15 * DEG).marginal()
+    assert not BesselDesign(15 * DEG, 20 * DEG).marginal()
 
 
 def test_design_domain_validation():
@@ -223,6 +223,15 @@ def test_max_spacing_frozen_value():
     got = max_spacing(d, lam)
     assert_allclose(got, 0.0018666864294695452, rtol=1e-12)
     assert_allclose(got, lam / 2.0 / math.sin(35 * DEG), rtol=1e-15)
+
+
+def test_max_spacing_rejects_an_overflowing_bound():
+    # lambda / 2 / sin(alpha) overflows at alpha = 3.07e-310 deg
+    lam = 299792458.0 / 140e9
+    with pytest.raises(ValueError, match="^alpha is too small for this wavelength: the maximum spacing overflows$"):
+        max_spacing(BesselDesign(0.0, math.radians(3.07e-310)), lam)
+    with pytest.raises(ValueError, match="^wavelength must be positive and finite$"):
+        max_spacing(BesselDesign(0.0, 20 * DEG), math.inf)
 
 
 def test_min_elements_design_table():

@@ -1,13 +1,13 @@
 """Curving-beam trajectory optimizer: closed forms, KKT table, plans.
 
 Proves:
- - trajectory evaluation and tangent heights satisfy the defining
-   tangency identity, and reject out-of-domain inputs
+ - the oracles' trajectory evaluation and tangent heights satisfy the
+   defining tangency identity, and reject out-of-domain inputs
  - the phase closed form equals k (ray length - arc length) + const,
    checked against numerical quadrature, and its element-to-element slope
    reproduces the tangent ray angle
- - each of the nine closed-form KKT candidates satisfies its defining
-   active-set equations exactly
+ - each of the oracles' nine closed-form KKT candidates satisfies its
+   defining active-set equations exactly
  - solved results pass solver-independent geometric checks (anchor,
    corner clearance, aperture bounds, tangent coverage of the user), and
    agree with the closed-form table: the reported row is the relaxed
@@ -46,22 +46,22 @@ from ulabeam import (
     UlaConfig,
     curving_phases,
     f_para,
-    kkt_candidates,
     optimize,
     plan_excitation,
     plan_with_fallback,
-    tangent_y,
-    trajectory_eval,
 )
 from ulabeam.curving import _best_vertex
 from oracles import (
     grid_search,
     grid_search_literal,
     highs_optimum,
+    kkt_candidates,
     lp_violation,
     random_feasible_scenarios,
     solution_geometry_slacks,
     sweep_scenarios,
+    tangent_y,
+    trajectory_eval,
 )
 
 

@@ -31,7 +31,8 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   1e199 m, whose square overflows;
 - analyze on ``bessel_axis`` with 64 elements at ``alpha_deg`` 2e-311,
   whose propagation limits overflow, and at 1e-300, whose beam reaches
-  the user with fewer elements than an array has;
+  the user with fewer elements than an array has, and with 2 elements at
+  3.07e-310, whose maximum spacing overflows;
 - simulate and analyze on ``bessel_axis`` with 64 elements behind a rect
   whose x edges are +-1e308 m and behind a circle of radius 0.25 m
   centered 1e200 m to the side;
@@ -45,7 +46,7 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   decreasing ``x_range``, ``--line-cut=1.5,1`` and ``--grid=-1,5`` (the
   ``=`` form, since argparse reads a bare ``-1,5`` as an option).
 
-With the seven shipped scenarios that makes 78 runs.
+With the seven shipped scenarios that makes 79 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -319,6 +320,8 @@ def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
     out["simulate huge_circle"] = (small_axis.replace("  type: none\n", circle), ["simulate"])
     for label, alpha in (("tiny_alpha_overflow", "2.0e-311"), ("tiny_alpha_one_element", "1.0e-300")):
         out[f"analyze {label}"] = (small_axis.replace("alpha_deg: 20.0", f"alpha_deg: {alpha}"), ["analyze"])
+    two_axis = axis_text.replace("n_elements: 1024", "n_elements: 2")
+    out["analyze tiny_alpha_max_spacing"] = (two_axis.replace("alpha_deg: 20.0", "alpha_deg: 3.07e-310"), ["analyze"])
     # obstacles beyond 1e100 m, whose shadow geometry overflowed
     for label, obstacle in FAR_OBSTACLES.items():
         far = small_axis.replace("  type: none\n", obstacle)
