@@ -224,15 +224,20 @@ def _parse_grid(node) -> tuple[tuple[float, float], tuple[float, float], int, in
 
 
 def _parse_error_box(node, user: Point2) -> ErrorBox:
-    if node is None:
-        return ErrorBox(center=user, half_width_x=0.1, half_width_y=0.1)
-    d = _mapping(node, "error_box")
-    hx = _number(_pop(d, "half_width_x", "error_box"), "error_box.half_width_x")
-    hy = _number(_pop(d, "half_width_y", "error_box"), "error_box.half_width_y")
-    nx = _integer(_pop(d, "nx", "error_box", required=False, default=21), "error_box.nx")
-    ny = _integer(_pop(d, "ny", "error_box", required=False, default=21), "error_box.ny")
-    _no_extra(d, "error_box")
-    return ErrorBox(center=user, half_width_x=hx, half_width_y=hy, nx=nx, ny=ny)
+    """The box around the user; a key the file leaves out takes ErrorBox's default."""
+    given = {}
+    if node is not None:
+        d = _mapping(node, "error_box")
+        for key in ("half_width_x", "half_width_y"):
+            given[key] = _number(_pop(d, key, "error_box"), f"error_box.{key}")
+        for key in ("nx", "ny"):
+            if key in d:
+                given[key] = _integer(d.pop(key), f"error_box.{key}")
+        _no_extra(d, "error_box")
+    box = ErrorBox(center=user, **given)
+    if not user.y - box.half_width_y > 0:
+        raise UsageError("error_box.half_width_y must be less than user.y: the box must lie in front of the array")
+    return box
 
 
 def load_scenario(path: str, compare: bool = False) -> dict:
@@ -338,10 +343,34 @@ def _beam_excitation(cfg: UlaConfig, user: Point2, beam: dict, obstacle, budget:
 # -- output helpers -------------------------------------------------------
 
 
+def _non_finite(obj, at: str = "") -> str | None:
+    """Key path of the first non-finite float in a report, in written order; None if there is none."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else at
+    if isinstance(obj, dict):
+        items = [(f"{at}.{k}" if at else str(k), v) for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        items = [(f"{at}[{i}]", v) for i, v in enumerate(obj)]
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite(value, key)
+        if found is not None:
+            return found
+    return None
+
+
 def _write_json(path: str, obj) -> None:
     # Non-finite floats raise here, before the file is opened: no command
-    # writes Infinity or NaN, which are not JSON.
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    # writes Infinity or NaN, which are not JSON. The error names the file
+    # and the key path of the first one.
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        bad = _non_finite(obj)
+        if bad is None:
+            raise
+        raise ValueError(f"{os.path.basename(path)}: {bad} is not finite") from None
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
 
@@ -486,11 +515,13 @@ def cmd_compare(scenario: dict, out: str, levels: int) -> int:
     cdfs, rows = [], []
     for b, label in enumerate(_beam_labels(beams)):
         own = slice(b * len(obstacles), (b + 1) * len(obstacles))
-        cdfs.append((label, empirical_cdf(np.concatenate(amps[own]), levels)))
         for j, (point, box_amps) in enumerate(zip(points[own], amps[own])):
+            if box_amps.size == 0:
+                raise UsageError(f"every error_box sample lies inside obstacles[{j}]")
             if math.isnan(point):
-                raise ValueError("field point lies inside the obstacle")
+                raise UsageError(f"user lies inside obstacles[{j}]")
             rows.append((label, f"scenario_{j}", point, mean_amplitude(box_amps)))
+        cdfs.append((label, empirical_cdf(np.concatenate(amps[own]), levels)))
     for label, pairs in cdfs:
         write_cdf_csv(pairs, os.path.join(out, f"cdf_{label}.csv"))
     write_columns(os.path.join(out, "compare.csv"), "beam,scenario,point_amplitude,area_average", zip(*rows))

@@ -8,7 +8,10 @@ the driven, non-occluded elements is
 
 with r_n the element-to-point distance. This is a scalar model: element
 pattern and polarization factors are dropped, so values are relative
-amplitudes with no absolute calibration.
+amplitudes with no absolute calibration. Every amplitude |E| the package
+reports (the grid CSV and PGM, the line cut, the error-box metrics) is
+``np.hypot(E.real, E.imag)``, which equals Python's complex ``abs`` bit
+for bit; ``np.abs`` of a complex array rounds some values differently.
 
 Occlusion is binary (hard shadow): an element contributes to a point only if
 the straight segment between them does not intersect the obstacle. A segment
@@ -62,9 +65,9 @@ partner's row of uv is the representative's reversed, and each obstacle
 then zeroes its own runs on both rows. Under each obstacle, every row of
 uv holds the bits it would hold unpaired, except on elements that no
 entry drives, where either row may hold the other's trig against a
-weight of zero. A point on x = 0 stays single. ``field_grid`` builds a
-symmetric x range mirror-exact, so that every grid node off x = 0 finds
-its partner.
+weight of zero. A point on x = 0 stays single. ``grid_nodes``, the
+lattice of ``field_grid`` and of the error box, builds a symmetric x
+range mirror-exact, so that every node off x = 0 finds its partner.
 
 Each sum is one ``np.vecdot`` of a row of uv with a weight row, so its
 bits depend on those two vectors only: not on the chunk's row count, the
@@ -128,6 +131,7 @@ __all__ = [
     "field_at",
     "field_grid",
     "field_points_per_entry",
+    "grid_nodes",
     "line_cut",
     "normalize_power",
     "write_columns",
@@ -182,9 +186,7 @@ class FieldGrid:
     """Complex field sampled on a regular grid.
 
     values, of shape (nx, ny), holds at [ix, iy] the field at the node
-    (x[ix], y[iy]): the nodes the kernel evaluated. They are np.linspace's,
-    except that ``field_grid`` makes a symmetric x range mirror-exact (see
-    ``_grid_axis``).
+    (x[ix], y[iy]): the nodes the kernel evaluated, ``grid_nodes``'s.
     """
 
     x: np.ndarray
@@ -192,21 +194,29 @@ class FieldGrid:
     values: np.ndarray
 
 
-def _grid_axis(lo: float, hi: float, count: int) -> np.ndarray:
-    """count nodes from lo to hi as np.linspace, made mirror-exact on a symmetric range.
+def grid_nodes(
+    x_range: tuple[float, float], y_range: tuple[float, float], nx: int, ny: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Axes x, y and flattened nodes px, py of a regular nx-by-ny lattice.
 
-    When lo == -hi, node count - 1 - i is -node[i] for i < count // 2 and
-    an odd count's middle node is 0.0. The left half and both ends are
+    Node (x[ix], y[iy]) is (px[ix * ny + iy], py[ix * ny + iy]). Each axis
+    is np.linspace's, made mirror-exact on a symmetric range: when
+    lo == -hi, node count - 1 - i is -node[i] for i < count // 2 and an odd
+    count's middle node is 0.0. The left half and both ends are
     np.linspace's; the right half moves by a few ulp of hi, at most 2 on
     the ranges and sizes of the shipped scenes and the benchmark.
     """
-    nodes = np.linspace(lo, hi, count)
-    if hi > 0 and lo == -hi:
-        half = count // 2
-        nodes[count - half :] = -nodes[half - 1 :: -1]
-        if count % 2:
-            nodes[half] = 0.0
-    return nodes
+    axes = []
+    for (lo, hi), count in ((x_range, nx), (y_range, ny)):
+        nodes = np.linspace(lo, hi, count)
+        if hi > 0 and lo == -hi:
+            half = count // 2
+            nodes[count - half :] = -nodes[half - 1 :: -1]
+            if count % 2:
+                nodes[half] = 0.0
+        axes.append(nodes)
+    x, y = axes
+    return x, y, np.repeat(x, ny), np.tile(y, nx)
 
 
 def gaussian_excitation(cfg: UlaConfig, theta_a: float) -> Excitation:
@@ -434,10 +444,8 @@ def field_grid(
         raise ValueError("nx and ny must be >= 2")
     if x_range[1] <= x_range[0] or y_range[1] <= y_range[0]:
         raise ValueError("ranges must be increasing")
-    x = _grid_axis(x_range[0], x_range[1], nx)
-    y = np.linspace(y_range[0], y_range[1], ny)
-    gx, gy = np.meshgrid(x, y, indexing="ij")
-    values = field_points_per_entry(cfg, ((exc, obstacle),), gx.ravel(), gy.ravel())[0].reshape(nx, ny)
+    x, y, px, py = grid_nodes(x_range, y_range, nx, ny)
+    values = field_points_per_entry(cfg, ((exc, obstacle),), px, py)[0].reshape(nx, ny)
     return FieldGrid(x, y, values)
 
 
@@ -462,7 +470,7 @@ def line_cut(
     px = d * math.sin(theta_a)
     py = d * math.cos(theta_a)
     vals = field_points_per_entry(cfg, ((exc, obstacle),), px, py)[0]
-    return [(float(di), float(abs(v))) for di, v in zip(d, vals)]
+    return list(zip(d.tolist(), np.hypot(vals.real, vals.imag).tolist()))
 
 
 def normalize_power(exc: Excitation, budget: float) -> Excitation:
@@ -495,23 +503,16 @@ def write_field_csv(grid: FieldGrid, path: str) -> None:
     # Each coordinate is formatted once and its string repeated.
     xs = [str(x) for x in grid.x.tolist()]
     ys = [str(y) for y in grid.y.tolist()]
-    # abs per node with Python's complex abs: np.abs rounds some nodes differently.
     write_columns(
         path,
         "x,y,re,im,abs",
-        (
-            xs * ny,
-            [y for y in ys for _ in range(nx)],
-            values.real,
-            values.imag,
-            [abs(v) for v in values.tolist()],
-        ),
+        (xs * ny, [y for y in ys for _ in range(nx)], values.real, values.imag, np.hypot(values.real, values.imag)),
     )
 
 
 def write_field_pgm(grid: FieldGrid, path: str) -> None:
     """Write the amplitude map as a binary 8-bit PGM (see module docstring)."""
-    amp = np.abs(grid.values)
+    amp = np.hypot(grid.values.real, grid.values.imag)
     finite = np.isfinite(amp)
     vmax = float(amp[finite].max()) if finite.any() else 0.0
     if vmax > 0:

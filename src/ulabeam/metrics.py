@@ -2,8 +2,9 @@
 
 Point amplitude at the user, the amplitudes over a positioning error box
 and their mean, and empirical CDFs of amplitudes pooled across obstacle
-scenarios. The box is sampled on a deterministic uniform grid, so the
-metrics are reproducible; samples falling inside an obstacle are excluded.
+scenarios. The box is sampled on ``field.grid_nodes``, the lattice of
+``field_grid``, so the metrics are reproducible; samples falling inside
+an obstacle are excluded.
 ``scenario_amplitudes`` takes the array and a list of (excitation,
 obstacle) entries of one power budget, and evaluates the user and the box
 of every entry in one call of ``field.field_points_per_entry``.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_geometry import CircleObstacle, Point2, RectObstacle, UlaConfig
-from .field import Excitation, field_at, field_points_per_entry, write_columns
+from .field import Excitation, field_at, field_points_per_entry, grid_nodes, write_columns
 
 __all__ = [
     "ErrorBox",
@@ -34,8 +35,8 @@ class ErrorBox:
     """Axis-aligned box of candidate user positions, sampled on a grid."""
 
     center: Point2
-    half_width_x: float
-    half_width_y: float
+    half_width_x: float = 0.1
+    half_width_y: float = 0.1
     nx: int = 21
     ny: int = 21
 
@@ -46,16 +47,9 @@ class ErrorBox:
             raise ValueError("at least 2 samples per axis")
 
     def sample_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened (x, y) coordinates of the nx-by-ny sample grid.
-
-        The nodes are np.linspace's: a box centered on x = 0 is not made
-        mirror-exact as field_grid's x axis is, so only its exactly
-        mirrored nodes share their trig in the field kernel.
-        """
-        x = np.linspace(self.center.x - self.half_width_x, self.center.x + self.half_width_x, self.nx)
-        y = np.linspace(self.center.y - self.half_width_y, self.center.y + self.half_width_y, self.ny)
-        gx, gy = np.meshgrid(x, y, indexing="ij")
-        return gx.ravel(), gy.ravel()
+        """Flattened (x, y) coordinates of the nx-by-ny sample grid, ``field.grid_nodes``'s."""
+        c, hx, hy = self.center, self.half_width_x, self.half_width_y
+        return grid_nodes((c.x - hx, c.x + hx), (c.y - hy, c.y + hy), self.nx, self.ny)[2:]
 
 
 def amplitude_at_user(
@@ -83,9 +77,8 @@ def scenario_amplitudes(
         raise ValueError("power budgets differ across scenarios")
     px, py = box.sample_points()
     values = field_points_per_entry(cfg, entries, np.append(px, box.center.x), np.append(py, box.center.y))
-    amps = np.abs(values[:, :-1])
-    # Python's complex abs, as amplitude_at_user takes it: np.abs rounds some values differently.
-    return [abs(v) for v in values[:, -1].tolist()], [row[np.isfinite(row)] for row in amps]
+    amps = np.hypot(values.real, values.imag)
+    return amps[:, -1].tolist(), [row[np.isfinite(row)] for row in amps[:, :-1]]
 
 
 def mean_amplitude(amps: np.ndarray) -> float:

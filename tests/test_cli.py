@@ -18,7 +18,8 @@ Proves:
   sidecar whose trajectory anchors on the user to 1e-9; infeasible
   scenarios exit 3 and leave a JSON diagnostic instead of a beam.
 - simulate honours --grid and --line-cut, writes CSV/PGM/JSON whose
-  contents equal an in-process recomputation bit for bit (a line cut
+  contents equal an in-process recomputation bit for bit (the CSV's abs
+  column is Python's complex abs of each node; a line cut
   samples |E| along the steering axis, or along the ray at the user for
   focus and curving beams, NaN inside the obstacle), and refuses to
   run without a grid section; a grid or line cut that reaches points
@@ -34,8 +35,13 @@ Proves:
   evaluated in one kernel call for the whole command; a compare that
   fails (a curving plan that exits 3, a user inside an obstacle that
   exits 2) writes no output file, and its checks fail in a fixed order:
-  plans, points behind the array, then beam by beam the pooled CDF, then
-  entry by entry the user and its box.
+  a box that reaches behind the array, when the scenario is parsed
+  (naming error_box.half_width_y), then plans, then entry by entry its
+  box buried in the obstacle and the user inside it (naming obstacles[j]).
+  An error box takes the defaults of ErrorBox for every key the file
+  leaves out.
+- A report with a non-finite value exits 2 naming the file and the key
+  path of the first one in written order, and writes no file.
 - optimize exits 0 on solved or unnecessary plans and 3 on infeasible
   ones, always writing the plan JSON.
 - Scenes whose numbers reach across the float range (up to three of
@@ -74,6 +80,7 @@ from ulabeam import (
     AvoidanceScenario,
     BesselDesign,
     CircleObstacle,
+    ErrorBox,
     Point2,
     RectObstacle,
     UlaConfig,
@@ -86,7 +93,7 @@ from ulabeam import (
     plan_with_fallback,
     self_heal,
 )
-from ulabeam.cli import main
+from ulabeam.cli import _write_json, load_scenario, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -435,6 +442,7 @@ def test_simulate_grid_override_matches_recomputation(tmp_path):
     for row, (x, y, v) in zip(rows, flat):
         assert row[0] == repr(float(x)) and row[1] == repr(float(y))
         assert row[2] == repr(float(v.real)) and row[3] == repr(float(v.imag))
+        assert row[4] == repr(abs(complex(v)))
     pgm = (tmp_path / "field.pgm").read_bytes()
     assert pgm.startswith(b"P5\n10 8\n255\n")
     assert len(pgm) == len(b"P5\n10 8\n255\n") + 80
@@ -655,8 +663,39 @@ def test_failed_compare_leaves_no_output(tmp_path, capsys):
     data["obstacles"] = [{"type": "none"}, {"type": "rect", "x_r1": 0.05, "x_r2": -0.05, "y_n": 0.5, "y_f": 0.7}]
     path = write_scenario(tmp_path, data)
     assert main(["compare", "--scenario", path, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: field point lies inside the obstacle\n"
+    assert capsys.readouterr().err == "error: user lies inside obstacles[1]\n"
     assert list(out.iterdir()) == []
+
+
+def test_error_box_defaults_are_error_boxs_own(tmp_path):
+    data = {
+        "array": {"n_elements": 8, "spacing_mode": "half_wavelength", "carrier_freq_hz": 140e9},
+        "user": {"x": 0.0, "y": 1.0},
+        "beams": [{"type": "focus"}, {"type": "gaussian", "theta_deg": 0.0}],
+        "obstacles": [{"type": "none"}],
+    }
+    user = Point2(0.0, 1.0)
+    assert load_scenario(write_scenario(tmp_path, data), compare=True)["error_box"] == ErrorBox(user)
+    data["error_box"] = {"half_width_x": 0.05, "half_width_y": 0.02, "ny": 4}
+    box = load_scenario(write_scenario(tmp_path, data), compare=True)["error_box"]
+    assert box == ErrorBox(user, 0.05, 0.02, ny=4) and box.nx == ErrorBox(user).nx
+
+
+def test_write_json_names_the_key_path_of_a_non_finite_value(tmp_path):
+    path = tmp_path / "analyze.json"
+    for report, where in (
+        ({"self_heal": {"d_h_neg": 1.0, "d_h_pos": math.nan}, "d_max": 2.0}, "self_heal.d_h_pos"),
+        ({"a": [0.0, {"c": [1.0, -math.inf]}], "b": None}, "a[1].c[1]"),
+        # the first in written order: keys sorted, lists in order
+        ({"z": math.inf, "y": {"x": [math.nan, math.inf]}}, "y.x[0]"),
+        ({"plan": [[1.0], (2.0, math.inf)]}, "plan[1][1]"),
+    ):
+        with pytest.raises(ValueError) as info:
+            _write_json(str(path), report)
+        assert str(info.value) == f"analyze.json: {where} is not finite"
+        assert not path.exists()
+    _write_json(str(path), {"b": [1.0, None, "nan"], "a": {"c": 2}})
+    assert json.loads(path.read_text()) == {"a": {"c": 2}, "b": [1.0, None, "nan"]}
 
 
 def test_compare_input_validation(tmp_path):
@@ -854,16 +893,18 @@ def test_points_on_an_element_are_rejected(tmp_path, capsys):
 
 
 # Each scene breaks two of compare's checks; the message names the one that
-# runs first: curving plans (exit 3), then points behind the array, then beam
-# by beam the pooled CDF, then entry by entry the user and its box.
+# runs first: a box that reaches behind the array (when the scenario is
+# parsed), then curving plans (exit 3), then entry by entry its box buried
+# in the obstacle and the user inside it.
+BOX_BEHIND = "error: error_box.half_width_y must be less than user.y: the box must lie in front of the array\n"
 COMPARE_ERROR_ORDER = {
-    "plan before points behind the array": (
+    "points behind the array before the plan": (
         {"y": 0.6},
         {"half_width_x": 0.05, "half_width_y": 0.7, "nx": 3, "ny": 3},
         [{"type": "focus"}, {"type": "curving"}],
         [{"type": "rect", "x_r1": 0.5, "x_r2": -0.5, "y_n": 0.15, "y_f": 0.55}],
-        3,
-        "optimizer did not produce a beam: both curvature signs failed (positive: infeasible, negative: infeasible)\n",
+        2,
+        BOX_BEHIND,
     ),
     "points behind the array before the user inside an obstacle": (
         {"y": 0.04},
@@ -871,23 +912,26 @@ COMPARE_ERROR_ORDER = {
         [{"type": "focus"}, {"type": "gaussian", "theta_deg": 0.0}],
         [{"type": "rect", "x_r1": 0.1, "x_r2": -0.1, "y_n": 0.01, "y_f": 0.2}],
         2,
-        "error: field points must lie strictly in front of the array (y > 0)\n",
+        BOX_BEHIND,
     ),
-    "empty pooled CDF before the user inside an obstacle": (
+    "user inside an obstacle before a later buried box": (
         {"y": 0.6},
         {"half_width_x": 0.05, "half_width_y": 0.05, "nx": 3, "ny": 3},
         [{"type": "focus"}, {"type": "gaussian", "theta_deg": 0.0}],
-        [{"type": "rect", "x_r1": 0.2, "x_r2": -0.2, "y_n": 0.5, "y_f": 0.7}],
+        [
+            {"type": "rect", "x_r1": 0.01, "x_r2": -0.01, "y_n": 0.5, "y_f": 0.7},
+            {"type": "rect", "x_r1": 0.2, "x_r2": -0.2, "y_n": 0.5, "y_f": 0.7},
+        ],
         2,
-        "error: values must be non-empty\n",
+        "error: user lies inside obstacles[0]\n",
     ),
-    "user inside an obstacle before its buried box": (
+    "buried box before the user inside its obstacle": (
         {"y": 0.6},
         {"half_width_x": 0.05, "half_width_y": 0.05, "nx": 3, "ny": 3},
         [{"type": "focus"}, {"type": "gaussian", "theta_deg": 0.0}],
         [{"type": "none"}, {"type": "rect", "x_r1": 0.2, "x_r2": -0.2, "y_n": 0.5, "y_f": 0.7}],
         2,
-        "error: field point lies inside the obstacle\n",
+        "error: every error_box sample lies inside obstacles[1]\n",
     ),
 }
 
@@ -905,7 +949,8 @@ def test_compare_errors_come_in_a_fixed_order(tmp_path, capsys, case):
     out = tmp_path / "out"
     assert main(["compare", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == code
     assert capsys.readouterr().err == err
-    assert list(out.iterdir()) == []
+    # a scenario rejected when parsed leaves no output directory either
+    assert list(out.glob("*")) == []
 
 
 def extreme_dict(n, spacing, freq, user, beam, rect=None):
@@ -1039,6 +1084,7 @@ def test_extreme_scenes_exit_cleanly(scene):
                 code = main([command, "--scenario", str(path), "--out", str(out)])
             assert code in (0, 2, 3)
             if code == 2:
-                assert "not JSON compliant" not in err.getvalue()
+                # the JSON writer's refusal, in json's words or its own
+                assert "not JSON compliant" not in err.getvalue() and ".json: " not in err.getvalue()
             for report in out.glob("*.json"):
                 json.loads(report.read_text(encoding="ascii"), parse_constant=reject_constant)

@@ -45,11 +45,14 @@ Proves:
    N in {2, 3, 1024} and random arrays, points far off, beside the array,
    between elements and right above one
  - field_grid checks its size and ranges before any field is computed
- - a grid axis on a symmetric range is mirror-exact, with np.linspace's
-   ends and left half, and its right half within 2 ulp of the range end of
-   np.linspace on the shipped and benchmark ranges (5 ulp on random ranges);
-   an asymmetric axis is np.linspace bit for bit; a grid's x and y are
-   the nodes the kernel evaluated, bit for bit
+ - each axis of grid_nodes on a symmetric range is mirror-exact, with
+   np.linspace's ends and left half, and its right half within 2 ulp of
+   the range end of np.linspace on the shipped and benchmark ranges (5 ulp
+   on random ranges); an asymmetric axis is np.linspace bit for bit; a
+   grid's x and y are the nodes the kernel evaluated, bit for bit
+ - the amplitude np.hypot(re, im) equals Python's complex abs bit for bit
+   over +-0, subnormal, huge, infinite and NaN parts, on arrays (NaN as
+   NaN; inf where Python's abs overflows)
  - appending the exact mirror (-x, y) of every point, which the kernel
    pairs with it to share one trig evaluation, leaves every original row
    bit for bit that of the call without them, and the mirrors those of a
@@ -99,7 +102,7 @@ from ulabeam import (
     write_field_pgm,
 )
 from ulabeam.cli import load_scenario, main
-from ulabeam.field import _blocked_runs, _grid_axis
+from ulabeam.field import _blocked_runs, grid_nodes
 
 DEG = math.pi / 180.0
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -511,7 +514,10 @@ def test_any_symmetric_axis_is_mirror_exact(log_h, n):
     # minus its mirror differ by the rounding of s times n - 1 (2 ulp of h),
     # of the two products (1 ulp each) and of the two sums (1/2 ulp each)
     h = 10.0**log_h
-    assert_mirror_exact_axis(_grid_axis(-h, h, n), h, 5)
+    x = grid_nodes((-h, h), (1.0, 2.0), n, 2)[0]
+    assert_mirror_exact_axis(x, h, 5)
+    # the y axis follows the same rule
+    assert np.array_equal(grid_nodes((1.0, 2.0), (-h, h), 2, n)[1].view(np.uint64), x.view(np.uint64))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -520,7 +526,9 @@ def test_asymmetric_axes_are_linspace(lo, width, n):
     hi = lo + width
     if lo == -hi:
         hi = math.nextafter(hi, math.inf)
-    assert np.array_equal(_grid_axis(lo, hi, n).view(np.uint64), np.linspace(lo, hi, n).view(np.uint64))
+    x, y, _, _ = grid_nodes((lo, hi), (lo, hi), n, 2)
+    assert np.array_equal(x.view(np.uint64), np.linspace(lo, hi, n).view(np.uint64))
+    assert np.array_equal(y.view(np.uint64), np.linspace(lo, hi, 2).view(np.uint64))
 
 
 @pytest.mark.parametrize("x_range", ((-0.7, 0.7), (-0.2, 0.5)))
@@ -539,7 +547,9 @@ def test_grid_nodes_are_the_evaluated_nodes(monkeypatch, x_range):
     nodes = np.meshgrid(grid.x, grid.y, indexing="ij")
     for evaluated, node in zip((px, py), nodes):
         assert np.array_equal(evaluated.view(np.uint64), node.ravel().view(np.uint64))
-    assert np.array_equal(grid.x, _grid_axis(*x_range, 81))
+    x, y, gx, gy = grid_nodes(x_range, (0.5, 1.5), 81, 7)
+    assert np.array_equal(grid.x, x) and np.array_equal(grid.y, y)
+    assert np.array_equal(px, gx) and np.array_equal(py, gy)
     assert np.array_equal(grid.y, np.linspace(0.5, 1.5, 7))
 
 
@@ -582,6 +592,33 @@ def test_write_field_pgm_golden(tmp_path):
     assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([255, 0, 128, 128])
 
 
+# Float parts with the edge cases drawn often: signed zeros, subnormals,
+# huge values whose modulus overflows, infinities and NaNs of either sign.
+PARTS = st.floats() | st.sampled_from((0.0, -0.0, 5e-324, -2.2e-308, 1.7e308, -1e308, math.inf, -math.inf, math.nan))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(PARTS, PARTS), min_size=1, max_size=40))
+@example([(0.0, -0.0), (-0.0, 5e-324), (5e-324, -5e-324)])
+@example([(1.7e308, 1.7e308), (1e308, -1e308), (-1e308, 3e307)])
+@example([(math.inf, math.nan), (math.nan, -math.inf), (-math.nan, 1.0), (math.nan, math.nan)])
+def test_amplitude_is_pythons_complex_abs(parts):
+    # the reported amplitude, np.hypot over arrays as the writers and the
+    # metrics take it; Python's abs raises where the modulus overflows
+    re, im = np.array(parts).T
+    with np.errstate(over="ignore"):
+        got = np.hypot(re, im).tolist()
+    for (x, y), amp in zip(parts, got):
+        try:
+            want = abs(complex(x, y))
+        except OverflowError:
+            want = math.inf
+        if math.isnan(want):
+            assert math.isnan(amp)
+        else:
+            assert amp.hex() == want.hex()
+
+
 CHUNK_CASES = (
     RectObstacle(0.05, -0.05, 0.2, 0.4),
     CircleObstacle(Point2(-0.04, 0.35), 0.08),
@@ -600,9 +637,9 @@ def _chunk_case_rows() -> np.ndarray:
     """_chunk_case_grid for every case, from one call with an entry per case."""
     cfg = UlaConfig(1024, 1.07e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
-    gx, gy = np.meshgrid(_grid_axis(-0.3, 0.3, 31), np.linspace(0.1, 1.0, 23), indexing="ij")
+    _, _, px, py = grid_nodes((-0.3, 0.3), (0.1, 1.0), 31, 23)
     entries = [(exc, obstacle) for obstacle in CHUNK_CASES]
-    return field_points_per_entry(cfg, entries, gx.ravel(), gy.ravel()).reshape(-1, 31, 23)
+    return field_points_per_entry(cfg, entries, px, py).reshape(-1, 31, 23)
 
 
 def test_chunked_grid_evaluation_is_bitwise_stable(monkeypatch):

@@ -1,7 +1,9 @@
 """Coverage statistics over a positioning error box.
 
 Proves:
-- ErrorBox validates its shape and samples a deterministic uniform grid.
+- ErrorBox validates its shape and samples a deterministic uniform grid;
+  a box centred on x = 0 is mirror-exact, for odd and even nx, so every
+  sample off x = 0 meets its mirror in the field kernel.
 - The mean box amplitude over a shrunken box converges to the point
   amplitude, and over a distant box the field is nearly constant.
 - Obstacle-interior samples are excluded from box amplitudes and their
@@ -10,6 +12,8 @@ Proves:
   amplitudes of the single-obstacle call, a buried box's empty one
   included, and exactly the user amplitude, NaN where an obstacle holds
   the user.
+- Every amplitude scenario_amplitudes reports, at the box samples and at
+  the user, is Python's complex abs of the kernel value, bit for bit.
 - scenario_amplitudes rejects an empty scenario set and unequal power
   budgets across entries, and keeps the (excitation, obstacle) entries in
   order; pooling the entries' box amplitudes keeps every sample of every
@@ -93,6 +97,20 @@ def test_error_box_sample_grid_layout():
     assert_allclose(py, [1.8, 2.2, 1.8, 2.2, 1.8, 2.2], rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("nx", (2, 20, 21, 40, 41))
+def test_centred_error_box_is_mirror_exact(nx):
+    box = ErrorBox(Point2(0.0, 1.0), 0.13, 0.07, nx=nx, ny=5)
+    px, py = box.sample_points()
+    x = px.reshape(nx, 5)[:, 0]
+    assert x[0] == -0.13 and x[-1] == 0.13
+    assert np.array_equal(x[::-1], -x)
+    if nx % 2:
+        assert x[nx // 2].hex() == "0x0.0p+0"
+    # each sample's mirror is a sample: sample nx - 1 - ix, iy
+    mirrored = np.stack((-px, py)).reshape(2, nx, 5)[:, ::-1].reshape(2, -1)
+    assert np.array_equal(mirrored, np.stack((px, py)))
+
+
 def test_amplitude_at_user_is_field_magnitude(cfg1024):
     exc = focusing_excitation(cfg1024, USER)
     obstacle = POSITIONS[2]
@@ -151,7 +169,8 @@ def test_per_obstacle_box_amplitudes_match_single_calls(cfg1024):
     points, rows = scenario_amplitudes(cfg1024, [(exc, obstacle) for obstacle in obstacles], BOX)
     assert len(rows) == len(points) == len(obstacles)
     for row, obstacle in zip(rows, obstacles):
-        single = np.abs(field_points_per_entry(cfg1024, ((exc, obstacle),), *BOX.sample_points())[0])
+        single = field_points_per_entry(cfg1024, ((exc, obstacle),), *BOX.sample_points())[0]
+        single = np.hypot(single.real, single.imag)
         assert np.array_equal(row, single[np.isfinite(single)])
     for point, obstacle in zip(points[:-2], obstacles):
         assert point == amplitude_at_user(cfg1024, exc, USER, obstacle)
@@ -159,6 +178,22 @@ def test_per_obstacle_box_amplitudes_match_single_calls(cfg1024):
     assert math.isnan(points[-2]) and math.isnan(points[-1])
     # the small rect covers 11 x 11 samples of the 0.01 m grid; the large one all
     assert rows[-2].size == BOX.nx * BOX.ny - 11 * 11 and rows[-1].size == 0
+
+
+def test_reported_amplitudes_are_pythons_complex_abs(cfg1024):
+    # np.abs of a complex array rounds about a third of these differently
+    entries = [
+        (normalize_power(exc, 1.0), obstacle)
+        for exc in (focusing_excitation(cfg1024, USER), bessel_phases(cfg1024, BesselDesign(0.0, math.radians(20))))
+        for obstacle in (None, *POSITIONS, RectObstacle(0.02, -0.2, 0.85, 0.96))
+    ]
+    points, rows = scenario_amplitudes(cfg1024, entries, BOX)
+    px, py = BOX.sample_points()
+    values = field_points_per_entry(cfg1024, entries, np.append(px, USER.x), np.append(py, USER.y)).tolist()
+    for point, row, kernel in zip(points, rows, values):
+        want = [abs(v) for v in kernel[:-1]]
+        assert [a.hex() for a in row.tolist()] == [a.hex() for a in want if math.isfinite(a)]
+        assert point.hex() == abs(kernel[-1]).hex()
 
 
 def test_scenario_set_requires_entries(cfg1024):

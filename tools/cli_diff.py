@@ -41,12 +41,17 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
 - analyze on ``bessel_axis`` with 64 elements and ``obstacle`` given
   twice (a rect, then none), and simulate on it with ``user.x`` given
   twice (duplicate keys);
+- compare on a 64-element scene whose error box is centred on x = 0 with
+  an even ``nx`` (every sample pairs with its mirror in the field kernel),
+  and three 64-element compare scenes that exit 2 naming a scenario key:
+  a box that reaches behind the array, a user inside the second obstacle
+  and a box buried in the only obstacle;
 - ``compare --levels 1`` and ``simulate --grid 3`` (usage errors);
 - three invalid simulate requests on ``self_healing_cuboid``: a
   decreasing ``x_range``, ``--line-cut=1.5,1`` and ``--grid=-1,5`` (the
   ``=`` form, since argparse reads a bare ``-1,5`` as an option).
 
-With the seven shipped scenarios that makes 79 runs.
+With the seven shipped scenarios that makes 83 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -260,6 +265,41 @@ grid:
   ny: 2
 """
 
+# Compare scenes on 64 elements: label -> (user y, error box, obstacles).
+_SMALL_BOX = "  half_width_x: 0.05\n  half_width_y: 0.05\n"
+_COMPARE_RECT = "  - type: rect\n    x_r1: {0}\n    x_r2: -{0}\n    y_n: {1}\n    y_f: {2}\n"
+COMPARE_64 = {
+    "centred_even_box": (
+        1.0,
+        "  half_width_x: 0.1\n  half_width_y: 0.05\n  nx: 20\n  ny: 5\n",
+        "  - type: none\n" + _COMPARE_RECT.format(0.14, 0.1, 0.57),
+    ),
+    "box_behind_array": (0.04, _SMALL_BOX, "  - type: none\n"),
+    "user_inside_obstacle": (0.6, _SMALL_BOX, "  - type: none\n" + _COMPARE_RECT.format(0.01, 0.5, 0.7)),
+    "buried_box": (0.6, _SMALL_BOX, _COMPARE_RECT.format(0.2, 0.5, 0.7)),
+}
+
+
+def compare_scene(user_y: float, box: str, obstacles: str) -> str:
+    return f"""\
+array:
+  n_elements: 64
+  spacing_mode: half_wavelength
+  carrier_freq_hz: 140000000000.0
+user:
+  x: 0.0
+  y: {user_y}
+beams:
+  - type: focus
+  - type: gaussian
+    theta_deg: 0.0
+  - type: bessel
+    theta_deg: 0.0
+    alpha_deg: 20.0
+obstacles:
+{obstacles}error_box:
+{box}"""
+
 
 # Obstacles of bessel_axis at 64 elements: label -> obstacle mapping.
 FAR_OBSTACLES = {
@@ -334,6 +374,8 @@ def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
     out["simulate duplicate user.x"] = (two_xs, ["simulate"])
     # an odd grid size puts the middle x node of the symmetric range on 0.0
     out["simulate bessel_axis --grid 81,40"] = (axis_text, ["simulate", "--grid", "81,40"])
+    for label, scene in COMPARE_64.items():
+        out[f"compare {label}"] = (compare_scene(*scene), ["compare"])
     compare_text = (shipped / "compare_four_positions.yaml").read_text(encoding="utf-8")
     out["compare --levels 1"] = (compare_text, ["compare", "--levels", "1"])
     smoke_text = (shipped / "smoke_two_element.yaml").read_text(encoding="utf-8")
