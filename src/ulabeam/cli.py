@@ -135,6 +135,13 @@ def _integer(v, ctx: str) -> int:
     return v
 
 
+def _sample_count(v, ctx: str) -> int:
+    count = _integer(v, ctx)
+    if count < 2:
+        raise UsageError(f"{ctx} must be >= 2")
+    return count
+
+
 def _parse_array(node) -> UlaConfig:
     d = _mapping(node, "array")
     n = _integer(_pop(d, "n_elements", "array"), "array.n_elements")
@@ -213,12 +220,15 @@ def _parse_grid(node) -> tuple[tuple[float, float], tuple[float, float], int, in
         v = _pop(d, key, "grid")
         if not (isinstance(v, list) and len(v) == 2):
             raise UsageError(f"grid.{key} must be a [min, max] pair")
-        return _number(v[0], f"grid.{key}[0]"), _number(v[1], f"grid.{key}[1]")
+        lo, hi = _number(v[0], f"grid.{key}[0]"), _number(v[1], f"grid.{key}[1]")
+        if not lo < hi:
+            raise UsageError(f"grid.{key} must be increasing")
+        return lo, hi
 
     xr = _range("x_range")
     yr = _range("y_range")
-    nx = _integer(_pop(d, "nx", "grid"), "grid.nx")
-    ny = _integer(_pop(d, "ny", "grid"), "grid.ny")
+    nx = _sample_count(_pop(d, "nx", "grid"), "grid.nx")
+    ny = _sample_count(_pop(d, "ny", "grid"), "grid.ny")
     _no_extra(d, "grid")
     return xr, yr, nx, ny
 
@@ -230,9 +240,11 @@ def _parse_error_box(node, user: Point2) -> ErrorBox:
         d = _mapping(node, "error_box")
         for key in ("half_width_x", "half_width_y"):
             given[key] = _number(_pop(d, key, "error_box"), f"error_box.{key}")
+            if not given[key] > 0:
+                raise UsageError(f"error_box.{key} must be positive")
         for key in ("nx", "ny"):
             if key in d:
-                given[key] = _integer(d.pop(key), f"error_box.{key}")
+                given[key] = _sample_count(d.pop(key), f"error_box.{key}")
         _no_extra(d, "error_box")
     box = ErrorBox(center=user, **given)
     if not user.y - box.half_width_y > 0:
@@ -579,8 +591,20 @@ def main(argv=None) -> int:
         if args.command == "synthesize":
             return cmd_synthesize(scenario, args.out)
         if args.command == "simulate":
-            grid_override = None if args.grid is None else _flag_pair(args.grid, "grid", int, int)
-            cut = None if args.line_cut is None else _flag_pair(args.line_cut, "line-cut", float, int)
+            grid_override = cut = None
+            if args.grid is not None:
+                grid_override = _flag_pair(args.grid, "grid", int, int)
+                if min(grid_override) < 2:
+                    raise UsageError("--grid: nx and ny must be >= 2")
+            if args.line_cut is not None:
+                cut = _flag_pair(args.line_cut, "line-cut", float, int)
+                if cut[1] < 2:
+                    raise UsageError("--line-cut: samples must be >= 2")
+                if not cut[0] > 0:
+                    raise UsageError("--line-cut: distance must be positive")
+                # line_cut scales the distance by samples before it divides.
+                if not math.isfinite(cut[0] * cut[1]):
+                    raise UsageError("--line-cut: distance times samples must be finite")
             return cmd_simulate(scenario, args.out, grid_override, cut)
         if args.command == "compare":
             if args.levels < 2:

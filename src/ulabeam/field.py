@@ -45,11 +45,11 @@ pairs no entry needs: the elements hidden under every obstacle (the
 intersection [max_j lo_j, min_j hi_j) of the obstacles' runs) and the
 elements of zero weight in every excitation (the undriven ones); uv is
 zero there. A chunk with nothing to skip takes cos and sin on every
-pair. The entries are grouped by obstacle: each obstacle zeroes uv on
-its own runs (a lone obstacle's runs are the common runs, already zero
-in a chunk that holds no partners), each of its entries takes two row
-dot products, of uv with (a, b) and with (b, -a), and the obstacle
-restores what it zeroed for the next one.
+pair. The entries are grouped by obstacle: each obstacle zeroes its own
+runs (a lone obstacle's runs are the common runs, already zero in a
+chunk that holds no partners), in a copy of uv if another obstacle
+follows and in uv itself if none does, and each of its entries takes two
+row dot products, of those rows with (a, b) and with (b, -a).
 
 A point (x, y) and its mirror (-x, y) share their trig. The element
 positions are exactly symmetric, ``element_xs()[::-1] == -element_xs()``,
@@ -88,12 +88,13 @@ Points are processed in chunks of about ``_CHUNK_PAIRS`` = 16,384
 point-element pairs, step = ``_CHUNK_PAIRS`` // N points. A chunk holds r
 (reused for k r) and 1 / r side by side in one float64 array of 256 KB,
 uv of 256 KB, a boolean mask of the pairs that need trig when it skips
-any, and copies of the runs an obstacle zeroes. The points are put once
-in chunk order: the representatives, the points in no pair, then the
-partners. Chunks cut the first two groups into runs of step points, and
-the partners of a chunk's representatives come with it; so a chunk
-holds representatives, points in no pair or both, and reads and writes
-only slices of arrays in chunk order. One scatter per call puts the
+any, and a copy of uv while an obstacle that hides some of its pairs has
+another after it. The points are put once in chunk order: the
+representatives, the points in no pair, then the partners. Chunks cut
+the first two groups into runs of step points, and the partners of a
+chunk's representatives come with it; so a chunk holds representatives,
+points in no pair or both, and reads and writes only slices of arrays in
+chunk order. One scatter per call puts the
 result back in the caller's order. The partners' uv fills the array
 that held r and 1 / r, so a chunk takes trig on step points at most,
 writes up to 2 step, and needs no more memory than a chunk without
@@ -392,22 +393,19 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
             spare[:paired] = uv[:paired, :, ::-1]
             blocks.append((spare[:paired], slice(size + start, size + start + paired)))
         for block, points in blocks:
-            rows = block.reshape(-1, 2 * n)
             for j, ((lo, hi), ts) in enumerate(zip(runs, members)):
                 # A lone obstacle's runs are the common runs, which a chunk
                 # without partners skipped and so left zero.
                 hidden = _nonempty_runs(lo[points], hi[points]) if last or paired else ()
-                # Zero this obstacle's runs, saving them for the next obstacle.
-                saved = [(i, a, b, block[i, :, a:b].copy()) for i, a, b in hidden] if j < last else ()
+                # An obstacle with another after it zeroes its runs in a copy.
+                seen = block.copy() if hidden and j < last else block
                 for i, a, b in hidden:
-                    block[i, :, a:b] = 0.0
+                    seen[i, :, a:b] = 0.0
                 # One row dot product per entry and part: bit-identical
                 # whatever the chunk's row count and the number of entries.
-                sums = np.vecdot(rows[:, np.newaxis], stacks[j])
+                sums = np.vecdot(seen.reshape(-1, 1, 2 * n), stacks[j])
                 ordered.real[ts, points] = sums[:, 0::2].T
                 ordered.imag[ts, points] = sums[:, 1::2].T
-                for i, a, b, values in saved:
-                    block[i, :, a:b] = values
 
     from concurrent.futures import ThreadPoolExecutor
 

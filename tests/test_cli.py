@@ -25,18 +25,19 @@ Proves:
   run without a grid section; a grid or line cut that reaches points
   whose distance to an element overflows, or points nearer than about
   1e-154 m to an element, exits 2 and writes no file; so does a compare
-  whose user or box holds such a point. A grid size below 2, a decreasing
-  range or an invalid line cut exits 2 with its own message before the
-  field kernel runs, and writes no file; a bad cut is reported before a
-  grid that starts at y = 0.
+  whose user or box holds such a point. A grid size below 2, a range
+  that does not increase or an invalid line cut exits 2 with a message
+  naming its grid key or flag before the field kernel runs, and writes
+  no file; a bad cut is reported before a grid that starts at y = 0.
 - compare emits one row per beam and obstacle plus a CDF file per beam;
   the focused beam tops the free-space column, a fully blocking wall
   zeroes the point amplitude, and the user and every error box are
   evaluated in one kernel call for the whole command; a compare that
   fails (a curving plan that exits 3, a user inside an obstacle that
   exits 2) writes no output file, and its checks fail in a fixed order:
-  a box that reaches behind the array, when the scenario is parsed
-  (naming error_box.half_width_y), then plans, then entry by entry its
+  a box with a half-width that is not positive, fewer than 2 samples on
+  an axis or a reach behind the array, when the scenario is parsed
+  (naming its error_box key), then plans, then entry by entry its
   box buried in the obstacle and the user inside it (naming obstacles[j]).
   An error box takes the defaults of ErrorBox for every key the file
   leaves out.
@@ -50,6 +51,9 @@ Proves:
   2 or 3, never raise, and write only standard JSON; an exit 2 never
   reports the JSON writer's refusal of a non-finite number; analyze exits
   2 and writes nothing when the element count for the user overflows.
+  150 such generated scenes, through simulate on a 3-by-3 grid with a
+  line cut and through compare beside a focused beam on a 2-by-2 box,
+  exit 0, 2 or 3 with no warning and write only standard JSON.
 - Repeated runs produce byte-identical data files.
 - The JSON reports keep their key sets: the plan in optimize.json
   (solved two-beam, unnecessary, infeasible), analyze.json (rect and
@@ -66,6 +70,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -583,14 +588,20 @@ def test_compare_full_wall_zeroes_point_amplitudes(tmp_path):
     assert [r[2] for r in rows] == ["0.0", "0.0"]
 
 
+# Each message names the scenario key or the flag at fault.
 INVALID_SIMULATE = {
-    "decreasing_x_range": ({"x_range": [0.7, -0.7]}, [], "ranges must be increasing"),
-    "one_column": ({}, ["--grid=1,300"], "nx and ny must be >= 2"),
-    "negative_size": ({}, ["--grid=-1,5"], "nx and ny must be >= 2"),
-    "one_cut_sample": ({}, ["--line-cut=1.5,1"], "samples must be >= 2"),
-    "negative_cut_distance": ({}, ["--line-cut=-1,200"], "d_max_plot must be positive"),
+    "decreasing_x_range": ({"x_range": [0.7, -0.7]}, [], "grid.x_range must be increasing"),
+    "empty_y_range": ({"y_range": [1.6, 1.6]}, [], "grid.y_range must be increasing"),
+    "one_file_column": ({"nx": 1}, [], "grid.nx must be >= 2"),
+    "one_column": ({}, ["--grid=1,300"], "--grid: nx and ny must be >= 2"),
+    "negative_size": ({}, ["--grid=-1,5"], "--grid: nx and ny must be >= 2"),
+    "one_cut_sample": ({}, ["--line-cut=1.5,1"], "--line-cut: samples must be >= 2"),
+    "negative_cut_distance": ({}, ["--line-cut=-1,200"], "--line-cut: distance must be positive"),
+    # the farthest sample's d_max_plot * samples would overflow, or d is inf
+    "overflowing_cut": ({}, ["--line-cut=1e308,4"], "--line-cut: distance times samples must be finite"),
+    "infinite_cut": ({}, ["--line-cut=inf,4"], "--line-cut: distance times samples must be finite"),
     # the cut is checked before the grid's first row, at y = 0, reaches the kernel
-    "bad_cut_and_grid_from_zero": ({"y_range": [0.0, 1.6]}, ["--line-cut=1.5,1"], "samples must be >= 2"),
+    "bad_cut_and_grid_from_zero": ({"y_range": [0.0, 1.6]}, ["--line-cut=1.5,1"], "--line-cut: samples must be >= 2"),
 }
 
 
@@ -607,7 +618,8 @@ def test_invalid_simulate_never_reaches_the_kernel(tmp_path, monkeypatch, capsys
     out = tmp_path / "out"
     assert main(["simulate", "--scenario", write_scenario(tmp_path, data), "--out", str(out), *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert list(out.iterdir()) == []
+    # a grid rejected when the scenario is parsed leaves no output directory
+    assert list(out.glob("*")) == []
 
 
 def test_compare_evaluates_each_box_once(tmp_path, monkeypatch):
@@ -893,11 +905,27 @@ def test_points_on_an_element_are_rejected(tmp_path, capsys):
 
 
 # Each scene breaks two of compare's checks; the message names the one that
-# runs first: a box that reaches behind the array (when the scenario is
-# parsed), then curving plans (exit 3), then entry by entry its box buried
-# in the obstacle and the user inside it.
+# runs first: a box that is empty or reaches behind the array (when the
+# scenario is parsed), then curving plans (exit 3), then entry by entry its
+# box buried in the obstacle and the user inside it.
 BOX_BEHIND = "error: error_box.half_width_y must be less than user.y: the box must lie in front of the array\n"
 COMPARE_ERROR_ORDER = {
+    "negative half-width before the plan": (
+        {"y": 0.6},
+        {"half_width_x": -0.1, "half_width_y": 0.1},
+        [{"type": "focus"}, {"type": "curving"}],
+        [{"type": "rect", "x_r1": 0.5, "x_r2": -0.5, "y_n": 0.15, "y_f": 0.55}],
+        2,
+        "error: error_box.half_width_x must be positive\n",
+    ),
+    "one box column before the plan": (
+        {"y": 0.6},
+        {"half_width_x": 0.05, "half_width_y": 0.05, "nx": 1},
+        [{"type": "focus"}, {"type": "curving"}],
+        [{"type": "rect", "x_r1": 0.5, "x_r2": -0.5, "y_n": 0.15, "y_f": 0.55}],
+        2,
+        "error: error_box.nx must be >= 2\n",
+    ),
     "points behind the array before the plan": (
         {"y": 0.6},
         {"half_width_x": 0.05, "half_width_y": 0.7, "nx": 3, "ny": 3},
@@ -1086,5 +1114,41 @@ def test_extreme_scenes_exit_cleanly(scene):
             if code == 2:
                 # the JSON writer's refusal, in json's words or its own
                 assert "not JSON compliant" not in err.getvalue() and ".json: " not in err.getvalue()
+            for report in out.glob("*.json"):
+                json.loads(report.read_text(encoding="ascii"), parse_constant=reject_constant)
+
+
+FUZZ_GRID = {"x_range": [-0.2, 0.2], "y_range": [0.1, 0.6], "nx": 3, "ny": 3}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(extreme_scene())
+def test_extreme_scenes_simulate_and_compare_cleanly(scene):
+    # simulate on a 3-by-3 grid with a 4-sample cut out to twice the user's
+    # height, and compare the scene's beam with a focused one under the
+    # scene's obstacle (or none) on a 2-by-2 box: each ends in a result (0),
+    # a rejected scene (2) or no beam (3), never with a warning, and writes
+    # only standard JSON
+    y = scene["user"]["y"]
+    compare = {key: value for key, value in scene.items() if key not in ("beam", "obstacle")}
+    compare.update(
+        beams=[scene["beam"], {"type": "focus"}],
+        obstacles=[scene.get("obstacle", {"type": "none"})],
+        error_box={"half_width_x": y / 4, "half_width_y": y / 4, "nx": 2, "ny": 2},
+    )
+    runs = {
+        "simulate": ({**scene, "grid": FUZZ_GRID}, ["--grid", "3,3", f"--line-cut={2 * y!r},4"]),
+        "compare": (compare, []),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, (data, flags) in runs.items():
+            path = Path(tmp) / f"{command}.yaml"
+            path.write_text(yaml.safe_dump(data), encoding="utf-8")
+            out = Path(tmp) / command
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("always")
+                code = main([command, "--scenario", str(path), "--out", str(out), *flags])
+            assert code in (0, 2, 3)
+            assert [str(w.message) for w in caught] == []
             for report in out.glob("*.json"):
                 json.loads(report.read_text(encoding="ascii"), parse_constant=reject_constant)

@@ -14,6 +14,11 @@ Proves:
   belongs in tests/oracles.py.
 - tests/oracles.py loads as perfbench loads it, from its path as a
   module that sys.modules does not hold.
+- perfbench's tracer still finds every name it binds: installed on cli
+  and metrics, it counts 8·8·N pairs for a ``--grid 8,8`` simulate and
+  8·N for its 8-sample line cut (from field_grid's cfg, nx and ny and
+  line_cut's cfg and samples), reads a solved plan's status, and puts
+  back every function it replaced.
 - cli.py takes names with ``from ... import`` only from package modules;
   standard-library and third-party modules come in whole. perfbench's
   tracer wraps every function in cli's namespace that another module
@@ -26,9 +31,11 @@ import importlib.util
 from pathlib import Path
 
 import ulabeam
+import ulabeam.cli
 from ulabeam import array_geometry, bessel, curving, field, metrics
 
 SRC = Path(ulabeam.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = (array_geometry, bessel, curving, field, metrics)
 # metrics.amplitude_at_user has no caller in the package. It stays while
 # perfbench's tracer patches metrics.field_at, its one callee, by name.
@@ -192,9 +199,37 @@ def test_unloaded_check_ignores_a_names_own_body(tmp_path):
     assert _unloaded([sample], ["walk", "Node", "leaf", "depth"]) == ["walk", "leaf"]
 
 
-def test_oracles_load_outside_sys_modules():
-    path = Path(__file__).resolve().parent / "oracles.py"
-    spec = importlib.util.spec_from_file_location("standalone_oracles", path)
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_binds_the_package_names(tmp_path):
+    tracing = _load(ROOT / "perfbench" / "tracing.py", "standalone_tracing")
+    cli = ulabeam.cli
+    before = {module: dict(vars(module)) for module in (cli, metrics)}
+    tracer = tracing.Tracer()
+    tracer.install(cli, metrics)
+    try:
+        scenarios = ROOT / "scenarios"
+        simulate = ["simulate", "--scenario", str(scenarios / "smoke_two_element.yaml"), "--out", str(tmp_path / "s")]
+        assert tracer.call_main(cli.main, [*simulate, "--grid", "8,8", "--line-cut", "0.4,8"]) == 0
+        optimize = ["optimize", "--scenario", str(scenarios / "curving_centered_cuboid.yaml"), "--out", str(tmp_path / "o")]
+        assert tracer.call_main(cli.main, optimize) == 0
+    finally:
+        tracer.uninstall()
+    spans = {}
+    for span in tracer.spans:
+        spans.setdefault(span["name"], []).append(span)
+    assert [span["pairs"] for span in spans["field.grid"]] == [8 * 8 * 2]
+    assert [span["pairs"] for span in spans["field.line_cut"]] == [8 * 2]
+    assert [span["status"] for span in spans["curving.plan"]] == ["solved"]
+    for module, names in before.items():
+        assert all(getattr(module, name) is value for name, value in names.items())
+
+
+def test_oracles_load_outside_sys_modules():
+    module = _load(ROOT / "tests" / "oracles.py", "standalone_oracles")
     assert callable(module.solution_geometry_slacks)

@@ -43,15 +43,16 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   twice (duplicate keys);
 - compare on a 64-element scene whose error box is centred on x = 0 with
   an even ``nx`` (every sample pairs with its mirror in the field kernel),
-  and three 64-element compare scenes that exit 2 naming a scenario key:
-  a box that reaches behind the array, a user inside the second obstacle
-  and a box buried in the only obstacle;
+  and five 64-element compare scenes that exit 2 naming a scenario key:
+  a box that reaches behind the array, a user inside the second obstacle,
+  a box buried in the only obstacle, a negative ``half_width_x`` and an
+  ``nx`` of 1;
 - ``compare --levels 1`` and ``simulate --grid 3`` (usage errors);
 - three invalid simulate requests on ``self_healing_cuboid``: a
   decreasing ``x_range``, ``--line-cut=1.5,1`` and ``--grid=-1,5`` (the
   ``=`` form, since argparse reads a bare ``-1,5`` as an option).
 
-With the seven shipped scenarios that makes 83 runs.
+With the seven shipped scenarios that makes 85 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -277,6 +278,8 @@ COMPARE_64 = {
     "box_behind_array": (0.04, _SMALL_BOX, "  - type: none\n"),
     "user_inside_obstacle": (0.6, _SMALL_BOX, "  - type: none\n" + _COMPARE_RECT.format(0.01, 0.5, 0.7)),
     "buried_box": (0.6, _SMALL_BOX, _COMPARE_RECT.format(0.2, 0.5, 0.7)),
+    "negative_half_width": (1.0, "  half_width_x: -0.1\n  half_width_y: 0.1\n", "  - type: none\n"),
+    "one_box_column": (1.0, _SMALL_BOX + "  nx: 1\n", "  - type: none\n"),
 }
 
 
