@@ -178,6 +178,10 @@ def _parse_obstacle(node, ctx: str = "obstacle"):
     if typ == "rect":
         fields = {k: _number(_pop(d, k, ctx), f"{ctx}.{k}") for k in ("x_r1", "x_r2", "y_n", "y_f")}
         _no_extra(d, ctx)
+        if not fields["x_r1"] > fields["x_r2"]:
+            raise UsageError(f"{ctx}.x_r1 must be greater than {ctx}.x_r2")
+        if not 0.0 < fields["y_n"] < fields["y_f"]:
+            raise UsageError(f"{ctx}.y_n must be positive and less than {ctx}.y_f")
         return RectObstacle(**fields)
     if typ == "circle":
         x = _number(_pop(d, "x", ctx), f"{ctx}.x")
@@ -210,6 +214,13 @@ def _parse_beam(node, ctx: str = "beam") -> dict:
     else:
         raise UsageError(f"{ctx}.type must be gaussian, focus, bessel or curving")
     _no_extra(d, ctx)
+    # The ranges the library checks, on the radians it is given.
+    if "theta_deg" in beam and not abs(math.radians(beam["theta_deg"])) < math.pi / 2:
+        raise UsageError(f"{ctx}.theta_deg must be in (-90, 90)")
+    if "alpha_deg" in beam and not 0.0 < math.radians(beam["alpha_deg"]) < math.pi / 2:
+        raise UsageError(f"{ctx}.alpha_deg must be in (0, 90)")
+    if "w" in beam and not beam["w"] > 0:
+        raise UsageError(f"{ctx}.w must be positive")
     return beam
 
 

@@ -84,25 +84,46 @@ element is not a positive normal float (nearer than about 1e-154 m,
 where y^2 can underflow to 0 above an element), so every r and 1 / r is
 positive and finite.
 
-Points are processed in chunks of about ``_CHUNK_PAIRS`` = 16,384
-point-element pairs, step = ``_CHUNK_PAIRS`` // N points. A chunk holds r
-(reused for k r) and 1 / r side by side in one float64 array of 256 KB,
-uv of 256 KB, a boolean mask of the pairs that need trig when it skips
+Points are processed in chunks of step points. A chunk holds uv and
+``spare`` (r, reused for k r, and 1 / r side by side), each of step x 2N
+float64 values, a boolean mask of the pairs that need trig when it skips
 any, and a copy of uv while an obstacle that hides some of its pairs has
-another after it. The points are put once in chunk order: the
-representatives, the points in no pair, then the partners. Chunks cut
-the first two groups into runs of step points, and the partners of a
-chunk's representatives come with it; so a chunk holds representatives,
-points in no pair or both, and reads and writes only slices of arrays in
-chunk order. One scatter per call puts the
-result back in the caller's order. The partners' uv fills the array
-that held r and 1 / r, so a chunk takes trig on step points at most,
-writes up to 2 step, and needs no more memory than a chunk without
-partners. Larger chunks ran no faster and raised peak memory. Every
-batch runs on a thread pool of at most one thread per CPU this process
-may use (there is no setting); the pool starts a thread per chunk up to
-that bound, so a batch of one chunk runs on one pool thread and an
-empty batch starts none.
+another after it. A call with one obstacle, or free space (every
+``simulate``), runs step = ``_CHUNK_PAIRS`` // N points, 32,768 pairs:
+uv and spare are 512 KB each, 1 MB in all, within a 2 MB L2 cache. A
+call with several obstacles also holds the copy, so it runs half as
+many points, and its three arrays stay within 768 KB. Each chunk pays a
+fixed cost on top of its trig, in Python and small numpy calls that
+hold the GIL; at 32,768 pairs a grid pays it half as often as at
+16,384, which was measured faster at 80 x 80 and at 300 x 300. 65,536
+pairs ran slower and raised peak memory, and so did 32,768 pairs for
+several obstacles.
+
+Within a chunk, (x - x_n)^2 is taken once per column: a run of
+consecutive points of equal x in chunk order. ``grid_nodes`` and the
+error box ravel their nodes x-major and the representatives are sorted
+by (|x|, y), so a grid's chunk holds one column or a few, and a line
+cut's chunk one per point. The squared column row is made in the array
+of 1 / r and copied to each of its points' rows of r, to which y^2 is
+then added: the same subtraction, square and addition as point by
+point, so the bits are too.
+
+The points are put once in chunk order: the representatives, the points
+in no pair, then the partners. Chunks cut the first two groups into runs
+of step points, and the partners of a chunk's representatives come with
+it; so a chunk holds representatives, points in no pair or both, and
+reads and writes only slices of arrays in chunk order. One scatter per
+call puts the result back in the caller's order. The partners' uv fills
+the array that held r and 1 / r, so a chunk takes trig on step points
+at most, writes up to 2 step, and needs no more memory than a chunk
+without partners. Every batch runs on a thread pool of at most one
+thread per CPU this process may use (there is no setting), and no more
+threads than chunks, so a batch of one chunk runs on one pool thread and
+an empty batch starts none. Each thread takes the next chunk until none
+is left, in a uv and a spare that it allocates once per batch and
+slices to the chunk's rows. Allocated per chunk at 32,768 pairs, glibc's
+malloc gave most chunks' memory back to the system, and the next chunk
+faulted it in again: about 250 page faults per chunk.
 
 File formats
 ------------
@@ -118,6 +139,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,9 +162,9 @@ __all__ = [
     "write_field_pgm",
 ]
 
-# Point batches are processed in chunks of about this many point-element
-# pairs: each chunk's temporaries (512 KB together) stay in cache.
-_CHUNK_PAIRS = 16_384
+# Point-element pairs per chunk of a call with one obstacle; a call with
+# several runs half as many (see the module docstring).
+_CHUNK_PAIRS = 32_768
 
 
 @dataclass(frozen=True)
@@ -275,6 +297,34 @@ def _mirror_pairs(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return neg[order[first]], pos[order[first + 1] - neg.size]
 
 
+def _chunk_order(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, int]:
+    """The points in chunk order (the representatives, the points in no pair, then the partners) and the pair count."""
+    rep, mate = _mirror_pairs(px, py)
+    unpaired = np.ones(px.shape, dtype=bool)
+    unpaired[rep] = unpaired[mate] = False
+    return np.concatenate((rep, np.flatnonzero(unpaired), mate)), mate.size
+
+
+def _check_points(xs: np.ndarray, px: np.ndarray, py: np.ndarray) -> None:
+    """Reject points that are not finite 1-D pairs in front of the array, or whose r^2 is not a positive normal float."""
+    if px.ndim != 1 or px.shape != py.shape:
+        raise ValueError("px and py must be equal-length 1-D arrays")
+    if not (np.all(np.isfinite(px)) and np.all(np.isfinite(py))):
+        raise ValueError("field points must be finite")
+    if np.any(py <= 0):
+        raise ValueError("field points must lie strictly in front of the array (y > 0)")
+    # r^2 is largest at an end element, so it is finite on every pair iff there.
+    with np.errstate(over="ignore"):
+        far = np.maximum((px - xs[0]) ** 2, (px - xs[-1]) ** 2) + py * py
+    if not np.all(np.isfinite(far)):
+        raise ValueError("field points must lie within about 1e154 m of the array")
+    # r^2 is smallest at one of the two elements that bracket px.
+    above = np.clip(np.searchsorted(xs, px), 1, xs.size - 1)
+    near = np.minimum((px - xs[above - 1]) ** 2, (px - xs[above]) ** 2) + py * py
+    if not np.all(near >= np.finfo(float).tiny):
+        raise ValueError("field points must lie at least about 1e-154 m from every element")
+
+
 def _workers() -> int:
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
@@ -302,22 +352,7 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
     xs = cfg.element_xs()
     if any(exc.n_elements != n for exc, _ in entries):
         raise ValueError("excitation length does not match array size")
-    if px.ndim != 1 or px.shape != py.shape:
-        raise ValueError("px and py must be equal-length 1-D arrays")
-    if not (np.all(np.isfinite(px)) and np.all(np.isfinite(py))):
-        raise ValueError("field points must be finite")
-    if np.any(py <= 0):
-        raise ValueError("field points must lie strictly in front of the array (y > 0)")
-    # r^2 is largest at an end element, so it is finite on every pair iff there.
-    with np.errstate(over="ignore"):
-        far = np.maximum((px - xs[0]) ** 2, (px - xs[-1]) ** 2) + py * py
-    if not np.all(np.isfinite(far)):
-        raise ValueError("field points must lie within about 1e154 m of the array")
-    # r^2 is smallest at one of the two elements that bracket px.
-    above = np.clip(np.searchsorted(xs, px), 1, n - 1)
-    near = np.minimum((px - xs[above - 1]) ** 2, (px - xs[above]) ** 2) + py * py
-    if not np.all(near >= np.finfo(float).tiny):
-        raise ValueError("field points must lie at least about 1e-154 m from every element")
+    _check_points(xs, px, py)
     if not entries:
         return np.empty((0, px.shape[0]), dtype=complex)
     k = cfg.wavenumber()
@@ -329,21 +364,18 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
             obstacles.append(obstacle)
             members.append([])
         members[obstacles.index(obstacle)].append(t)
-    weights = {id(exc): _weights(exc) for exc, _ in entries}
+    distinct = {id(exc): exc for exc, _ in entries}
+    weights = {key: _weights(exc) for key, exc in distinct.items()}
     stacks = [np.concatenate([weights[id(entries[t][0])] for t in ts]) for ts in members]
     # Elements of zero weight in every excitation.
-    live_elements = np.any([exc.magnitudes != 0.0 for exc, _ in entries], axis=0)
+    live_elements = np.any([exc.magnitudes != 0.0 for exc in distinct.values()], axis=0)
     silent = not live_elements.all()
-    rep, mate = _mirror_pairs(px, py)
-    # The points in chunk order: the representatives, the points in no
-    # pair, then the partners; chunks cut the first size of them.
-    unpaired = np.ones(px.shape, dtype=bool)
-    unpaired[rep] = unpaired[mate] = False
-    order = np.concatenate((rep, np.flatnonzero(unpaired), mate))
-    size, pairs = order.size - mate.size, mate.size
+    # Chunks cut the first size points in chunk order.
+    order, pairs = _chunk_order(px, py)
+    size = order.size - pairs
     qx, qy = px[order], py[order]
     # Free space hides the empty run [0, 0).
-    clear = np.zeros(order.shape, dtype=np.intp)
+    clear = np.broadcast_to(np.intp(0), order.shape)
     runs = [(clear, clear) if obstacle is None else _blocked_runs(obstacle, xs, qx, qy) for obstacle in obstacles]
     last = len(runs) - 1
     # Trig is skipped on the elements hidden under every obstacle, one run
@@ -353,11 +385,19 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
     skip_hi = np.maximum(skip_lo, np.minimum.reduce([hi for _, hi in runs]))
     skip_lo[:pairs] = np.maximum(skip_lo[:pairs], n - skip_hi[size:])
     skip_hi[:pairs] = np.minimum(skip_hi[:pairs], n - skip_lo[size:])
-    step = max(1, _CHUNK_PAIRS // n)
-    # Columns of the result in chunk order.
+    # A chunk holds uv and spare; several obstacles add a copy of uv.
+    step = max(1, _CHUNK_PAIRS // (n if len(obstacles) == 1 else 2 * n))
+    # Consecutive points of equal x in chunk order form a column; column[i]
+    # is point i's, column_x the columns' x. A chunk squares x - x_n once
+    # per column it holds.
+    new_x = np.ones(size, dtype=bool)
+    np.not_equal(qx[1:size], qx[: size - 1], out=new_x[1:])
+    column = np.cumsum(new_x) - 1
+    column_x = qx[:size][new_x]
+    # The result, its points in chunk order.
     ordered = np.empty((len(entries), order.size), dtype=complex)
 
-    def chunk(start: int) -> None:
+    def chunk(start: int, uv: np.ndarray, spare: np.ndarray) -> None:
         stop = min(start + step, size)
         # The chunk's first paired points are representatives.
         m, paired = stop - start, max(0, min(stop, pairs) - start)
@@ -366,11 +406,16 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
         masked = bool(skip) or silent
         # uv holds cos(k r) / r and sin(k r) / r, side by side in each row;
         # spare holds r and 1 / r, then the partners' uv.
-        uv = np.zeros((m, 2, n)) if masked else np.empty((m, 2, n))
-        spare = np.empty((m, 2, n))
+        uv, spare = uv[:m], spare[:m]
+        if masked:
+            uv.fill(0.0)
         r, inv = spare.reshape(2, m, n)
-        np.subtract.outer(qx[start:stop], xs, out=r)
-        r *= r
+        # (x - x_n)^2 once per column, in inv, then copied to each point's row.
+        first = column[start]
+        cols = column_x[first : column[stop - 1] + 1]
+        dx2 = np.subtract.outer(cols, xs, out=inv[: cols.size])
+        dx2 *= dx2
+        np.take(dx2, column[start:stop] - first, axis=0, out=r, mode="clip")
         r += (cpy * cpy)[:, np.newaxis]
         np.sqrt(r, out=r)
         np.divide(1.0, r, out=inv)
@@ -409,8 +454,25 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
 
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        list(pool.map(chunk, range(0, size, step)))
+    starts = iter(range(0, size, step))
+    taking = threading.Lock()
+
+    def work() -> None:
+        # A worker takes the next chunk until none is left, in uv and spare
+        # that it allocates once (see the module docstring).
+        rows = min(step, size)
+        buffers = np.empty((rows, 2, n)), np.empty((rows, 2, n))
+        while True:
+            with taking:
+                start = next(starts, None)
+            if start is None:
+                return
+            chunk(start, *buffers)
+
+    workers = min(_workers(), -(-size // step))
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        for done in [pool.submit(work) for _ in range(workers)]:
+            done.result()
     out = np.empty_like(ordered)
     out[:, order] = ordered
     for obstacle, ts in zip(obstacles, members):

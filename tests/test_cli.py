@@ -7,7 +7,12 @@ Proves:
   message naming array.carrier_freq_hz. A rect edge, circle center
   coordinate or radius above 1e100 m exits 2 with the obstacle's own
   message, through simulate and analyze, and through simulate and
-  compare for a circle whose squared radius overflows.
+  compare for a circle whose squared radius overflows. A theta_deg or
+  alpha_deg whose radians lie outside the library's range (a subnormal
+  alpha_deg, 0 radians, included), a curving w that is not positive, and
+  a rect whose x edges do not increase or whose y_n is not in (0, y_f)
+  exit 2 naming the key, in simulate and as beams[i] or obstacles[j] in
+  compare.
 - Importing the CLI does not load scipy.
 - analyze reproduces the printed design numbers (max spacing to five
   significant figures, exact element counts for three spacings), reports
@@ -67,6 +72,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -619,6 +625,46 @@ def test_invalid_simulate_never_reaches_the_kernel(tmp_path, monkeypatch, capsys
     assert main(["simulate", "--scenario", write_scenario(tmp_path, data), "--out", str(out), *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     # a grid rejected when the scenario is parsed leaves no output directory
+    assert list(out.glob("*")) == []
+
+
+# A beam or rect that the library would reject is rejected when the file is
+# parsed, by a message that names its key: (beam, obstacle, message).
+_RECT = {"type": "rect", "x_r1": 0.14, "x_r2": -0.14, "y_n": 0.10, "y_f": 0.57}
+NAMED_RANGES = {
+    "zero_alpha": ({"type": "bessel", "theta_deg": 0.0, "alpha_deg": 0.0}, _RECT, "beam.alpha_deg must be in (0, 90)"),
+    # 5e-324 degrees is 0.0 radians
+    "subnormal_alpha": ({"type": "bessel", "theta_deg": 0.0, "alpha_deg": 5e-324}, _RECT, "beam.alpha_deg must be in (0, 90)"),
+    "right_alpha": ({"type": "bessel", "theta_deg": 0.0, "alpha_deg": 90.0}, _RECT, "beam.alpha_deg must be in (0, 90)"),
+    # theta is checked before alpha, as BesselDesign checks them
+    "right_theta": ({"type": "bessel", "theta_deg": 90.0, "alpha_deg": 0.0}, _RECT, "beam.theta_deg must be in (-90, 90)"),
+    "gaussian_theta": ({"type": "gaussian", "theta_deg": -90.0}, _RECT, "beam.theta_deg must be in (-90, 90)"),
+    "zero_w": ({"type": "curving", "w": 0.0}, _RECT, "beam.w must be positive"),
+    "equal_x_edges": ({"type": "focus"}, {**_RECT, "x_r2": 0.14}, "obstacle.x_r1 must be greater than obstacle.x_r2"),
+    "rect_on_the_array": ({"type": "focus"}, {**_RECT, "y_n": 0.0}, "obstacle.y_n must be positive and less than obstacle.y_f"),
+    "inverted_y_edges": ({"type": "focus"}, {**_RECT, "y_f": 0.05}, "obstacle.y_n must be positive and less than obstacle.y_f"),
+    "design_obstacle": (
+        {"type": "curving", "design_obstacle": {**_RECT, "x_r1": -0.2}},
+        {"type": "none"},
+        "beam.design_obstacle.x_r1 must be greater than beam.design_obstacle.x_r2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NAMED_RANGES, ids=list(NAMED_RANGES))
+def test_out_of_range_beam_or_rect_exits_2_naming_its_key(tmp_path, capsys, case):
+    beam, obstacle, message = NAMED_RANGES[case]
+    data = yaml.safe_load((SCENARIOS / "self_healing_cuboid.yaml").read_text())
+    data.update(beam=beam, obstacle=obstacle)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # in compare, the message names the list entry
+    data = yaml.safe_load((SCENARIOS / "compare_four_positions.yaml").read_text())
+    data["beams"][1], data["obstacles"][2] = beam, obstacle
+    named = re.sub(r"\bobstacle\.", "obstacles[2].", message.replace("beam.", "beams[1]."))
+    assert main(["compare", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
     assert list(out.glob("*")) == []
 
 

@@ -60,6 +60,10 @@ Proves:
    counts, array sizes, obstacle mixes, duplicate points and undriven sets
    that are mirror-symmetric or not, points that see no driven element
    included
+ - a grid and a steered cut through an obstacle in one call, under one
+   obstacle and under two, equal the dense reference bit for bit at chunk
+   sizes 1, 7 and the default; interior points are NaN and every other
+   point is bit for bit the call with that point alone
 """
 
 import csv
@@ -627,7 +631,9 @@ CHUNK_CASES = (
 
 
 def _chunk_case_grid(obstacle) -> np.ndarray:
-    # 1024 elements on a 31 x 23 grid: 45 chunks at the default chunk size
+    # 1024 elements on a 31 x 23 grid: 368 points in no pair or representing
+    # one, so 12 chunks at the default chunk size (23 in _chunk_case_rows,
+    # whose call holds several obstacles)
     cfg = UlaConfig(1024, 1.07e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
     return field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 31, 23, obstacle).values
@@ -920,6 +926,36 @@ def test_mirrored_points_keep_the_bits_of_the_call_without_them(case):
                 assert np.array_equal(rows[:, : px.size].view(np.uint64), alone.view(np.uint64))
                 assert np.array_equal(rows[:, px.size :].view(np.uint64), tail.view(np.uint64))
                 assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+
+
+def test_grid_and_cut_in_one_call_match_the_reference_point_by_point():
+    # A grid's chunks share one x or a few, a steered cut's x all differ, and
+    # the chunk of the grid's x = 0 column holds cut points too; the cut
+    # crosses the rect.
+    cfg = UlaConfig(1024, 1.07e-3, 140e9)
+    exc = gaussian_excitation(cfg, 10 * DEG)
+    _, _, gx, gy = grid_nodes((-0.3, 0.3), (0.05, 1.0), 21, 17)
+    d = 1.2 * np.arange(1, 41) / 40
+    px = np.concatenate((gx, d * math.sin(10 * DEG)))
+    py = np.concatenate((gy, d * math.cos(10 * DEG)))
+    rect, circle = RectObstacle(0.12, 0.02, 0.3, 0.6), CircleObstacle(Point2(-0.1, 0.5), 0.08)
+    default = ulabeam.field._CHUNK_PAIRS
+    for obstacles in ((rect,), (rect, circle)):
+        entries = [(exc, obstacle) for obstacle in obstacles]
+        want = dense_field(cfg.element_xs(), cfg.wavenumber(), entries, px, py)
+        inside = np.array([inside_obstacle(obstacle, px, py) for obstacle in obstacles])
+        assert inside[0, gx.size :].sum() >= 10 and inside[-1, : gx.size].any()
+        with pytest.MonkeyPatch.context() as mp:
+            for chunk_pairs in (1, 7, default):
+                mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
+                rows = field_points_per_entry(cfg, entries, px, py)
+                # equal bits: equal values, NaN positions and signs of zero
+                assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+        assert np.all(np.isnan(rows[inside]))
+        for i in range(px.size):
+            alone = field_points_per_entry(cfg, entries, px[i : i + 1], py[i : i + 1])[:, 0]
+            outside = ~inside[:, i]
+            assert np.array_equal(rows[outside, i].view(np.uint64), alone[outside].view(np.uint64))
 
 
 def test_point_whose_distance_overflows_is_rejected():

@@ -50,9 +50,15 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
 - ``compare --levels 1`` and ``simulate --grid 3`` (usage errors);
 - three invalid simulate requests on ``self_healing_cuboid``: a
   decreasing ``x_range``, ``--line-cut=1.5,1`` and ``--grid=-1,5`` (the
-  ``=`` form, since argparse reads a bare ``-1,5`` as an option).
+  ``=`` form, since argparse reads a bare ``-1,5`` as an option);
+- six scenes with a beam or rect value out of range, each rejected by a
+  message that names its key: analyze on ``bessel_axis`` with 64 elements
+  at ``alpha_deg`` 5e-324 (0 radians) and at ``theta_deg`` 90, simulate
+  on it behind a rect whose x edges are equal and behind one whose
+  ``y_n`` is 0, optimize on the two-beam planner scene at ``w`` 0, and
+  compare on a 64-element scene whose Bessel beam has ``alpha_deg`` 90.
 
-With the seven shipped scenarios that makes 85 runs.
+With the seven shipped scenarios that makes 91 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -388,6 +394,15 @@ def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
     out["simulate decreasing x_range"] = (decreasing, ["simulate"])
     for flag in ("--line-cut=1.5,1", "--grid=-1,5"):
         out[f"simulate {flag}"] = (cuboid_text, ["simulate", flag])
+    # beam and rect values out of the library's ranges, named by their key
+    out["analyze subnormal alpha_deg"] = (small_axis.replace("alpha_deg: 20.0", "alpha_deg: 5.0e-324"), ["analyze"])
+    out["analyze right-angle theta_deg"] = (small_axis.replace("theta_deg: 0.0", "theta_deg: 90.0"), ["analyze"])
+    for label, rect in (("equal x edges", (0.1, 0.1, 0.2, 0.4)), ("y_n of 0", (0.1, -0.1, 0.0, 0.4))):
+        edges = "".join(f"  {key}: {value}\n" for key, value in zip(("x_r1", "x_r2", "y_n", "y_f"), rect))
+        out[f"simulate rect {label}"] = (small_axis.replace("  type: none\n", "  type: rect\n" + edges), ["simulate"])
+    out["optimize w of 0"] = (planner_scene(*PLANNER["two_beam"][:3], 0.0), ["optimize"])
+    right_alpha = compare_scene(1.0, _SMALL_BOX, "  - type: none\n").replace("alpha_deg: 20.0", "alpha_deg: 90.0")
+    out["compare right-angle alpha_deg"] = (right_alpha, ["compare"])
     return out
 
 def environment(tree: Path) -> dict:
