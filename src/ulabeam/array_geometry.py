@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "SPEED_OF_LIGHT",
+    "ParameterError",
     "Point2",
     "UlaConfig",
     "RectObstacle",
@@ -30,6 +31,14 @@ SPEED_OF_LIGHT = 299792458.0
 # Obstacle coordinates are bounded so that their shadow geometry (products
 # and squares of lengths) stays finite.
 _FAR = 1e100
+
+
+class ParameterError(ValueError):
+    """The package's parameter checks raise it; ``params`` names the parameters checked (``center.y``, ``user.x``)."""
+
+    def __init__(self, message: str, *params: str) -> None:
+        super().__init__(message)
+        self.params = params
 
 
 @dataclass(frozen=True)
@@ -67,11 +76,11 @@ class UlaConfig:
 
     def __post_init__(self) -> None:
         if int(self.n_elements) != self.n_elements or self.n_elements < 2:
-            raise ValueError("n_elements must be an integer >= 2")
-        if not (self.spacing > 0 and math.isfinite(self.spacing)):
-            raise ValueError("spacing must be positive and finite")
+            raise ParameterError("n_elements must be an integer >= 2", "n_elements")
         if not (self.carrier_freq > 0 and math.isfinite(self.carrier_freq)):
-            raise ValueError("carrier_freq must be positive and finite")
+            raise ParameterError("carrier_freq must be positive and finite", "carrier_freq")
+        if not (self.spacing > 0 and math.isfinite(self.spacing)):
+            raise ParameterError("spacing must be positive and finite", "spacing")
 
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq
@@ -104,11 +113,12 @@ class RectObstacle:
 
     def __post_init__(self) -> None:
         if not self.x_r1 > self.x_r2:
-            raise ValueError("require x_r1 > x_r2")
+            raise ParameterError("require x_r1 > x_r2", "x_r1", "x_r2")
         if not 0.0 < self.y_n < self.y_f:
-            raise ValueError("require 0 < y_n < y_f")
-        if not all(abs(v) <= _FAR for v in (self.x_r1, self.x_r2, self.y_n, self.y_f)):
-            raise ValueError("obstacle edges must be at most 1e100 m in magnitude")
+            raise ParameterError("require 0 < y_n < y_f", "y_n", "y_f")
+        far = [edge for edge in ("x_r1", "x_r2", "y_n", "y_f") if not abs(getattr(self, edge)) <= _FAR]
+        if far:
+            raise ParameterError("obstacle edges must be at most 1e100 m in magnitude", *far)
 
     def contains(self, px, py):
         """True where a point lies inside (or on the boundary of) the rectangle; scalars or arrays."""
@@ -161,11 +171,13 @@ class CircleObstacle:
 
     def __post_init__(self) -> None:
         if not self.radius > 0:
-            raise ValueError("radius must be positive")
+            raise ParameterError("radius must be positive", "radius")
         if not self.center.y - self.radius > 0:
-            raise ValueError("circle must lie strictly in front of the array")
-        if not all(abs(v) <= _FAR for v in (self.center.x, self.center.y, self.radius)):
-            raise ValueError("circle center and radius must be at most 1e100 m in magnitude")
+            raise ParameterError("circle must lie strictly in front of the array", "center.y", "radius")
+        values = {"center.x": self.center.x, "center.y": self.center.y, "radius": self.radius}
+        far = [name for name, v in values.items() if not abs(v) <= _FAR]
+        if far:
+            raise ParameterError("circle center and radius must be at most 1e100 m in magnitude", *far)
 
     def contains(self, px, py):
         """True where a point lies inside (or on the boundary of) the circle; scalars or arrays."""

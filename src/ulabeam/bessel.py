@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_geometry import CircleObstacle, Point2, RectObstacle, UlaConfig
+from .array_geometry import CircleObstacle, ParameterError, Point2, RectObstacle, UlaConfig
 from .field import Excitation
 
 __all__ = [
@@ -38,9 +38,9 @@ class BesselDesign:
 
     def __post_init__(self) -> None:
         if not abs(self.theta_a) < math.pi / 2:
-            raise ValueError("|theta_a| must be < pi/2")
+            raise ParameterError("|theta_a| must be < pi/2", "theta_a")
         if not 0.0 < self.alpha < math.pi / 2:
-            raise ValueError("alpha must be in (0, pi/2)")
+            raise ParameterError("alpha must be in (0, pi/2)", "alpha")
 
     def steering_failure(self) -> str | None:
         """The bound of |theta_a| <= alpha < pi/2 - |theta_a| that fails, or None.
@@ -87,7 +87,7 @@ class SelfHealReport:
 def _require_steerable(d: BesselDesign) -> None:
     reason = d.steering_failure()
     if reason is not None:
-        raise ValueError(f"design not steerable: {reason}")
+        raise ParameterError(f"design not steerable: {reason}", "theta_a", "alpha")
 
 
 def bessel_phases(cfg: UlaConfig, d: BesselDesign) -> Excitation:
@@ -128,7 +128,7 @@ def propagation_limits(cfg: UlaConfig, d: BesselDesign) -> BesselLimits:
     d_max = r_half * math.cos(d.alpha + abs(d.theta_a)) / sin_a
     d_lim = r_half * math.cos(d.alpha - abs(d.theta_a)) / sin_a
     if not all(map(math.isfinite, (y_pos, y_neg, d_max, d_lim))):
-        raise ValueError("alpha is too small for this aperture: the propagation limits overflow")
+        raise ParameterError("alpha is too small for this aperture: the propagation limits overflow", "alpha")
     ref_pos = Point2(y_pos * t_th, y_pos)
     ref_neg = Point2(y_neg * t_th, y_neg)
     return BesselLimits(d_max=d_max, d_lim=d_lim, ref_point_pos=ref_pos, ref_point_neg=ref_neg)
@@ -156,10 +156,10 @@ def max_spacing(d: BesselDesign, wavelength: float) -> float:
     """
     _require_steerable(d)
     if not (wavelength > 0 and math.isfinite(wavelength)):
-        raise ValueError("wavelength must be positive and finite")
+        raise ParameterError("wavelength must be positive and finite", "wavelength")
     value = wavelength / 2.0 / math.sin(d.alpha + abs(d.theta_a))
     if not math.isfinite(value):
-        raise ValueError("alpha is too small for this wavelength: the maximum spacing overflows")
+        raise ParameterError("alpha is too small for this wavelength: the maximum spacing overflows", "alpha")
     return value
 
 

@@ -20,40 +20,13 @@ import sys
 import numpy as np
 import yaml
 
-from .array_geometry import (
-    SPEED_OF_LIGHT,
-    CircleObstacle,
-    Point2,
-    RectObstacle,
-    UlaConfig,
-    circle_bounding_square,
-)
-from .bessel import (
-    BesselDesign,
-    bessel_phases,
-    max_spacing,
-    min_elements,
-    propagation_limits,
-    self_heal,
-)
+from .array_geometry import SPEED_OF_LIGHT, CircleObstacle, ParameterError, Point2, RectObstacle, UlaConfig
+from .array_geometry import circle_bounding_square
+from .bessel import BesselDesign, bessel_phases, max_spacing, min_elements, propagation_limits, self_heal
 from .curving import AvoidanceScenario, plan_excitation, plan_with_fallback
-from .field import (
-    field_grid,
-    focusing_excitation,
-    gaussian_excitation,
-    line_cut,
-    normalize_power,
-    write_columns,
-    write_field_csv,
-    write_field_pgm,
-)
-from .metrics import (
-    ErrorBox,
-    empirical_cdf,
-    mean_amplitude,
-    scenario_amplitudes,
-    write_cdf_csv,
-)
+from .field import field_grid, focusing_excitation, gaussian_excitation, line_cut, normalize_power
+from .field import write_columns, write_field_csv, write_field_pgm
+from .metrics import ErrorBox, empirical_cdf, mean_amplitude, scenario_amplitudes, write_cdf_csv
 
 __all__ = ["main"]
 
@@ -64,6 +37,46 @@ class UsageError(ValueError):
 
 class PlanNotSolved(Exception):
     """Curving optimizer returned no beam; the message is the plan's."""
+
+
+# Library parameter -> "section.key" in the scenario file.
+_KEYS = {
+    "n_elements": "array.n_elements", "spacing": "array.spacing_m", "carrier_freq": "array.carrier_freq_hz",
+    "wavelength": "array.carrier_freq_hz", "user.x": "user.x", "user.y": "user.y",
+    "theta_a": "beam.theta_deg", "alpha": "beam.alpha_deg", "weight_w": "beam.w",
+    **{edge: f"obstacle.{edge}" for edge in ("x_r1", "x_r2", "y_n", "y_f", "radius")},
+    "center.x": "obstacle.x", "center.y": "obstacle.y",
+    **{key: f"error_box.{key}" for key in ("half_width_x", "half_width_y", "nx", "ny")},
+}
+# A circle is planned around its bounding square, whose edges are made of
+# its center coordinate and radius.
+_CIRCLE_EDGES = {"x_r1": ("x", "radius"), "x_r2": ("x", "radius"), "y_n": ("y", "radius"), "y_f": ("y", "radius")}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Keys:
+    """Where the library objects built in a ``with keys:`` block sit in the scenario file.
+
+    A ParameterError raised in the block is re-raised once, as a UsageError
+    naming the scenario key of each parameter: ``obstacles[2].x_r1,
+    obstacles[2].x_r2: require x_r1 > x_r2``. beam and obstacle are the
+    prefixes of the "beam" and "obstacle" sections; renames maps a key to
+    the keys that stand for it (a half-wavelength array's spacing_m is its
+    carrier_freq_hz, a planned circle's _CIRCLE_EDGES).
+    """
+
+    beam: str = "beam"
+    obstacle: str = "obstacle"
+    renames: dict = dataclasses.field(default_factory=dict)
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, error, traceback) -> None:
+        if isinstance(error, ParameterError):
+            sections = (_KEYS[param].split(".") for param in error.params)
+            names = [f"{getattr(self, s, s)}.{k}" for s, key in sections for k in self.renames.get(key, (key,))]
+            raise UsageError(f"{', '.join(dict.fromkeys(names))}: {error}") from None
 
 
 # -- scenario file parsing ------------------------------------------------
@@ -142,21 +155,22 @@ def _sample_count(v, ctx: str) -> int:
     return count
 
 
-def _parse_array(node) -> UlaConfig:
+def _parse_array(node) -> tuple[UlaConfig, _Keys]:
     d = _mapping(node, "array")
     n = _integer(_pop(d, "n_elements", "array"), "array.n_elements")
     freq = _number(_pop(d, "carrier_freq_hz", "array"), "array.carrier_freq_hz")
-    if not freq > 0:
-        raise UsageError("array.carrier_freq_hz must be positive")
     mode = _pop(d, "spacing_mode", "array")
     if mode == "half_wavelength":
-        spacing = SPEED_OF_LIGHT / freq / 2.0
+        # UlaConfig checks the frequency before the spacing made from it.
+        spacing = SPEED_OF_LIGHT / freq / 2.0 if freq else math.inf
     elif mode == "explicit":
         spacing = _number(_pop(d, "spacing_m", "array"), "array.spacing_m")
     else:
         raise UsageError("array.spacing_mode must be half_wavelength or explicit")
     _no_extra(d, "array")
-    return UlaConfig(n_elements=n, spacing=spacing, carrier_freq=freq)
+    keys = _Keys(renames={"spacing_m": ("carrier_freq_hz",)} if mode == "half_wavelength" else {})
+    with keys:
+        return UlaConfig(n_elements=n, spacing=spacing, carrier_freq=freq), keys
 
 
 def _parse_user(node) -> Point2:
@@ -169,41 +183,32 @@ def _parse_user(node) -> Point2:
     return Point2(x, y)
 
 
+_OBSTACLE_KEYS = {"none": (), "rect": ("x_r1", "x_r2", "y_n", "y_f"), "circle": ("x", "y", "radius")}
+_BEAM_ANGLES = {"gaussian": ("theta_deg",), "focus": (), "bessel": ("theta_deg", "alpha_deg"), "curving": ()}
+
+
 def _parse_obstacle(node, ctx: str = "obstacle"):
     d = _mapping(node, ctx)
     typ = _pop(d, "type", ctx)
-    if typ == "none":
-        _no_extra(d, ctx)
-        return None
-    if typ == "rect":
-        fields = {k: _number(_pop(d, k, ctx), f"{ctx}.{k}") for k in ("x_r1", "x_r2", "y_n", "y_f")}
-        _no_extra(d, ctx)
-        if not fields["x_r1"] > fields["x_r2"]:
-            raise UsageError(f"{ctx}.x_r1 must be greater than {ctx}.x_r2")
-        if not 0.0 < fields["y_n"] < fields["y_f"]:
-            raise UsageError(f"{ctx}.y_n must be positive and less than {ctx}.y_f")
-        return RectObstacle(**fields)
-    if typ == "circle":
-        x = _number(_pop(d, "x", ctx), f"{ctx}.x")
-        y = _number(_pop(d, "y", ctx), f"{ctx}.y")
-        r = _number(_pop(d, "radius", ctx), f"{ctx}.radius")
-        _no_extra(d, ctx)
-        return CircleObstacle(center=Point2(x, y), radius=r)
-    raise UsageError(f"{ctx}.type must be none, rect or circle")
+    if not (isinstance(typ, str) and typ in _OBSTACLE_KEYS):
+        raise UsageError(f"{ctx}.type must be none, rect or circle")
+    v = {k: _number(_pop(d, k, ctx), f"{ctx}.{k}") for k in _OBSTACLE_KEYS[typ]}
+    _no_extra(d, ctx)
+    with _Keys(obstacle=ctx):
+        if typ == "rect":
+            return RectObstacle(**v)
+        if typ == "circle":
+            return CircleObstacle(center=Point2(v["x"], v["y"]), radius=v["radius"])
+    return None
 
 
 def _parse_beam(node, ctx: str = "beam") -> dict:
     d = _mapping(node, ctx)
     typ = _pop(d, "type", ctx)
-    beam: dict = {"type": typ}
-    if typ == "gaussian":
-        beam["theta_deg"] = _number(_pop(d, "theta_deg", ctx), f"{ctx}.theta_deg")
-    elif typ == "focus":
-        pass
-    elif typ == "bessel":
-        beam["theta_deg"] = _number(_pop(d, "theta_deg", ctx), f"{ctx}.theta_deg")
-        beam["alpha_deg"] = _number(_pop(d, "alpha_deg", ctx), f"{ctx}.alpha_deg")
-    elif typ == "curving":
+    if not (isinstance(typ, str) and typ in _BEAM_ANGLES):
+        raise UsageError(f"{ctx}.type must be gaussian, focus, bessel or curving")
+    beam = {"type": typ, **{k: _number(_pop(d, k, ctx), f"{ctx}.{k}") for k in _BEAM_ANGLES[typ]}}
+    if typ == "curving":
         beam["w"] = _number(_pop(d, "w", ctx, required=False, default=1.0), f"{ctx}.w")
         design = _pop(d, "design_obstacle", ctx, required=False)
         if design is not None:
@@ -211,16 +216,12 @@ def _parse_beam(node, ctx: str = "beam") -> dict:
             if obstacle is None:
                 raise UsageError(f"{ctx}.design_obstacle cannot be of type none")
             beam["design_obstacle"] = obstacle
-    else:
-        raise UsageError(f"{ctx}.type must be gaussian, focus, bessel or curving")
     _no_extra(d, ctx)
-    # The ranges the library checks, on the radians it is given.
+    # The angles in the degrees the file gives, on the radians the library is given.
     if "theta_deg" in beam and not abs(math.radians(beam["theta_deg"])) < math.pi / 2:
         raise UsageError(f"{ctx}.theta_deg must be in (-90, 90)")
     if "alpha_deg" in beam and not 0.0 < math.radians(beam["alpha_deg"]) < math.pi / 2:
         raise UsageError(f"{ctx}.alpha_deg must be in (0, 90)")
-    if "w" in beam and not beam["w"] > 0:
-        raise UsageError(f"{ctx}.w must be positive")
     return beam
 
 
@@ -251,13 +252,12 @@ def _parse_error_box(node, user: Point2) -> ErrorBox:
         d = _mapping(node, "error_box")
         for key in ("half_width_x", "half_width_y"):
             given[key] = _number(_pop(d, key, "error_box"), f"error_box.{key}")
-            if not given[key] > 0:
-                raise UsageError(f"error_box.{key} must be positive")
         for key in ("nx", "ny"):
             if key in d:
-                given[key] = _sample_count(d.pop(key), f"error_box.{key}")
+                given[key] = _integer(d.pop(key), f"error_box.{key}")
         _no_extra(d, "error_box")
-    box = ErrorBox(center=user, **given)
+    with _Keys():
+        box = ErrorBox(center=user, **given)
     if not user.y - box.half_width_y > 0:
         raise UsageError("error_box.half_width_y must be less than user.y: the box must lie in front of the array")
     return box
@@ -271,7 +271,7 @@ def load_scenario(path: str, compare: bool = False) -> dict:
             raise UsageError(f"cannot parse scenario file {path}: {e}") from e
     d = _mapping(raw, "scenario file")
     out: dict = {}
-    out["cfg"] = _parse_array(_pop(d, "array", "scenario file"))
+    out["cfg"], out["keys"] = _parse_array(_pop(d, "array", "scenario file"))
     out["user"] = _parse_user(_pop(d, "user", "scenario file"))
     budget = _pop(d, "power_budget", "scenario file", required=False, default=1.0)
     out["power_budget"] = _number(budget, "power_budget")
@@ -286,9 +286,7 @@ def load_scenario(path: str, compare: bool = False) -> dict:
         if not (isinstance(obstacles, list) and len(obstacles) >= 1):
             raise UsageError("compare requires an 'obstacles' list with at least 1 entry")
         out["obstacles"] = [_parse_obstacle(o, f"obstacles[{i}]") for i, o in enumerate(obstacles)]
-        out["error_box"] = _parse_error_box(
-            _pop(d, "error_box", "scenario file", required=False), out["user"]
-        )
+        out["error_box"] = _parse_error_box(_pop(d, "error_box", "scenario file", required=False), out["user"])
     else:
         out["beam"] = _parse_beam(_pop(d, "beam", "scenario file"))
         obstacle = _pop(d, "obstacle", "scenario file", required=False)
@@ -300,12 +298,6 @@ def load_scenario(path: str, compare: bool = False) -> dict:
 
 
 # -- beam construction ----------------------------------------------------
-
-
-def _as_rect(obstacle) -> RectObstacle:
-    if isinstance(obstacle, CircleObstacle):
-        return circle_bounding_square(obstacle)
-    return obstacle
 
 
 def _report(obj) -> dict:
@@ -332,16 +324,22 @@ def _report(obj) -> dict:
     return d
 
 
-def _curving_plan(cfg: UlaConfig, user: Point2, beam: dict, obstacle):
-    design = obstacle if obstacle is not None else beam.get("design_obstacle")
-    if design is None:
+def _curving_plan(cfg: UlaConfig, user: Point2, beam: dict, obstacle, keys: _Keys):
+    if obstacle is None and "design_obstacle" in beam:
+        obstacle, keys = beam["design_obstacle"], dataclasses.replace(keys, obstacle=f"{keys.beam}.design_obstacle")
+    if obstacle is None:
         raise UsageError("curving beam requires an obstacle (or design_obstacle)")
-    scen = AvoidanceScenario(user=user, obstacle=_as_rect(design), cfg=cfg, weight_w=beam["w"])
+    circle = isinstance(obstacle, CircleObstacle)
+    with dataclasses.replace(keys, renames={**keys.renames, **_CIRCLE_EDGES}) if circle else keys:
+        rect = circle_bounding_square(obstacle) if circle else obstacle
+        scen = AvoidanceScenario(user=user, obstacle=rect, cfg=cfg, weight_w=beam["w"])
     return plan_with_fallback(scen)
 
 
-def _beam_excitation(cfg: UlaConfig, user: Point2, beam: dict, obstacle, budget: float, out: str | None = None):
-    """Excitation for one beam entry; curving beams also return a plan dict.
+def _beam_excitation(
+    cfg: UlaConfig, user: Point2, beam: dict, obstacle, budget: float, keys: _Keys, out: str | None = None
+):
+    """Excitation for one beam entry, its parameters named by keys; curving beams also return a plan dict.
 
     A curving plan that yields no beam raises PlanNotSolved, after writing
     its diagnostic to curving.json in out when out is given.
@@ -353,8 +351,9 @@ def _beam_excitation(cfg: UlaConfig, user: Point2, beam: dict, obstacle, budget:
         return normalize_power(focusing_excitation(cfg, user), budget), None
     if typ == "bessel":
         design = BesselDesign(math.radians(beam["theta_deg"]), math.radians(beam["alpha_deg"]))
-        return normalize_power(bessel_phases(cfg, design), budget), None
-    plan = _curving_plan(cfg, user, beam, obstacle)
+        with keys:
+            return normalize_power(bessel_phases(cfg, design), budget), None
+    plan = _curving_plan(cfg, user, beam, obstacle, keys)
     diagnostic = _report(plan)
     if plan.status != "solved":
         if out is not None:
@@ -399,10 +398,7 @@ def _write_json(path: str, obj) -> None:
 
 
 def _beam_echo(beam: dict) -> dict:
-    echo = {k: v for k, v in beam.items() if k != "design_obstacle"}
-    if "design_obstacle" in beam:
-        echo["design_obstacle"] = _obstacle_echo(beam["design_obstacle"])
-    return echo
+    return {k: _obstacle_echo(v) if k == "design_obstacle" else v for k, v in beam.items()}
 
 
 def _obstacle_echo(obstacle) -> dict:
@@ -422,27 +418,16 @@ def cmd_analyze(scenario: dict, out: str) -> int:
     user: Point2 = scenario["user"]
     design = BesselDesign(math.radians(beam["theta_deg"]), math.radians(beam["alpha_deg"]))
     reason = design.steering_failure()
-    report: dict = {
-        "steerable": reason is None,
-        "reason": reason,
-        "marginal": None,
-        "d_max": None,
-        "d_lim": None,
-        "max_spacing": None,
-        "min_elements_for": None,
-        "self_heal": None,
-    }
+    report: dict = dict.fromkeys(["marginal", "d_max", "d_lim", "max_spacing", "min_elements_for", "self_heal"])
+    report.update(steerable=reason is None, reason=reason)
     if reason is None:
         report["marginal"] = design.marginal()
-        limits = propagation_limits(cfg, design)
-        report["d_max"] = limits.d_max
-        report["d_lim"] = limits.d_lim
-        report["max_spacing"] = max_spacing(design, cfg.wavelength())
+        with scenario["keys"]:
+            limits = propagation_limits(cfg, design)
+            report["max_spacing"] = max_spacing(design, cfg.wavelength())
+        report.update(d_max=limits.d_max, d_lim=limits.d_lim)
         d_user = user.norm()
-        report["min_elements_for"] = {
-            "distance": d_user,
-            "n_elements": min_elements(d_user, design, cfg.spacing),
-        }
+        report["min_elements_for"] = {"distance": d_user, "n_elements": min_elements(d_user, design, cfg.spacing)}
         obstacle = scenario["obstacle"]
         if obstacle is not None:
             report["self_heal"] = _report(self_heal(cfg, design, obstacle))
@@ -452,18 +437,13 @@ def cmd_analyze(scenario: dict, out: str) -> int:
 
 def cmd_synthesize(scenario: dict, out: str) -> int:
     cfg, user = scenario["cfg"], scenario["user"]
-    exc, plan = _beam_excitation(cfg, user, scenario["beam"], scenario["obstacle"], scenario["power_budget"], out)
+    beam, obstacle, keys = scenario["beam"], scenario["obstacle"], scenario["keys"]
+    exc, plan = _beam_excitation(cfg, user, beam, obstacle, scenario["power_budget"], keys, out)
     columns = (np.arange(cfg.n_elements), cfg.element_xs(), exc.magnitudes, exc.phases, exc.active.astype(int))
     write_columns(os.path.join(out, "excitation.csv"), "index,x,gamma,phase_rad,active", columns)
     if plan is not None:
         _write_json(os.path.join(out, "curving.json"), plan)
     return 0
-
-
-def _cut_angle(beam: dict, user: Point2) -> float:
-    if beam["type"] in ("gaussian", "bessel"):
-        return math.radians(beam["theta_deg"])
-    return math.atan2(user.x, user.y)
 
 
 def cmd_simulate(scenario: dict, out: str, grid_override, line_cut_spec) -> int:
@@ -473,18 +453,19 @@ def cmd_simulate(scenario: dict, out: str, grid_override, line_cut_spec) -> int:
     x_range, y_range, nx, ny = scenario["grid"]
     if grid_override is not None:
         nx, ny = grid_override
-    obstacle = scenario["obstacle"]
-    exc, plan = _beam_excitation(cfg, user, scenario["beam"], obstacle, scenario["power_budget"], out)
+    beam, obstacle = scenario["beam"], scenario["obstacle"]
+    exc, plan = _beam_excitation(cfg, user, beam, obstacle, scenario["power_budget"], scenario["keys"], out)
     # The cut runs before the grid and both before any file is written, so an
     # invalid request fails before the full field is computed and leaves no file.
+    # It follows a steered beam's axis, and the ray to the user otherwise.
     if line_cut_spec is not None:
-        d_plot, samples = line_cut_spec
-        pairs = line_cut(cfg, exc, _cut_angle(scenario["beam"], user), d_plot, samples, obstacle)
+        angle = math.radians(beam["theta_deg"]) if "theta_deg" in beam else math.atan2(user.x, user.y)
+        pairs = line_cut(cfg, exc, angle, *line_cut_spec, obstacle)
     grid = field_grid(cfg, exc, x_range, y_range, nx, ny, obstacle)
     write_field_csv(grid, os.path.join(out, "field.csv"))
     write_field_pgm(grid, os.path.join(out, "field.pgm"))
     meta = {
-        "beam": _beam_echo(scenario["beam"]),
+        "beam": _beam_echo(beam),
         "carrier_freq_hz": cfg.carrier_freq,
         "n_elements": cfg.n_elements,
         "nx": nx,
@@ -514,26 +495,24 @@ def _beam_labels(beams: list[dict]) -> list[str]:
     return labels
 
 
-def _compare_entries(cfg: UlaConfig, user: Point2, beam: dict, obstacles: list, budget: float) -> list[tuple]:
-    """One beam's (excitation, obstacle) entries, in obstacle order.
-
-    Only a curving beam's excitation depends on the obstacle, so it is
-    planned per obstacle; any other beam shares one excitation.
-    """
-    if beam["type"] == "curving":
-        return [(_beam_excitation(cfg, user, beam, obstacle, budget)[0], obstacle) for obstacle in obstacles]
-    exc = _beam_excitation(cfg, user, beam, None, budget)[0]
-    return [(exc, obstacle) for obstacle in obstacles]
-
-
 def cmd_compare(scenario: dict, out: str, levels: int) -> int:
     cfg, user = scenario["cfg"], scenario["user"]
     box, obstacles, budget = scenario["error_box"], scenario["obstacles"], scenario["power_budget"]
     # Every beam is planned, and every entry evaluated, before any file is
-    # written: a command that fails leaves no output files behind. One
-    # kernel call evaluates the user and the box of every entry.
-    beams = scenario["beams"]
-    entries = [e for beam in beams for e in _compare_entries(cfg, user, beam, obstacles, budget)]
+    # written: a command that fails leaves no output files behind. Only a
+    # curving beam's excitation depends on the obstacle, so it is planned per
+    # obstacle; any other beam shares one. One kernel call evaluates the user
+    # and the box of every (excitation, obstacle) entry.
+    beams, entries = scenario["beams"], []
+    for i, beam in enumerate(beams):
+        keys = dataclasses.replace(scenario["keys"], beam=f"beams[{i}]")
+        if beam["type"] != "curving":
+            exc = _beam_excitation(cfg, user, beam, None, budget, keys)[0]
+        for j, obstacle in enumerate(obstacles):
+            if beam["type"] == "curving":
+                planned = dataclasses.replace(keys, obstacle=f"obstacles[{j}]")
+                exc = _beam_excitation(cfg, user, beam, obstacle, budget, planned)[0]
+            entries.append((exc, obstacle))
     points, amps = scenario_amplitudes(cfg, entries, box)
     cdfs, rows = [], []
     for b, label in enumerate(_beam_labels(beams)):
@@ -555,7 +534,7 @@ def cmd_optimize(scenario: dict, out: str) -> int:
     beam = scenario["beam"]
     if beam["type"] != "curving":
         raise UsageError("optimize requires a curving beam")
-    plan = _curving_plan(scenario["cfg"], scenario["user"], beam, scenario["obstacle"])
+    plan = _curving_plan(scenario["cfg"], scenario["user"], beam, scenario["obstacle"], scenario["keys"])
     _write_json(os.path.join(out, "optimize.json"), _report(plan))
     if plan.status in ("solved", "unnecessary"):
         return 0
@@ -620,6 +599,9 @@ def main(argv=None) -> int:
         if args.command == "compare":
             if args.levels < 2:
                 raise UsageError("--levels must be >= 2")
+            # empirical_cdf holds one float and one pair per level
+            if args.levels > 1_000_000:
+                raise UsageError("--levels must be at most 1000000")
             return cmd_compare(scenario, args.out, args.levels)
         return cmd_optimize(scenario, args.out)
     except PlanNotSolved as e:

@@ -36,7 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .array_geometry import Point2, RectObstacle, UlaConfig
+from .array_geometry import ParameterError, Point2, RectObstacle, UlaConfig
 from .field import Excitation, normalize_power
 
 __all__ = [
@@ -110,7 +110,9 @@ class AvoidanceScenario:
     aperture, larger keeping more elements. The weight and every nonzero
     length (the user's x and y, the four obstacle edges and the half
     aperture R) must lie within 1e-100..1e100 in magnitude: the planner's
-    vertex determinants are cubes of lengths, which then stay finite.
+    vertex determinants are cubes of lengths, which then stay finite. A
+    ParameterError names the lengths out of range: user.x, user.y, the edges
+    x_r1 to y_f, and n_elements and spacing for the half aperture.
     """
 
     user: Point2
@@ -120,17 +122,19 @@ class AvoidanceScenario:
 
     def __post_init__(self) -> None:
         if not self.user.y > 0:
-            raise ValueError("user must lie in front of the array")
+            raise ParameterError("user must lie in front of the array", "user.y")
         if not self.obstacle.y_f < self.user.y:
-            raise ValueError("obstacle must lie strictly between array and user")
+            raise ParameterError("obstacle must lie strictly between array and user", "y_f", "user.y")
         if not self.weight_w > 0:
-            raise ValueError("weight_w must be positive")
+            raise ParameterError("weight_w must be positive", "weight_w")
         if not _SCALE_MIN <= self.weight_w <= _SCALE_MAX:
-            raise ValueError("weight_w must be finite and within 1e-100..1e100")
-        o = self.obstacle
-        lengths = (self.user.x, self.user.y, o.x_r1, o.x_r2, o.y_n, o.y_f, self.cfg.half_aperture())
-        if not all(v == 0 or _SCALE_MIN <= abs(v) <= _SCALE_MAX for v in lengths):
-            raise ValueError("scene lengths must be 0 or within 1e-100..1e100 m in magnitude")
+            raise ParameterError("weight_w must be finite and within 1e-100..1e100", "weight_w")
+        o, r = self.obstacle, self.cfg.half_aperture()
+        lengths = {"user.x": self.user.x, "user.y": self.user.y, "x_r1": o.x_r1, "x_r2": o.x_r2}
+        lengths.update(y_n=o.y_n, y_f=o.y_f, n_elements=r, spacing=r)
+        bad = [name for name, v in lengths.items() if not (v == 0 or _SCALE_MIN <= abs(v) <= _SCALE_MAX)]
+        if bad:
+            raise ParameterError("scene lengths must be 0 or within 1e-100..1e100 m in magnitude", *bad)
 
 
 @dataclass(frozen=True)

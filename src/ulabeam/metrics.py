@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_geometry import CircleObstacle, Point2, RectObstacle, UlaConfig
+from .array_geometry import CircleObstacle, ParameterError, Point2, RectObstacle, UlaConfig
 from .field import Excitation, field_at, field_points_per_entry, grid_nodes, write_columns
 
 __all__ = [
@@ -41,10 +41,12 @@ class ErrorBox:
     ny: int = 21
 
     def __post_init__(self) -> None:
-        if not (self.half_width_x > 0 and self.half_width_y > 0):
-            raise ValueError("half-widths must be positive")
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("at least 2 samples per axis")
+        for name in ("half_width_x", "half_width_y"):
+            if not getattr(self, name) > 0:
+                raise ParameterError("half-widths must be positive", name)
+        for name in ("nx", "ny"):
+            if getattr(self, name) < 2:
+                raise ParameterError("at least 2 samples per axis", name)
 
     def sample_points(self) -> tuple[np.ndarray, np.ndarray]:
         """Flattened (x, y) coordinates of the nx-by-ny sample grid, ``field.grid_nodes``'s."""

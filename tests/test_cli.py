@@ -6,13 +6,19 @@ Proves:
   exits 4. A carrier frequency that is not positive exits 2 with a
   message naming array.carrier_freq_hz. A rect edge, circle center
   coordinate or radius above 1e100 m exits 2 with the obstacle's own
-  message, through simulate and analyze, and through simulate and
-  compare for a circle whose squared radius overflows. A theta_deg or
-  alpha_deg whose radians lie outside the library's range (a subnormal
-  alpha_deg, 0 radians, included), a curving w that is not positive, and
-  a rect whose x edges do not increase or whose y_n is not in (0, y_f)
-  exit 2 naming the key, in simulate and as beams[i] or obstacles[j] in
-  compare.
+  message after the keys that are, through simulate and analyze, and
+  through simulate and compare for a circle whose squared radius
+  overflows. A theta_deg or alpha_deg whose radians lie outside the
+  library's range (a subnormal alpha_deg, 0 radians, included) exits 2
+  naming the key; a curving w that is not positive, and a rect whose x
+  edges do not increase or whose y_n is not in (0, y_f), exit 2 with the
+  library's message after the keys it checked, in simulate and as
+  beams[i] or obstacles[j] in compare.
+- Every `raise ParameterError(...)` in the package is reached by one
+  listed call, which names the listed parameters, each of them in the
+  CLI's key table.
+- compare --levels above 1,000,000 exits 2 naming the flag before any
+  beam is built.
 - Importing the CLI does not load scipy.
 - analyze reproduces the printed design numbers (max spacing to five
   significant figures, exact element counts for three spacings), reports
@@ -58,7 +64,10 @@ Proves:
   2 and writes nothing when the element count for the user overflows.
   150 such generated scenes, through simulate on a 3-by-3 grid with a
   line cut and through compare beside a focused beam on a 2-by-2 box,
-  exit 0, 2 or 3 with no warning and write only standard JSON.
+  exit 0, 2 or 3 with no warning and write only standard JSON; so do
+  eight scenes whose exit-2 message once named no key. In both sets an
+  exit 2 names a scenario key or flag, or is one of five listed messages
+  about a derived quantity.
 - Repeated runs produce byte-identical data files.
 - The JSON reports keep their key sets: the plan in optimize.json
   (solved two-beam, unnecessary, infeasible), analyze.json (rect and
@@ -67,6 +76,7 @@ Proves:
   trajectory, center) leaks into them.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -87,21 +97,26 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import ulabeam
+import ulabeam.cli
 from ulabeam import (
     AvoidanceScenario,
     BesselDesign,
     CircleObstacle,
     ErrorBox,
+    ParameterError,
     Point2,
     RectObstacle,
     UlaConfig,
+    bessel_phases,
     field_at,
     field_grid,
     focusing_excitation,
     gaussian_excitation,
+    max_spacing,
     normalize_power,
     plan_excitation,
     plan_with_fallback,
+    propagation_limits,
     self_heal,
 )
 from ulabeam.cli import _write_json, load_scenario, main
@@ -191,18 +206,18 @@ def test_bad_scenario_values_exit_2(tmp_path, mangle):
 
 
 def test_negative_carrier_frequency_is_named(tmp_path, capsys):
-    # the half-wavelength spacing divides by the frequency, so it is checked
-    # first; a negative spacing would otherwise be blamed
+    # the half-wavelength spacing divides by the frequency, so UlaConfig checks
+    # the frequency first; a negative spacing would otherwise be blamed
     data = scenario_dict()
     data["array"]["carrier_freq_hz"] = -140e9
     path = write_scenario(tmp_path, data)
     assert main(["analyze", "--scenario", path, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "error: array.carrier_freq_hz must be positive\n"
+    assert capsys.readouterr().err == "error: array.carrier_freq_hz: carrier_freq must be positive and finite\n"
 
 
 def test_circle_whose_radius_squared_overflows_exits_2(tmp_path, capsys):
     circle = {"type": "circle", "x": 0.0, "y": 1e200, "radius": 1e199}
-    message = "error: circle center and radius must be at most 1e100 m in magnitude\n"
+    message = "error: obstacle.y, obstacle.radius: circle center and radius must be at most 1e100 m in magnitude\n"
     data = scenario_dict(obstacle=circle, grid={"x_range": [-0.8, 0.8], "y_range": [0.02, 2.0], "nx": 4, "ny": 4})
     data["array"]["n_elements"] = 64
     out = tmp_path / "out"
@@ -213,7 +228,7 @@ def test_circle_whose_radius_squared_overflows_exits_2(tmp_path, capsys):
     data["beams"] = [b for b in data["beams"] if b["type"] != "curving"]
     data["obstacles"] = [circle]
     assert main(["compare", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == message.replace("obstacle.", "obstacles[0].")
     assert not out.exists()
 
 
@@ -225,8 +240,8 @@ FAR_CIRCLE = {"type": "circle", "x": 1e200, "y": 0.5, "radius": 0.25}
 @pytest.mark.parametrize(
     "obstacle, message",
     [
-        (FAR_RECT, "error: obstacle edges must be at most 1e100 m in magnitude\n"),
-        (FAR_CIRCLE, "error: circle center and radius must be at most 1e100 m in magnitude\n"),
+        (FAR_RECT, "error: obstacle.x_r1, obstacle.x_r2: obstacle edges must be at most 1e100 m in magnitude\n"),
+        (FAR_CIRCLE, "error: obstacle.x: circle center and radius must be at most 1e100 m in magnitude\n"),
     ],
     ids=["rect", "circle"],
 )
@@ -628,8 +643,9 @@ def test_invalid_simulate_never_reaches_the_kernel(tmp_path, monkeypatch, capsys
     assert list(out.glob("*")) == []
 
 
-# A beam or rect that the library would reject is rejected when the file is
-# parsed, by a message that names its key: (beam, obstacle, message).
+# A beam or obstacle value out of range exits 2 by a message that names its
+# keys: the CLI's own degree ranges, or the library's check after the keys of
+# the parameters it checked. (beam, obstacle, message)
 _RECT = {"type": "rect", "x_r1": 0.14, "x_r2": -0.14, "y_n": 0.10, "y_f": 0.57}
 NAMED_RANGES = {
     "zero_alpha": ({"type": "bessel", "theta_deg": 0.0, "alpha_deg": 0.0}, _RECT, "beam.alpha_deg must be in (0, 90)"),
@@ -639,14 +655,14 @@ NAMED_RANGES = {
     # theta is checked before alpha, as BesselDesign checks them
     "right_theta": ({"type": "bessel", "theta_deg": 90.0, "alpha_deg": 0.0}, _RECT, "beam.theta_deg must be in (-90, 90)"),
     "gaussian_theta": ({"type": "gaussian", "theta_deg": -90.0}, _RECT, "beam.theta_deg must be in (-90, 90)"),
-    "zero_w": ({"type": "curving", "w": 0.0}, _RECT, "beam.w must be positive"),
-    "equal_x_edges": ({"type": "focus"}, {**_RECT, "x_r2": 0.14}, "obstacle.x_r1 must be greater than obstacle.x_r2"),
-    "rect_on_the_array": ({"type": "focus"}, {**_RECT, "y_n": 0.0}, "obstacle.y_n must be positive and less than obstacle.y_f"),
-    "inverted_y_edges": ({"type": "focus"}, {**_RECT, "y_f": 0.05}, "obstacle.y_n must be positive and less than obstacle.y_f"),
+    "zero_w": ({"type": "curving", "w": 0.0}, _RECT, "beam.w: weight_w must be positive"),
+    "equal_x_edges": ({"type": "focus"}, {**_RECT, "x_r2": 0.14}, "obstacle.x_r1, obstacle.x_r2: require x_r1 > x_r2"),
+    "rect_on_the_array": ({"type": "focus"}, {**_RECT, "y_n": 0.0}, "obstacle.y_n, obstacle.y_f: require 0 < y_n < y_f"),
+    "inverted_y_edges": ({"type": "focus"}, {**_RECT, "y_f": 0.05}, "obstacle.y_n, obstacle.y_f: require 0 < y_n < y_f"),
     "design_obstacle": (
         {"type": "curving", "design_obstacle": {**_RECT, "x_r1": -0.2}},
         {"type": "none"},
-        "beam.design_obstacle.x_r1 must be greater than beam.design_obstacle.x_r2",
+        "beam.design_obstacle.x_r1, beam.design_obstacle.x_r2: require x_r1 > x_r2",
     ),
 }
 
@@ -666,6 +682,70 @@ def test_out_of_range_beam_or_rect_exits_2_naming_its_key(tmp_path, capsys, case
     assert main(["compare", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {named}\n"
     assert list(out.glob("*")) == []
+
+
+_CFG = UlaConfig(8, 1e-3, 140e9)
+_SCENE_RECT = RectObstacle(0.1, -0.1, 0.3, 0.5)
+# One call for each `raise ParameterError(...)` in the package, and the
+# parameters it names.
+PARAMETER_ERRORS = [
+    (lambda: UlaConfig(1, 1e-3, 140e9), ("n_elements",)),
+    (lambda: UlaConfig(8, 1e-3, 0.0), ("carrier_freq",)),
+    (lambda: UlaConfig(8, 0.0, 140e9), ("spacing",)),
+    (lambda: RectObstacle(-0.1, 0.1, 0.3, 0.5), ("x_r1", "x_r2")),
+    (lambda: RectObstacle(0.1, -0.1, 0.5, 0.3), ("y_n", "y_f")),
+    (lambda: RectObstacle(0.1, -2e100, 0.3, 1.5e100), ("x_r2", "y_f")),
+    (lambda: CircleObstacle(Point2(0.0, 1.0), 0.0), ("radius",)),
+    (lambda: CircleObstacle(Point2(0.0, 0.1), 0.2), ("center.y", "radius")),
+    (lambda: CircleObstacle(Point2(2e100, 1.0), 0.1), ("center.x",)),
+    (lambda: BesselDesign(math.pi / 2, 0.3), ("theta_a",)),
+    (lambda: BesselDesign(0.0, 0.0), ("alpha",)),
+    (lambda: bessel_phases(_CFG, BesselDesign(0.3, 0.1)), ("theta_a", "alpha")),
+    (lambda: propagation_limits(UlaConfig(64, 1e-3, 140e9), BesselDesign(0.0, math.radians(2e-311))), ("alpha",)),
+    (lambda: max_spacing(BesselDesign(0.0, 0.3), math.inf), ("wavelength",)),
+    (lambda: max_spacing(BesselDesign(0.0, math.radians(3.07e-310)), 2e-3), ("alpha",)),
+    (lambda: AvoidanceScenario(Point2(0.0, -1.0), _SCENE_RECT, _CFG), ("user.y",)),
+    (lambda: AvoidanceScenario(Point2(0.0, 0.4), _SCENE_RECT, _CFG), ("y_f", "user.y")),
+    (lambda: AvoidanceScenario(Point2(0.0, 1.0), _SCENE_RECT, _CFG, 0.0), ("weight_w",)),
+    (lambda: AvoidanceScenario(Point2(0.0, 1.0), _SCENE_RECT, _CFG, 1e101), ("weight_w",)),
+    (lambda: AvoidanceScenario(Point2(1e-101, 1.0), _SCENE_RECT, UlaConfig(3, 1e101, 140e9)), ("user.x", "n_elements", "spacing")),
+    (lambda: ErrorBox(Point2(0.0, 1.0), 0.1, 0.0), ("half_width_y",)),
+    (lambda: ErrorBox(Point2(0.0, 1.0), 0.1, 0.1, nx=1), ("nx",)),
+]
+
+
+def test_every_parameter_error_names_parameters_the_cli_can_key():
+    # a new library check whose parameter the CLI cannot name would print no
+    # key; each raise site is reached by one of the calls above
+    sites = set()
+    for path in Path(ulabeam.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and ast.unparse(node.exc.func) == "ParameterError":
+                sites.add((path.name, node.lineno))
+    reached = set()
+    for call, params in PARAMETER_ERRORS:
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert info.value.params == params
+        assert set(params) <= set(ulabeam.cli._KEYS)
+        tb = info.tb
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        reached.add((Path(tb.tb_frame.f_code.co_filename).name, tb.tb_lineno))
+    assert reached == sites
+
+
+def test_huge_levels_exit_2_naming_the_flag(tmp_path, monkeypatch, capsys):
+    # --levels 1e13 once allocated 1e13 floats and exited 1 with numpy's
+    # memory error; it is refused before any beam is built
+    def nothing(*args):
+        raise AssertionError("the compare ran")
+
+    monkeypatch.setattr(ulabeam.cli, "cmd_compare", nothing)
+    out = tmp_path / "out"
+    scenario = str(SCENARIOS / "compare_four_positions.yaml")
+    assert main(["compare", "--scenario", scenario, "--out", str(out), "--levels", "10000000000000"]) == 2
+    assert capsys.readouterr().err == "error: --levels must be at most 1000000\n"
 
 
 def test_compare_evaluates_each_box_once(tmp_path, monkeypatch):
@@ -962,7 +1042,7 @@ COMPARE_ERROR_ORDER = {
         [{"type": "focus"}, {"type": "curving"}],
         [{"type": "rect", "x_r1": 0.5, "x_r2": -0.5, "y_n": 0.15, "y_f": 0.55}],
         2,
-        "error: error_box.half_width_x must be positive\n",
+        "error: error_box.half_width_x: half-widths must be positive\n",
     ),
     "one box column before the plan": (
         {"y": 0.6},
@@ -970,7 +1050,7 @@ COMPARE_ERROR_ORDER = {
         [{"type": "focus"}, {"type": "curving"}],
         [{"type": "rect", "x_r1": 0.5, "x_r2": -0.5, "y_n": 0.15, "y_f": 0.55}],
         2,
-        "error: error_box.nx must be >= 2\n",
+        "error: error_box.nx: at least 2 samples per axis\n",
     ),
     "points behind the array before the plan": (
         {"y": 0.6},
@@ -1092,6 +1172,27 @@ def reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+# A scenario key (array.spacing_m, beams[1].alpha_deg, obstacles[0], ...) or a flag.
+NAMES_A_KEY = re.compile(
+    r"\b(array|user|beam|obstacle|grid|error_box)\.[a-z]|\b(beams|obstacles)\[\d+\]|\bpower_budget\b|--(grid|line-cut|levels)\b"
+)
+# Exit-2 messages about a quantity made of several keys, which name none.
+DERIVED = (
+    "active phases must be finite",
+    "element count overflows: d_target is too far for this spacing",
+    "field points must lie within about 1e154 m of the array",
+    "field points must lie at least about 1e-154 m from every element",
+    "ill-conditioned scene: rounding leaves the pinned aperture problem without a feasible vertex",
+)
+
+
+def assert_names_its_fault(stderr):
+    """An exit-2 message names a scenario key or flag, or a listed derived quantity."""
+    assert stderr.startswith("error: ") and stderr.endswith("\n"), stderr
+    message = stderr[len("error: ") : -1]
+    assert NAMES_A_KEY.search(message) or message in DERIVED, message
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(extreme_scene())
 # a user 1e160 m away, whose y_u**2 overflows a float
@@ -1160,6 +1261,7 @@ def test_extreme_scenes_exit_cleanly(scene):
             if code == 2:
                 # the JSON writer's refusal, in json's words or its own
                 assert "not JSON compliant" not in err.getvalue() and ".json: " not in err.getvalue()
+                assert_names_its_fault(err.getvalue())
             for report in out.glob("*.json"):
                 json.loads(report.read_text(encoding="ascii"), parse_constant=reject_constant)
 
@@ -1167,14 +1269,30 @@ def test_extreme_scenes_exit_cleanly(scene):
 FUZZ_GRID = {"x_range": [-0.2, 0.2], "y_range": [0.1, 0.6], "nx": 3, "ny": 3}
 
 
+BESSEL_20 = {"type": "bessel", "theta_deg": 0.0, "alpha_deg": 20.0}
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(extreme_scene())
+# scenes whose exit-2 message once named no key: a Bessel beam steered past
+# its cone angle, and one whose cone reaches past the right angle
+@example(extreme_dict(64, None, 140e9, (0.0, 1.0), {"type": "bessel", "theta_deg": 30.0, "alpha_deg": 10.0}))
+@example(extreme_dict(64, None, 140e9, (0.0, 1.0), {"type": "bessel", "theta_deg": 20.0, "alpha_deg": 75.0}))
+# a curving obstacle beyond the user, a w of 1e101 and an explicit spacing of 0
+@example(extreme_curving(64, None, 140e9, (0.0, 0.4), (0.1, -0.1, 0.3, 0.5)))
+@example(extreme_curving(64, None, 140e9, (0.0, 1.0), (0.1, -0.1, 0.3, 0.5), 1e101))
+@example(extreme_dict(64, 0.0, 140e9, (0.0, 1.0), BESSEL_20))
+# rect edges 1e308 m out, and circles of radius 0 and 1e101 m
+@example({**extreme_dict(64, None, 140e9, (0.0, 1.0), BESSEL_20), "obstacle": FAR_RECT})
+@example({**extreme_dict(64, None, 140e9, (0.0, 1.0), BESSEL_20), "obstacle": {**FAR_CIRCLE, "x": 0.0, "radius": 0.0}})
+@example({**extreme_dict(64, None, 140e9, (0.0, 1.0), BESSEL_20), "obstacle": {**FAR_CIRCLE, "y": 2e101, "radius": 1e101}})
 def test_extreme_scenes_simulate_and_compare_cleanly(scene):
     # simulate on a 3-by-3 grid with a 4-sample cut out to twice the user's
     # height, and compare the scene's beam with a focused one under the
     # scene's obstacle (or none) on a 2-by-2 box: each ends in a result (0),
     # a rejected scene (2) or no beam (3), never with a warning, and writes
-    # only standard JSON
+    # only standard JSON; a rejection names its scenario key or flag, or a
+    # listed derived quantity
     y = scene["user"]["y"]
     compare = {key: value for key, value in scene.items() if key not in ("beam", "obstacle")}
     compare.update(
@@ -1191,10 +1309,13 @@ def test_extreme_scenes_simulate_and_compare_cleanly(scene):
             path = Path(tmp) / f"{command}.yaml"
             path.write_text(yaml.safe_dump(data), encoding="utf-8")
             out = Path(tmp) / command
-            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(io.StringIO()):
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
                 warnings.simplefilter("always")
                 code = main([command, "--scenario", str(path), "--out", str(out), *flags])
             assert code in (0, 2, 3)
             assert [str(w.message) for w in caught] == []
+            if code == 2:
+                assert_names_its_fault(err.getvalue())
             for report in out.glob("*.json"):
                 json.loads(report.read_text(encoding="ascii"), parse_constant=reject_constant)

@@ -56,9 +56,17 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   at ``alpha_deg`` 5e-324 (0 radians) and at ``theta_deg`` 90, simulate
   on it behind a rect whose x edges are equal and behind one whose
   ``y_n`` is 0, optimize on the two-beam planner scene at ``w`` 0, and
-  compare on a 64-element scene whose Bessel beam has ``alpha_deg`` 90.
+  compare on a 64-element scene whose Bessel beam has ``alpha_deg`` 90;
+- six scenes that the library rejects, each named by the keys of the
+  parameters it checked: simulate on ``bessel_axis`` with 64 elements
+  behind a circle of radius 0, and with ``theta_deg`` 30 (not steerable),
+  analyze on it with ``spacing_mode: explicit`` and ``spacing_m`` 0,
+  compare on a 64-element scene whose Bessel beam has ``theta_deg`` 20
+  and ``alpha_deg`` 75 (not steerable), and optimize on the two-beam
+  planner scene with the user at y = 0.5 m, before the obstacle's far
+  edge, and at ``w`` 1e101.
 
-With the seven shipped scenarios that makes 91 runs.
+With the seven shipped scenarios that makes 97 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -403,6 +411,16 @@ def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
     out["optimize w of 0"] = (planner_scene(*PLANNER["two_beam"][:3], 0.0), ["optimize"])
     right_alpha = compare_scene(1.0, _SMALL_BOX, "  - type: none\n").replace("alpha_deg: 20.0", "alpha_deg: 90.0")
     out["compare right-angle alpha_deg"] = (right_alpha, ["compare"])
+    # values the library rejects, named by the keys of the parameters it checked
+    zero_circle = "  type: circle\n  x: 0.0\n  y: 0.5\n  radius: 0.0\n"
+    out["simulate circle radius 0"] = (small_axis.replace("  type: none\n", zero_circle), ["simulate"])
+    zero_spacing = small_axis.replace("spacing_mode: half_wavelength", "spacing_mode: explicit\n  spacing_m: 0.0")
+    out["analyze explicit spacing_m 0"] = (zero_spacing, ["analyze"])
+    out["simulate non-steerable bessel"] = (small_axis.replace("theta_deg: 0.0", "theta_deg: 30.0"), ["simulate"])
+    steered = compare_scene(1.0, _SMALL_BOX, "  - type: none\n").replace("alpha_deg: 20.0", "alpha_deg: 75.0")
+    out["compare non-steerable bessel"] = (steered.replace("    theta_deg: 0.0\n    alpha", "    theta_deg: 20.0\n    alpha"), ["compare"])
+    out["optimize obstacle beyond the user"] = (planner_scene(0.0, 0.5, PLANNER["two_beam"][2], 1.0), ["optimize"])
+    out["optimize w of 1e101"] = (planner_scene(*PLANNER["two_beam"][:3], 1e101), ["optimize"])
     return out
 
 def environment(tree: Path) -> dict:
