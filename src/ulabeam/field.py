@@ -31,53 +31,60 @@ and V_n = sin(k r_n) / r_n, a point's field is
 
     Re E = sum_n (U_n a_n + V_n b_n),    Im E = sum_n (U_n b_n - V_n a_n),
 
-so cos and sin, most of the cost, depend on the geometry alone and are
-taken once for every excitation of the call. The obstacle is convex, so
-the elements a point cannot see form one contiguous index run: the
-central projection, from the point onto y = 0, of the obstacle below the
-point's height. Each point gets that run [lo, hi) from the obstacle's
-``shadow`` interval, O(1) geometry, and a binary search (a point level
-with the obstacle has a run that reaches one end of the array).
+so the trig depends on the geometry alone and is taken once for every
+excitation of the call, on every pair. U and V come from one tangent of
+the half angle, t_n = tan(k r_n / 2), where r_n (k / 2) is exactly half
+of r_n k:
+
+    q_n = (1 / r_n) / (1 + t_n^2),    U_n = (1 - t_n^2) q_n,    V_n = (2 t_n) q_n.
+
+NumPy's float64 tan is a SIMD loop on x86-64 CPUs with AVX-512 (about
+2 ns a pair), while its cos and sin call the C library's scalar routines
+(about 23 ns each); without AVX-512, tan took 32 ns against 48 ns for
+both (Xeon, NumPy 2.4, glibc). U_n r_n and V_n r_n are within 3.6e-16 of
+cos and sin of the rounded k r_n (mpmath, r_n from 1e-150 to 1e150 m)
+and within 4.4e-16 of glibc's (2 M pairs at 140 GHz); no floating-point
+flag is raised unless k r_n / 2 is below about 1.5e-154, where t_n^2
+underflows. NumPy's scalar tan differs from its SIMD tan by an ulp on
+about 0.7% of arguments, and it picks the loop by memory layout, so tan
+runs on the chunk's contiguous array of r whatever its row count.
+
+The obstacle is convex, so the elements a point cannot see form one
+contiguous index run: the central projection, from the point onto
+y = 0, of the obstacle below the point's height. Each point gets that
+run [lo, hi) from the obstacle's ``shadow`` interval, O(1) geometry,
+and a binary search (a point level with the obstacle has a run that
+reaches one end of the array).
 
 Per chunk of points, r, 1 / r and U and V (side by side in one row of 2N
-values, ``uv``) are computed once for all entries. Trig is skipped on the
-pairs no entry needs: the elements hidden under every obstacle (the
-intersection [max_j lo_j, min_j hi_j) of the obstacles' runs) and the
-elements of zero weight in every excitation (the undriven ones); uv is
-zero there. A chunk with nothing to skip takes cos and sin on every
-pair. The entries are grouped by obstacle: each obstacle zeroes its own
-runs (a lone obstacle's runs are the common runs, already zero in a
-chunk that holds no partners), in a copy of uv if another obstacle
-follows and in uv itself if none does, and each of its entries takes two
-row dot products, of those rows with (a, b) and with (b, -a).
+values, ``uv``) are computed once for all entries. The entries are
+grouped by obstacle: each obstacle zeroes its own runs (free space has
+none), in a copy of uv if another obstacle follows and in uv itself if
+none does, and each of its entries takes two row dot products, of those
+rows with (a, b) and with (b, -a).
 
 A point (x, y) and its mirror (-x, y) share their trig. The element
 positions are exactly symmetric, ``element_xs()[::-1] == -element_xs()``,
 and IEEE subtraction and squaring are symmetric in sign, so the mirror's
 distances are the point's in reverse order, bit for bit, and so are its
-cos and sin. Each point with x < 0 whose exact mirror is in the call
+U and V. Each point with x < 0 whose exact mirror is in the call
 (px[j] == -px[i], py[j] == py[i], each point in one pair at most)
-represents the pair: it alone computes r, 1 / r and trig, on every
-element that it or its partner needs. That is the union of the two
-points' needs: the driven elements and their reverse, less the
-intersection of its common run and its partner's, reversed. The
-partner's row of uv is the representative's reversed, and each obstacle
-then zeroes its own runs on both rows. Under each obstacle, every row of
-uv holds the bits it would hold unpaired, except on elements that no
-entry drives, where either row may hold the other's trig against a
-weight of zero. A point on x = 0 stays single. ``grid_nodes``, the
-lattice of ``field_grid`` and of the error box, builds a symmetric x
-range mirror-exact, so that every node off x = 0 finds its partner.
+represents the pair: it alone computes r, 1 / r and trig. The partner's
+row of uv is the representative's reversed, the bits it would hold
+unpaired, and each obstacle then zeroes its own runs on both rows. A
+point on x = 0 stays single. ``grid_nodes``, the lattice of
+``field_grid`` and of the error box, builds a symmetric x range
+mirror-exact, so that every node off x = 0 finds its partner.
 
 Each sum is one ``np.vecdot`` of a row of uv with a weight row, so its
 bits depend on those two vectors only: not on the chunk's row count, the
 number of threads or the other entries of the call. A row of the result
 is therefore bit-identical whatever the chunking and the entry list, and
 equal to the call with its entry alone. (A matrix product over the chunk
-would not be: its bits depend on the shapes.) A zeroed or skipped pair,
-or a pair of zero weight, adds a zero term, which leaves a sum that
-starts from +0.0 unchanged (rounding to nearest, a sum is -0.0 only when
-both its terms are), so skipping trig changes no bit either. Points
+would not be: its bits depend on the shapes.) A zeroed pair, or a pair
+of zero weight (an undriven element, whose trig is taken all the same),
+adds a zero term, which leaves a sum that starts from +0.0 unchanged
+(rounding to nearest, a sum is -0.0 only when both its terms are). Points
 whose distance to an element overflows (beyond about 1e154 m) are
 rejected, and so are points whose squared distance to the nearest
 element is not a positive normal float (nearer than about 1e-154 m,
@@ -85,19 +92,21 @@ where y^2 can underflow to 0 above an element), so every r and 1 / r is
 positive and finite.
 
 Points are processed in chunks of step points. A chunk holds uv and
-``spare`` (r, reused for k r, and 1 / r side by side), each of step x 2N
-float64 values, a boolean mask of the pairs that need trig when it skips
-any, and a copy of uv while an obstacle that hides some of its pairs has
-another after it. A call with one obstacle, or free space (every
-``simulate``), runs step = ``_CHUNK_PAIRS`` // N points, 32,768 pairs:
-uv and spare are 512 KB each, 1 MB in all, within a 2 MB L2 cache. A
-call with several obstacles also holds the copy, so it runs half as
-many points, and its three arrays stay within 768 KB. Each chunk pays a
-fixed cost on top of its trig, in Python and small numpy calls that
-hold the GIL; at 32,768 pairs a grid pays it half as often as at
-16,384, which was measured faster at 80 x 80 and at 300 x 300. 65,536
-pairs ran slower and raised peak memory, and so did 32,768 pairs for
-several obstacles.
+``spare`` (r, reused for t, and 1 / r side by side), each of step x 2N
+float64 values, and a copy of uv while an obstacle that hides some of its
+pairs has another after it. Every pass of the identity runs on
+contiguous arrays (t^2 and 1 + t^2 in the two halves of uv, U and V in
+spare), and two copies then put U and V side by side: the passes that
+wrote into uv's interleaved rows took twice as long. A call with one
+obstacle, or free space (every ``simulate``), runs step =
+``_CHUNK_PAIRS`` // N points, 32,768 pairs: uv and spare are 512 KB
+each, 1 MB in all, within a 2 MB L2 cache. A call with several
+obstacles also holds the copy, so it runs half as many points, and its
+three arrays stay within 768 KB. Each chunk pays a fixed cost on top of
+its arithmetic, in Python and small numpy calls that hold the GIL; at
+32,768 pairs a grid pays it half as often as at 16,384, which was
+measured faster at 80 x 80 and at 300 x 300. 65,536 pairs ran slower
+and raised peak memory, and so did 32,768 pairs for several obstacles.
 
 Within a chunk, (x - x_n)^2 is taken once per column: a run of
 consecutive points of equal x in chunk order. ``grid_nodes`` and the
@@ -367,24 +376,13 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
     distinct = {id(exc): exc for exc, _ in entries}
     weights = {key: _weights(exc) for key, exc in distinct.items()}
     stacks = [np.concatenate([weights[id(entries[t][0])] for t in ts]) for ts in members]
-    # Elements of zero weight in every excitation.
-    live_elements = np.any([exc.magnitudes != 0.0 for exc in distinct.values()], axis=0)
-    silent = not live_elements.all()
     # Chunks cut the first size points in chunk order.
     order, pairs = _chunk_order(px, py)
     size = order.size - pairs
     qx, qy = px[order], py[order]
-    # Free space hides the empty run [0, 0).
-    clear = np.broadcast_to(np.intp(0), order.shape)
-    runs = [(clear, clear) if obstacle is None else _blocked_runs(obstacle, xs, qx, qy) for obstacle in obstacles]
+    # Free space hides no element and has no runs.
+    runs = [None if obstacle is None else _blocked_runs(obstacle, xs, qx, qy) for obstacle in obstacles]
     last = len(runs) - 1
-    # Trig is skipped on the elements hidden under every obstacle, one run
-    # per point; a representative skips it only where its partner does
-    # too: on the intersection of its run and its partner's, reversed.
-    skip_lo = np.maximum.reduce([lo for lo, _ in runs])
-    skip_hi = np.maximum(skip_lo, np.minimum.reduce([hi for _, hi in runs]))
-    skip_lo[:pairs] = np.maximum(skip_lo[:pairs], n - skip_hi[size:])
-    skip_hi[:pairs] = np.minimum(skip_hi[:pairs], n - skip_lo[size:])
     # A chunk holds uv and spare; several obstacles add a copy of uv.
     step = max(1, _CHUNK_PAIRS // (n if len(obstacles) == 1 else 2 * n))
     # Consecutive points of equal x in chunk order form a column; column[i]
@@ -402,46 +400,40 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
         # The chunk's first paired points are representatives.
         m, paired = stop - start, max(0, min(stop, pairs) - start)
         cpy = qy[start:stop]
-        skip = _nonempty_runs(skip_lo[start:stop], skip_hi[start:stop])
-        masked = bool(skip) or silent
-        # uv holds cos(k r) / r and sin(k r) / r, side by side in each row;
-        # spare holds r and 1 / r, then the partners' uv.
+        # uv holds U = cos(k r) / r and V = sin(k r) / r, side by side in
+        # each row; spare holds r, then t = tan(k r / 2), then V, and 1 / r,
+        # then q, then U, and last the partners' uv.
         uv, spare = uv[:m], spare[:m]
-        if masked:
-            uv.fill(0.0)
-        r, inv = spare.reshape(2, m, n)
-        # (x - x_n)^2 once per column, in inv, then copied to each point's row.
+        r, q = spare.reshape(2, m, n)
+        # (x - x_n)^2 once per column, in q, then copied to each point's row.
         first = column[start]
         cols = column_x[first : column[stop - 1] + 1]
-        dx2 = np.subtract.outer(cols, xs, out=inv[: cols.size])
+        dx2 = np.subtract.outer(cols, xs, out=q[: cols.size])
         dx2 *= dx2
         np.take(dx2, column[start:stop] - first, axis=0, out=r, mode="clip")
         r += (cpy * cpy)[:, np.newaxis]
         np.sqrt(r, out=r)
-        np.divide(1.0, r, out=inv)
-        kr = np.multiply(r, k, out=r)
-        if masked:
-            live = np.repeat(live_elements[np.newaxis], m, axis=0)
-            # A representative takes trig where its partner needs it too.
-            live[:paired] |= live_elements[::-1]
-            for i, lo, hi in skip:
-                live[i, lo:hi] = False
-            np.cos(kr, out=uv[:, 0], where=live)
-            np.sin(kr, out=uv[:, 1], where=live)
-        else:
-            np.cos(kr, out=uv[:, 0])
-            np.sin(kr, out=uv[:, 1])
-        uv *= inv[:, np.newaxis]
+        np.divide(1.0, r, out=q)
+        t = np.tan(np.multiply(r, 0.5 * k, out=r), out=r)
+        # q = (1 / r) / (1 + t^2), U = (1 - t^2) q and V = (2 t) q, each
+        # pass on contiguous arrays; then U and V are copied into uv.
+        d, t2 = uv.reshape(2, m, n)
+        np.multiply(t, t, out=t2)
+        np.add(t2, 1.0, out=d)
+        q /= d
+        np.subtract(1.0, t2, out=t2)
+        t += t
+        t *= q
+        q *= t2
+        uv[:, 0], uv[:, 1] = q, t
         blocks = [(uv, slice(start, stop))]
         if paired:
             # A partner's row is its representative's, reversed.
             spare[:paired] = uv[:paired, :, ::-1]
             blocks.append((spare[:paired], slice(size + start, size + start + paired)))
         for block, points in blocks:
-            for j, ((lo, hi), ts) in enumerate(zip(runs, members)):
-                # A lone obstacle's runs are the common runs, which a chunk
-                # without partners skipped and so left zero.
-                hidden = _nonempty_runs(lo[points], hi[points]) if last or paired else ()
+            for j, (run, ts) in enumerate(zip(runs, members)):
+                hidden = () if run is None else _nonempty_runs(run[0][points], run[1][points])
                 # An obstacle with another after it zeroes its runs in a copy.
                 seen = block.copy() if hidden and j < last else block
                 for i, a, b in hidden:

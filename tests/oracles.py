@@ -524,24 +524,26 @@ def field_by_elements(ex, k, gamma, phi, obstacle, px, py) -> tuple[np.ndarray, 
 
 
 def dense_field(ex, k, entries, px, py) -> np.ndarray:
-    """Field at points (px, py) of each (excitation, obstacle) entry, trig on every pair.
+    """Field at points (px, py) of each (excitation, obstacle) entry, on the whole pair matrix.
 
     The (len(entries), M) result follows the field kernel's arithmetic on
-    the whole (M, N) pair matrix at once: r, 1 / r, and cos(k r) / r and
-    sin(k r) / r of every pair, hidden elements included, side by side in
-    each row. Each entry zeroes both on its obstacle's blocked runs and
-    takes one row dot product with (a, b) for the real part and one with
-    (b, -a) for the imaginary part, a = gamma cos(phi) and b = gamma sin(phi).
-    Interior points are NaN. Bit for bit, this is what the kernel returns.
+    the whole (M, N) pair matrix at once: r, the half-angle tangent
+    t = tan(k r / 2) of every pair, hidden elements included, and from it
+    q = (1 / r) / (1 + t^2), cos(k r) / r = (1 - t^2) q and
+    sin(k r) / r = (2 t) q, side by side in each row. Each entry zeroes
+    both on its obstacle's blocked runs and takes one row dot product with
+    (a, b) for the real part and one with (b, -a) for the imaginary part,
+    a = gamma cos(phi) and b = gamma sin(phi). Interior points are NaN.
+    Bit for bit, this is what the kernel returns.
     """
     rr = np.subtract.outer(px, ex)
     rr *= rr
     rr += (py * py)[:, np.newaxis]
     r = np.sqrt(rr)
-    inv = 1.0 / r
-    kr = r * k
+    tan_half = np.tan(r * (0.5 * k))
+    q = (1.0 / r) / (1.0 + tan_half * tan_half)
     n = ex.shape[0]
-    uv = np.concatenate((np.cos(kr) * inv, np.sin(kr) * inv), axis=1)
+    uv = np.concatenate(((1.0 - tan_half * tan_half) * q, (2.0 * tan_half) * q), axis=1)
     out = np.empty((len(entries), px.shape[0]), dtype=complex)
     for t, (exc, obstacle) in enumerate(entries):
         masked = uv.copy()

@@ -10,6 +10,9 @@ Proves:
    a focused beam beats every other family at its own focus at equal power
  - field values obey the one-term and two-term closed forms, the 1/r law,
    and superposition to 1e-12
+ - one driven element seen from r in 1e-150..1e150 m, at random carriers,
+   magnitudes and phases, gives within 4 eps gamma / r of np.cos and
+   np.sin of its phase and of k r, and raises no floating-point flag
  - hard-shadow occlusion zeroes a fully shadowed point, matches manual
    element removal bit for bit, and marks obstacle-interior samples NaN,
    without a warning for a circle-boundary point whose shadow tangent is
@@ -29,10 +32,10 @@ Proves:
    that obstacle alone, for random arrays, 1-4 obstacles, chunk sizes and
    worker counts, and matches the element-by-element oracle to 1e-12 of
    sum(gamma / r)
- - the kernel, which takes cos and sin only on pairs that contribute, equals
-   bit for bit a dense reference that takes them on every pair, with
-   inactive and zero-magnitude elements and walls that hide the whole
-   aperture; with no entries it returns an empty (0, M) result at once
+ - the kernel, chunk by chunk, equals bit for bit a dense reference that
+   follows its arithmetic on the whole pair matrix at once, with inactive
+   and zero-magnitude elements and walls that hide the whole aperture;
+   with no entries it returns an empty (0, M) result at once
  - each row of a call with 1-5 (excitation, obstacle) entries, sharing
    excitations, obstacles, both or neither, equals bit for bit the dense
    reference and the call with that entry alone, for chunk sizes and
@@ -203,6 +206,31 @@ def test_single_element_inverse_distance_phase():
     r = 2.0
     val = field_at(cfg, exc, p)
     assert_allclose(val, np.exp(-1j * cfg.wavenumber() * r) / r, rtol=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.floats(-150.0, 150.0),
+    st.floats(6.0, 15.0),
+    st.floats(-3.0, 3.0),
+    st.integers(-(10**6), 10**6).map(lambda mrad: mrad / 1000),
+)
+@example(-150.0, 6.0, 0.0, 1.0)
+@example(150.0, 15.0, 0.0, -1.0)
+def test_one_pair_is_within_4_eps_of_cos_and_sin(log_r, log_freq, log_gamma, phi):
+    # one driven element (the other is undriven) and a point r straight above
+    # it; the reference takes np.cos and np.sin of phi and of k r apart, since
+    # phi - k r itself would round to nothing at large k r. phi runs in steps
+    # of 1 mrad, so no weight or reference product underflows
+    cfg = UlaConfig(2, 1e-3, 10.0**log_freq)
+    r, gamma = 10.0**log_r, 10.0**log_gamma
+    exc = Excitation([gamma, 0.0], [phi, 0.0])
+    with np.errstate(all="raise"):
+        value = field_points_per_entry(cfg, [(exc, None)], cfg.element_xs()[:1], np.array([r]))[0, 0]
+        kr = r * cfg.wavenumber()
+        c, s, ck, sk = np.cos(phi), np.sin(phi), np.cos(kr), np.sin(kr)
+        want = complex(gamma * (c * ck + s * sk) / r, gamma * (s * ck - c * sk) / r)
+    assert abs(value - want) <= 4 * np.finfo(float).eps * gamma / r
 
 
 def test_one_over_r_law_random_points():

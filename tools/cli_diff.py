@@ -38,6 +38,9 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   centered 1e200 m to the side;
 - simulate on ``bessel_axis`` at ``--grid 81,40``, whose odd node count
   puts the middle x node on 0.0;
+- simulate on ``bessel_axis`` with 64 elements on a 9 x 7 grid with x in
+  +-1e150 m and y in 1e149..2e150 m, with ``--line-cut 1e149,5``: phases
+  k r of up to about 7e153 rad;
 - analyze on ``bessel_axis`` with 64 elements and ``obstacle`` given
   twice (a rect, then none), and simulate on it with ``user.x`` given
   twice (duplicate keys);
@@ -66,7 +69,7 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   planner scene with the user at y = 0.5 m, before the obstacle's far
   edge, and at ``w`` 1e101.
 
-With the seven shipped scenarios that makes 97 runs.
+With the seven shipped scenarios that makes 98 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -391,6 +394,10 @@ def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
     out["simulate duplicate user.x"] = (two_xs, ["simulate"])
     # an odd grid size puts the middle x node of the symmetric range on 0.0
     out["simulate bessel_axis --grid 81,40"] = (axis_text, ["simulate", "--grid", "81,40"])
+    # points up to about 2e150 m away, whose phases k r reach about 7e153 rad
+    far_field = small_axis.replace("x_range: [-0.8, 0.8]", "x_range: [-1.0e+150, 1.0e+150]")
+    far_field = far_field.replace("y_range: [0.02, 2.0]", "y_range: [1.0e+149, 2.0e+150]")
+    out["simulate far-field grid"] = (far_field, ["simulate", "--grid", "9,7", "--line-cut", "1e149,5"])
     for label, scene in COMPARE_64.items():
         out[f"compare {label}"] = (compare_scene(*scene), ["compare"])
     compare_text = (shipped / "compare_four_positions.yaml").read_text(encoding="utf-8")
