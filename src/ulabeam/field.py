@@ -59,9 +59,10 @@ reaches one end of the array).
 Per chunk of points, r, 1 / r and U and V (side by side in one row of 2N
 values, ``uv``) are computed once for all entries. The entries are
 grouped by obstacle: each obstacle zeroes its own runs (free space has
-none), in a copy of uv if another obstacle follows and in uv itself if
-none does, and each of its entries takes two row dot products, of those
-rows with (a, b) and with (b, -a).
+none), and each of its entries takes two row dot products, of those rows
+with (a, b) and with (b, -a). An obstacle that hides some pairs and has
+another after it copies the rows into a third buffer and zeroes its runs
+there; the last obstacle zeroes them in uv itself.
 
 A point (x, y) and its mirror (-x, y) share their trig. The element
 positions are exactly symmetric, ``element_xs()[::-1] == -element_xs()``,
@@ -93,11 +94,11 @@ positive and finite.
 
 Points are processed in chunks of step points. A chunk holds uv and
 ``spare`` (r, reused for t, and 1 / r side by side), each of step x 2N
-float64 values, and a copy of uv while an obstacle that hides some of its
-pairs has another after it. Every pass of the identity runs on
-contiguous arrays (t^2 and 1 + t^2 in the two halves of uv, U and V in
-spare), and two copies then put U and V side by side: the passes that
-wrote into uv's interleaved rows took twice as long. A call with one
+float64 values, and in a call with several obstacles a third buffer
+of that size for the copy. Every pass of the identity runs on contiguous
+arrays (t^2 and 1 + t^2 in the two halves of uv, U and V in spare), and
+two copies then put U and V side by side: the passes that wrote into
+uv's interleaved rows took twice as long. A call with one
 obstacle, or free space (every ``simulate``), runs step =
 ``_CHUNK_PAIRS`` // N points, 32,768 pairs: uv and spare are 512 KB
 each, 1 MB in all, within a 2 MB L2 cache. A call with several
@@ -125,14 +126,31 @@ reads and writes only slices of arrays in chunk order. One scatter per
 call puts the result back in the caller's order. The partners' uv fills
 the array that held r and 1 / r, so a chunk takes trig on step points
 at most, writes up to 2 step, and needs no more memory than a chunk
-without partners. Every batch runs on a thread pool of at most one
-thread per CPU this process may use (there is no setting), and no more
-threads than chunks, so a batch of one chunk runs on one pool thread and
-an empty batch starts none. Each thread takes the next chunk until none
-is left, in a uv and a spare that it allocates once per batch and
-slices to the chunk's rows. Allocated per chunk at 32,768 pairs, glibc's
-malloc gave most chunks' memory back to the system, and the next chunk
-faulted it in again: about 250 page faults per chunk.
+without partners.
+
+A call with one obstacle, or free space, runs its chunks on a thread
+pool of at most one thread per CPU this process may use and no more
+threads than chunks. A call with several obstacles runs them all on one
+worker, and a call with one worker (one chunk, such as ``field_at``'s,
+or one CPU) runs in the calling thread and starts no thread. The rule
+follows the call; there is no setting. A second thread gains only while
+the GIL is released. A chunk of several obstacles is small (16 rows at
+N = 1024), its per-row zeroing is a Python loop, and ``np.vecdot``
+keeps the GIL unless one call makes more than 500 dot products; with
+``compare``'s four beams a chunk makes 16 rows x 2 x 4 = 128 per
+obstacle. On a 2-vCPU Xeon (NumPy 2.4), two threads ran calls of 128
+dot products of 2N = 2048 values 0.83x as fast as one thread, of 480
+1.25x and of 512 1.72x, and the kernel of a ``compare`` on four
+obstacles took about 21 ms on two pool threads, 16 ms on one and 13 ms
+on the calling thread. A one-obstacle chunk has 32 rows, one entry and
+long passes that release the GIL: a grid's chunks run about 1.25x as
+fast on two threads as on one.
+
+Each worker takes the next chunk until none is left, in a uv, a spare
+and (several obstacles) a copy buffer that it allocates once per call
+and slices to the chunk's rows. Allocated per chunk at 32,768 pairs,
+glibc's malloc gave most chunks' memory back to the system, and the
+next chunk faulted it in again: about 250 page faults per chunk.
 
 File formats
 ------------
@@ -395,7 +413,7 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
     # The result, its points in chunk order.
     ordered = np.empty((len(entries), order.size), dtype=complex)
 
-    def chunk(start: int, uv: np.ndarray, spare: np.ndarray) -> None:
+    def chunk(start: int, uv: np.ndarray, spare: np.ndarray, copy: np.ndarray | None) -> None:
         stop = min(start + step, size)
         # The chunk's first paired points are representatives.
         m, paired = stop - start, max(0, min(stop, pairs) - start)
@@ -435,7 +453,10 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
             for j, (run, ts) in enumerate(zip(runs, members)):
                 hidden = () if run is None else _nonempty_runs(run[0][points], run[1][points])
                 # An obstacle with another after it zeroes its runs in a copy.
-                seen = block.copy() if hidden and j < last else block
+                seen = block
+                if hidden and j < last:
+                    seen = copy[: block.shape[0]]
+                    seen[...] = block
                 for i, a, b in hidden:
                     seen[i, :, a:b] = 0.0
                 # One row dot product per entry and part: bit-identical
@@ -444,27 +465,33 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
                 ordered.real[ts, points] = sums[:, 0::2].T
                 ordered.imag[ts, points] = sums[:, 1::2].T
 
-    from concurrent.futures import ThreadPoolExecutor
-
     starts = iter(range(0, size, step))
     taking = threading.Lock()
 
     def work() -> None:
-        # A worker takes the next chunk until none is left, in uv and spare
-        # that it allocates once (see the module docstring).
+        # A worker takes the next chunk until none is left, in uv, spare and
+        # (several obstacles) the copy, allocated once (see the module docstring).
         rows = min(step, size)
         buffers = np.empty((rows, 2, n)), np.empty((rows, 2, n))
+        copy = np.empty((rows, 2, n)) if len(obstacles) > 1 else None
         while True:
             with taking:
                 start = next(starts, None)
             if start is None:
                 return
-            chunk(start, *buffers)
+            chunk(start, *buffers, copy)
 
-    workers = min(_workers(), -(-size // step))
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for done in [pool.submit(work) for _ in range(workers)]:
-            done.result()
+    # Several obstacles run on one worker (see the module docstring), and
+    # one worker runs in the calling thread.
+    workers = 1 if len(obstacles) > 1 else min(_workers(), -(-size // step))
+    if workers <= 1:
+        work()
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for done in [pool.submit(work) for _ in range(workers)]:
+                done.result()
     out = np.empty_like(ordered)
     out[:, order] = ordered
     for obstacle, ts in zip(obstacles, members):

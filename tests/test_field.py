@@ -28,10 +28,16 @@ Proves:
  - CSV / PGM serialization produces frozen bytes and survives a round trip
  - grid evaluation is bitwise identical under any chunk size and any number
    of worker threads, also under rapid thread switching
+ - a call with several obstacles, and a call of one chunk, start no thread
+   and keep the bits of one-entry calls; a one-obstacle call of c chunks
+   starts min(workers, c) threads
  - each row of a per-obstacle evaluation equals, bit for bit, the field under
    that obstacle alone, for random arrays, 1-4 obstacles, chunk sizes and
-   worker counts, and matches the element-by-element oracle to 1e-12 of
-   sum(gamma / r)
+   worker counts (the one-obstacle calls on a pool of up to two threads,
+   the several-obstacle calls on the calling thread), and matches the
+   element-by-element oracle to 1e-12 of sum(gamma / r); an obstacle
+   whose runs another obstacle's copy zeroed first, and a last obstacle
+   after one that hid every element, see none of those zeros
  - the kernel, chunk by chunk, equals bit for bit a dense reference that
    follows its arithmetic on the whole pair matrix at once, with inactive
    and zero-magnitude elements and walls that hide the whole aperture;
@@ -73,6 +79,7 @@ import csv
 import io
 import math
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -707,13 +714,63 @@ def test_threaded_chunks_match_one_chunk_under_rapid_switching(monkeypatch):
             monkeypatch.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
             for case, reference in zip(CHUNK_CASES, references):
                 assert np.array_equal(reference, _chunk_case_grid(case), equal_nan=True)
-            # threads share the per-obstacle output rows
+            # one call with an entry per case, its chunks on the calling thread
             for row, reference in zip(_chunk_case_rows(), references):
                 assert np.array_equal(reference, row, equal_nan=True)
             if time.monotonic() > deadline:
                 break
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_only_one_obstacle_calls_of_several_chunks_start_threads(monkeypatch):
+    cfg = UlaConfig(1024, 1.07e-3, 140e9)
+    exc = gaussian_excitation(cfg, 5 * DEG)
+    _, _, px, py = grid_nodes((-0.3, 0.3), (0.1, 1.0), 31, 23)
+    entries = [(exc, obstacle) for obstacle in CHUNK_CASES]
+    singles = [field_points_per_entry(cfg, [entry], px, py)[0] for entry in entries]
+    monkeypatch.setattr(ulabeam.field, "_workers", lambda: 8)
+    start = threading.Thread.start
+
+    def refuse(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    # several obstacles over 23 chunks (see _chunk_case_grid)
+    rows = field_points_per_entry(cfg, entries, px, py)
+    for row, single in zip(rows, singles):
+        assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
+    # one chunk: the first 20 points hold no mirror pair, and a single point
+    for (exc, obstacle), single in zip(entries, singles):
+        head = field_points_per_entry(cfg, [(exc, obstacle)], px[:20], py[:20])[0]
+        assert np.array_equal(head.view(np.uint64), single[:20].view(np.uint64))
+        assert field_at(cfg, exc, Point2(px[0], py[0]), obstacle) == single[0]
+    # One obstacle over c chunks starts min(8, c) threads. No chunk takes its
+    # runs before all of them have started, so no thread runs out of chunks
+    # and leaves the pool idle while the next is submitted.
+    rect = entries[0]
+    for chunk_pairs, chunks in ((100 * 1024, 4), (ulabeam.field._CHUNK_PAIRS, 12)):
+        monkeypatch.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
+        started, everyone = [], threading.Event()
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+            if len(started) == min(8, chunks):
+                everyone.set()
+
+        def gated(lo, hi, runs=ulabeam.field._nonempty_runs):
+            # a pool short of threads waits once, then fails the count below
+            if not everyone.wait(10.0):
+                everyone.set()
+            return runs(lo, hi)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(threading.Thread, "start", counted)
+            mp.setattr(ulabeam.field, "_nonempty_runs", gated)
+            row = field_points_per_entry(cfg, [rect], px, py)[0]
+        assert len(started) == min(8, chunks)
+        assert np.array_equal(row.view(np.uint64), singles[0].view(np.uint64))
 
 
 def test_field_points_matches_field_at():
@@ -791,19 +848,46 @@ def per_obstacle_case(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(per_obstacle_case())
+# two rects that hide different runs of the same points, then free space:
+# each obstacle must see the chunk's rows without an earlier one's zeros
+@example(
+    (
+        UlaConfig(16, 1e-3, 140e9),
+        Excitation(np.linspace(1.0, 0.25, 16), np.linspace(-2.0, 2.0, 16)),
+        [RectObstacle(0.004, -0.002, 0.1, 0.2), RectObstacle(0.001, -0.005, 0.3, 0.35), None],
+        np.array([0.0, 0.001, -0.003, 0.003, -0.002]),
+        np.array([1.0, 0.8, 0.9, 0.9, 1.5]),
+        [],
+    )
+)
+# a wall that hides every element, then a rect that hides a few
+@example(
+    (
+        UlaConfig(16, 1e-3, 140e9),
+        Excitation(np.linspace(1.0, 0.25, 16), np.linspace(-2.0, 2.0, 16)),
+        [RectObstacle(1.0, -1.0, 0.05, 0.1), RectObstacle(0.004, -0.002, 0.3, 0.4)],
+        np.array([0.0, 0.001, -0.003, 0.003, 0.2]),
+        np.array([1.0, 0.8, 0.9, 0.9, 0.07]),
+        [(0, 0), (0, 1), (0, 2), (0, 3)],
+    )
+)
 def test_per_obstacle_rows_match_single_obstacle_calls(case):
     cfg, exc, obstacles, px, py, hidden = case
     singles = [field_points_per_entry(cfg, ((exc, obstacle),), px, py)[0] for obstacle in obstacles]
+    default = ulabeam.field._CHUNK_PAIRS
     with pytest.MonkeyPatch.context() as mp:
-        for chunk_pairs in (1, 7, 65_536, 10**9):
+        for chunk_pairs in (1, 7, default, 65_536, 10**9):
             mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
             for workers in (1, 2):
                 mp.setattr(ulabeam.field, "_workers", lambda: workers)
                 rows = field_points_per_entry(cfg, [(exc, obstacle) for obstacle in obstacles], px, py)
                 assert rows.shape == (len(obstacles), px.size)
-                for row, single in zip(rows, singles):
+                for obstacle, row, single in zip(obstacles, rows, singles):
+                    # one obstacle: its chunks on up to `workers` threads
+                    alone = field_points_per_entry(cfg, ((exc, obstacle),), px, py)[0]
                     # equal bits: equal values, NaN positions and signs of zero
                     assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
+                    assert np.array_equal(alone.view(np.uint64), single.view(np.uint64))
     # A wall hides every element, so the point sums w = +0 terms: its bits,
     # signs of zero included, are those of an excitation of zero magnitude.
     dark = Excitation(np.zeros(cfg.n_elements), exc.phases)
@@ -848,6 +932,10 @@ def test_per_obstacle_rows_match_dense_reference_bit_for_bit(case):
                 rows = field_points_per_entry(cfg, entries, px, py)
                 # equal bits: equal values, NaN positions and signs of zero
                 assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+                for entry, row in zip(entries, want):
+                    # one obstacle: its chunks on up to `workers` threads
+                    alone = field_points_per_entry(cfg, [entry], px, py)[0]
+                    assert np.array_equal(alone.view(np.uint64), row.view(np.uint64))
 
 
 @st.composite
@@ -890,8 +978,11 @@ def test_entry_rows_match_dense_reference_and_single_entry_calls(case):
                 assert rows.shape == (len(entries), px.size)
                 # equal bits: equal values, NaN positions and signs of zero
                 assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
-                for row, single in zip(rows, singles):
+                for entry, row, single in zip(entries, rows, singles):
+                    # one obstacle: its chunks on up to `workers` threads
+                    alone = field_points_per_entry(cfg, [entry], px, py)[0]
                     assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
+                    assert np.array_equal(alone.view(np.uint64), single.view(np.uint64))
     for (exc, obstacle), single in zip(entries, singles):
         assert_matches_element_oracle(cfg, exc, obstacle, px, py, single)
 
@@ -1105,7 +1196,8 @@ def test_no_obstacles_give_an_empty_result_without_evaluating(monkeypatch):
     cfg = UlaConfig(1024, 1.07e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
     px, py = np.linspace(-0.3, 0.3, 6400), np.linspace(0.1, 1.0, 6400)
-    # a call that went on to run its chunks would ask for worker threads
+    # a call with one obstacle or none that went on to run its chunks would
+    # ask for worker threads
     monkeypatch.setattr(ulabeam.field, "_workers", lambda: None)
     rows = field_points_per_entry(cfg, (), px, py)
     assert rows.shape == (0, 6400) and rows.dtype == complex
