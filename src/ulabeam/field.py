@@ -78,10 +78,10 @@ point on x = 0 stays single. ``grid_nodes``, the lattice of
 mirror-exact, so that every node off x = 0 finds its partner.
 
 Each sum is one ``np.vecdot`` of a row of uv with a weight row, so its
-bits depend on those two vectors only: not on the chunk's row count, the
-number of threads or the other entries of the call. A row of the result
-is therefore bit-identical whatever the chunking and the entry list, and
-equal to the call with its entry alone. (A matrix product over the chunk
+bits depend on those two vectors only: not on the chunk's row count or
+the other entries of the call. A row of the result is therefore
+bit-identical whatever the chunking and the entry list, and equal to the
+call with its entry alone. (A matrix product over the chunk
 would not be: its bits depend on the shapes.) A zeroed pair, or a pair
 of zero weight (an undriven element, whose trig is taken all the same),
 adds a zero term, which leaves a sum that starts from +0.0 unchanged
@@ -128,27 +128,19 @@ the array that held r and 1 / r, so a chunk takes trig on step points
 at most, writes up to 2 step, and needs no more memory than a chunk
 without partners.
 
-A call with one obstacle, or free space, runs its chunks on a thread
-pool of at most one thread per CPU this process may use and no more
-threads than chunks. A call with several obstacles runs them all on one
-worker, and a call with one worker (one chunk, such as ``field_at``'s,
-or one CPU) runs in the calling thread and starts no thread. The rule
-follows the call; there is no setting. A second thread gains only while
-the GIL is released. A chunk of several obstacles is small (16 rows at
-N = 1024), its per-row zeroing is a Python loop, and ``np.vecdot``
-keeps the GIL unless one call makes more than 500 dot products; with
-``compare``'s four beams a chunk makes 16 rows x 2 x 4 = 128 per
-obstacle. On a 2-vCPU Xeon (NumPy 2.4), two threads ran calls of 128
-dot products of 2N = 2048 values 0.83x as fast as one thread, of 480
-1.25x and of 512 1.72x, and the kernel of a ``compare`` on four
-obstacles took about 21 ms on two pool threads, 16 ms on one and 13 ms
-on the calling thread. A one-obstacle chunk has 32 rows, one entry and
-long passes that release the GIL: a grid's chunks run about 1.25x as
-fast on two threads as on one.
+The kernel runs on the calling thread and starts no thread. A second
+thread gains only while the GIL is released, and much of a chunk holds
+it: each obstacle's per-row run zeroing is a Python loop, and
+``np.vecdot`` keeps the GIL unless one call makes more than 500 dot
+products (a one-obstacle chunk of 1,024 elements makes 64). On a 2-vCPU
+Xeon (NumPy 2.4), the benchmark's 80 x 80 grids ran as fast on the
+calling thread as on a pool of one thread per CPU, in 6% less peak
+memory. On 300 x 300 grids of 1,024 elements the pool was 0.95x to
+1.1x as fast behind an obstacle, and 1.2x in free space (470 against
+590 ms).
 
-Each worker takes the next chunk until none is left, in a uv, a spare
-and (several obstacles) a copy buffer that it allocates once per call
-and slices to the chunk's rows. Allocated per chunk at 32,768 pairs,
+uv, spare and (several obstacles) the copy are allocated once per call
+and sliced to each chunk's rows. Allocated per chunk at 32,768 pairs,
 glibc's malloc gave most chunks' memory back to the system, and the
 next chunk faulted it in again: about 250 page faults per chunk.
 
@@ -165,8 +157,6 @@ non-finite values map to 0.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,11 +342,6 @@ def _check_points(xs: np.ndarray, px: np.ndarray, py: np.ndarray) -> None:
         raise ValueError("field points must lie at least about 1e-154 m from every element")
 
 
-def _workers() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-
-
 def _weights(exc: Excitation) -> np.ndarray:
     """The weight rows (a, b) and (b, -a), a = gamma cos(phi) and b = gamma sin(phi)."""
     a = exc.magnitudes * np.cos(exc.phases)
@@ -412,8 +397,12 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
     column_x = qx[:size][new_x]
     # The result, its points in chunk order.
     ordered = np.empty((len(entries), order.size), dtype=complex)
-
-    def chunk(start: int, uv: np.ndarray, spare: np.ndarray, copy: np.ndarray | None) -> None:
+    # uv, spare and (several obstacles) the copy, allocated once per call
+    # and sliced to each chunk's rows (see the module docstring).
+    rows = min(step, size)
+    uv_rows, spare_rows = np.empty((rows, 2, n)), np.empty((rows, 2, n))
+    copy = np.empty((rows, 2, n)) if len(obstacles) > 1 else None
+    for start in range(0, size, step):
         stop = min(start + step, size)
         # The chunk's first paired points are representatives.
         m, paired = stop - start, max(0, min(stop, pairs) - start)
@@ -421,7 +410,7 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
         # uv holds U = cos(k r) / r and V = sin(k r) / r, side by side in
         # each row; spare holds r, then t = tan(k r / 2), then V, and 1 / r,
         # then q, then U, and last the partners' uv.
-        uv, spare = uv[:m], spare[:m]
+        uv, spare = uv_rows[:m], spare_rows[:m]
         r, q = spare.reshape(2, m, n)
         # (x - x_n)^2 once per column, in q, then copied to each point's row.
         first = column[start]
@@ -464,34 +453,6 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
                 sums = np.vecdot(seen.reshape(-1, 1, 2 * n), stacks[j])
                 ordered.real[ts, points] = sums[:, 0::2].T
                 ordered.imag[ts, points] = sums[:, 1::2].T
-
-    starts = iter(range(0, size, step))
-    taking = threading.Lock()
-
-    def work() -> None:
-        # A worker takes the next chunk until none is left, in uv, spare and
-        # (several obstacles) the copy, allocated once (see the module docstring).
-        rows = min(step, size)
-        buffers = np.empty((rows, 2, n)), np.empty((rows, 2, n))
-        copy = np.empty((rows, 2, n)) if len(obstacles) > 1 else None
-        while True:
-            with taking:
-                start = next(starts, None)
-            if start is None:
-                return
-            chunk(start, *buffers, copy)
-
-    # Several obstacles run on one worker (see the module docstring), and
-    # one worker runs in the calling thread.
-    workers = 1 if len(obstacles) > 1 else min(_workers(), -(-size // step))
-    if workers <= 1:
-        work()
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for done in [pool.submit(work) for _ in range(workers)]:
-                done.result()
     out = np.empty_like(ordered)
     out[:, order] = ordered
     for obstacle, ts in zip(obstacles, members):

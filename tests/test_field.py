@@ -26,27 +26,22 @@ Proves:
  - every shipped simulate scene matches the element-by-element oracle sum
    to 1e-12 of sum(gamma / r)
  - CSV / PGM serialization produces frozen bytes and survives a round trip
- - grid evaluation is bitwise identical under any chunk size and any number
-   of worker threads, also under rapid thread switching
- - a call with several obstacles, and a call of one chunk, start no thread
-   and keep the bits of one-entry calls; a one-obstacle call of c chunks
-   starts min(workers, c) threads
+ - grid evaluation is bitwise identical under any chunk size, and so is a
+   call with an entry per obstacle, row by row; the kernel starts no thread
  - each row of a per-obstacle evaluation equals, bit for bit, the field under
-   that obstacle alone, for random arrays, 1-4 obstacles, chunk sizes and
-   worker counts (the one-obstacle calls on a pool of up to two threads,
-   the several-obstacle calls on the calling thread), and matches the
-   element-by-element oracle to 1e-12 of sum(gamma / r); an obstacle
-   whose runs another obstacle's copy zeroed first, and a last obstacle
-   after one that hid every element, see none of those zeros
+   that obstacle alone, for random arrays, 1-4 obstacles and chunk sizes,
+   and matches the element-by-element oracle to 1e-12 of sum(gamma / r);
+   an obstacle whose runs another obstacle's copy zeroed first, and a last
+   obstacle after one that hid every element, see none of those zeros
  - the kernel, chunk by chunk, equals bit for bit a dense reference that
    follows its arithmetic on the whole pair matrix at once, with inactive
    and zero-magnitude elements and walls that hide the whole aperture;
    with no entries it returns an empty (0, M) result at once
  - each row of a call with 1-5 (excitation, obstacle) entries, sharing
    excitations, obstacles, both or neither, equals bit for bit the dense
-   reference and the call with that entry alone, for chunk sizes and
-   worker counts, and matches the element-by-element oracle; with no
-   points every row is empty, of shape (entries, 0)
+   reference and the call with that entry alone, for chunk sizes, and
+   matches the element-by-element oracle; with no points every row is
+   empty, of shape (entries, 0)
  - points whose squared distance to an element overflows are rejected by
    every caller, and so are points nearer than about 1e-154 m to an
    element: exactly those where some pair's squared distance is not a
@@ -65,10 +60,9 @@ Proves:
  - appending the exact mirror (-x, y) of every point, which the kernel
    pairs with it to share one trig evaluation, leaves every original row
    bit for bit that of the call without them, and the mirrors those of a
-   call on their own and of the dense reference, for chunk sizes, worker
-   counts, array sizes, obstacle mixes, duplicate points and undriven sets
-   that are mirror-symmetric or not, points that see no driven element
-   included
+   call on their own and of the dense reference, for chunk sizes, array
+   sizes, obstacle mixes, duplicate points and undriven sets that are
+   mirror-symmetric or not, points that see no driven element included
  - a grid and a steered cut through an obstacle in one call, under one
    obstacle and under two, equal the dense reference bit for bit at chunk
    sizes 1, 7 and the default; interior points are NaN and every other
@@ -78,9 +72,7 @@ Proves:
 import csv
 import io
 import math
-import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -684,12 +676,20 @@ def _chunk_case_rows() -> np.ndarray:
 
 
 def test_chunked_grid_evaluation_is_bitwise_stable(monkeypatch):
+    # a reintroduced thread pool fails here
+    def refuse(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     cfg = UlaConfig(16, 1.1e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
     obstacle = RectObstacle(0.05, -0.05, 0.2, 0.4)
     whole = field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 11, 13, obstacle)
     defaults = [_chunk_case_grid(case) for case in CHUNK_CASES]
     assert 31 * 23 * 1024 >= 4 * ulabeam.field._CHUNK_PAIRS
+    # one call with an entry per case, several obstacles over 23 chunks
+    for row, default in zip(_chunk_case_rows(), defaults):
+        assert np.array_equal(default, row, equal_nan=True)
     monkeypatch.setattr(ulabeam.field, "_CHUNK_PAIRS", 7)
     pieces = field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 11, 13, obstacle)
     finite = np.isfinite(whole.values)
@@ -697,80 +697,8 @@ def test_chunked_grid_evaluation_is_bitwise_stable(monkeypatch):
     assert np.array_equal(finite, np.isfinite(pieces.values))
     for case, default in zip(CHUNK_CASES, defaults):
         assert np.array_equal(default, _chunk_case_grid(case), equal_nan=True)
-    monkeypatch.setattr(ulabeam.field, "_workers", lambda: 1)
-    for case, default in zip(CHUNK_CASES, defaults):
-        assert np.array_equal(default, _chunk_case_grid(case), equal_nan=True)
-
-
-def test_threaded_chunks_match_one_chunk_under_rapid_switching(monkeypatch):
-    monkeypatch.setattr(ulabeam.field, "_CHUNK_PAIRS", 10**12)
-    references = [_chunk_case_grid(case) for case in CHUNK_CASES]
-    monkeypatch.setattr(ulabeam.field, "_workers", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        deadline = time.monotonic() + 5.0
-        for chunk_pairs in (1, 1024, 3 * 1024, 7 * 1024):
-            monkeypatch.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
-            for case, reference in zip(CHUNK_CASES, references):
-                assert np.array_equal(reference, _chunk_case_grid(case), equal_nan=True)
-            # one call with an entry per case, its chunks on the calling thread
-            for row, reference in zip(_chunk_case_rows(), references):
-                assert np.array_equal(reference, row, equal_nan=True)
-            if time.monotonic() > deadline:
-                break
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_only_one_obstacle_calls_of_several_chunks_start_threads(monkeypatch):
-    cfg = UlaConfig(1024, 1.07e-3, 140e9)
-    exc = gaussian_excitation(cfg, 5 * DEG)
-    _, _, px, py = grid_nodes((-0.3, 0.3), (0.1, 1.0), 31, 23)
-    entries = [(exc, obstacle) for obstacle in CHUNK_CASES]
-    singles = [field_points_per_entry(cfg, [entry], px, py)[0] for entry in entries]
-    monkeypatch.setattr(ulabeam.field, "_workers", lambda: 8)
-    start = threading.Thread.start
-
-    def refuse(thread):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    # several obstacles over 23 chunks (see _chunk_case_grid)
-    rows = field_points_per_entry(cfg, entries, px, py)
-    for row, single in zip(rows, singles):
-        assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
-    # one chunk: the first 20 points hold no mirror pair, and a single point
-    for (exc, obstacle), single in zip(entries, singles):
-        head = field_points_per_entry(cfg, [(exc, obstacle)], px[:20], py[:20])[0]
-        assert np.array_equal(head.view(np.uint64), single[:20].view(np.uint64))
-        assert field_at(cfg, exc, Point2(px[0], py[0]), obstacle) == single[0]
-    # One obstacle over c chunks starts min(8, c) threads. No chunk takes its
-    # runs before all of them have started, so no thread runs out of chunks
-    # and leaves the pool idle while the next is submitted.
-    rect = entries[0]
-    for chunk_pairs, chunks in ((100 * 1024, 4), (ulabeam.field._CHUNK_PAIRS, 12)):
-        monkeypatch.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
-        started, everyone = [], threading.Event()
-
-        def counted(thread):
-            started.append(thread)
-            start(thread)
-            if len(started) == min(8, chunks):
-                everyone.set()
-
-        def gated(lo, hi, runs=ulabeam.field._nonempty_runs):
-            # a pool short of threads waits once, then fails the count below
-            if not everyone.wait(10.0):
-                everyone.set()
-            return runs(lo, hi)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(threading.Thread, "start", counted)
-            mp.setattr(ulabeam.field, "_nonempty_runs", gated)
-            row = field_points_per_entry(cfg, [rect], px, py)[0]
-        assert len(started) == min(8, chunks)
-        assert np.array_equal(row.view(np.uint64), singles[0].view(np.uint64))
+    for row, default in zip(_chunk_case_rows(), defaults):
+        assert np.array_equal(default, row, equal_nan=True)
 
 
 def test_field_points_matches_field_at():
@@ -878,16 +806,13 @@ def test_per_obstacle_rows_match_single_obstacle_calls(case):
     with pytest.MonkeyPatch.context() as mp:
         for chunk_pairs in (1, 7, default, 65_536, 10**9):
             mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
-            for workers in (1, 2):
-                mp.setattr(ulabeam.field, "_workers", lambda: workers)
-                rows = field_points_per_entry(cfg, [(exc, obstacle) for obstacle in obstacles], px, py)
-                assert rows.shape == (len(obstacles), px.size)
-                for obstacle, row, single in zip(obstacles, rows, singles):
-                    # one obstacle: its chunks on up to `workers` threads
-                    alone = field_points_per_entry(cfg, ((exc, obstacle),), px, py)[0]
-                    # equal bits: equal values, NaN positions and signs of zero
-                    assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
-                    assert np.array_equal(alone.view(np.uint64), single.view(np.uint64))
+            rows = field_points_per_entry(cfg, [(exc, obstacle) for obstacle in obstacles], px, py)
+            assert rows.shape == (len(obstacles), px.size)
+            for obstacle, row, single in zip(obstacles, rows, singles):
+                alone = field_points_per_entry(cfg, ((exc, obstacle),), px, py)[0]
+                # equal bits: equal values, NaN positions and signs of zero
+                assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
+                assert np.array_equal(alone.view(np.uint64), single.view(np.uint64))
     # A wall hides every element, so the point sums w = +0 terms: its bits,
     # signs of zero included, are those of an excitation of zero magnitude.
     dark = Excitation(np.zeros(cfg.n_elements), exc.phases)
@@ -927,15 +852,12 @@ def test_per_obstacle_rows_match_dense_reference_bit_for_bit(case):
     with pytest.MonkeyPatch.context() as mp:
         for chunk_pairs in (1, 7, 65_536):
             mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
-            for workers in (1, 2):
-                mp.setattr(ulabeam.field, "_workers", lambda: workers)
-                rows = field_points_per_entry(cfg, entries, px, py)
-                # equal bits: equal values, NaN positions and signs of zero
-                assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
-                for entry, row in zip(entries, want):
-                    # one obstacle: its chunks on up to `workers` threads
-                    alone = field_points_per_entry(cfg, [entry], px, py)[0]
-                    assert np.array_equal(alone.view(np.uint64), row.view(np.uint64))
+            rows = field_points_per_entry(cfg, entries, px, py)
+            # equal bits: equal values, NaN positions and signs of zero
+            assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+            for entry, row in zip(entries, want):
+                alone = field_points_per_entry(cfg, [entry], px, py)[0]
+                assert np.array_equal(alone.view(np.uint64), row.view(np.uint64))
 
 
 @st.composite
@@ -972,17 +894,14 @@ def test_entry_rows_match_dense_reference_and_single_entry_calls(case):
     with pytest.MonkeyPatch.context() as mp:
         for chunk_pairs in (1, 7, default):
             mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
-            for workers in (1, 2):
-                mp.setattr(ulabeam.field, "_workers", lambda: workers)
-                rows = field_points_per_entry(cfg, entries, px, py)
-                assert rows.shape == (len(entries), px.size)
-                # equal bits: equal values, NaN positions and signs of zero
-                assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
-                for entry, row, single in zip(entries, rows, singles):
-                    # one obstacle: its chunks on up to `workers` threads
-                    alone = field_points_per_entry(cfg, [entry], px, py)[0]
-                    assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
-                    assert np.array_equal(alone.view(np.uint64), single.view(np.uint64))
+            rows = field_points_per_entry(cfg, entries, px, py)
+            assert rows.shape == (len(entries), px.size)
+            # equal bits: equal values, NaN positions and signs of zero
+            assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+            for entry, row, single in zip(entries, rows, singles):
+                alone = field_points_per_entry(cfg, [entry], px, py)[0]
+                assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
+                assert np.array_equal(alone.view(np.uint64), single.view(np.uint64))
     for (exc, obstacle), single in zip(entries, singles):
         assert_matches_element_oracle(cfg, exc, obstacle, px, py, single)
 
@@ -1038,13 +957,11 @@ def test_mirrored_points_keep_the_bits_of_the_call_without_them(case):
     with pytest.MonkeyPatch.context() as mp:
         for chunk_pairs in (1, 7, 16_384, 10**9):
             mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
-            for workers in (1, 2):
-                mp.setattr(ulabeam.field, "_workers", lambda: workers)
-                rows = field_points_per_entry(cfg, entries, qx, qy)
-                # equal bits: equal values, NaN positions and signs of zero
-                assert np.array_equal(rows[:, : px.size].view(np.uint64), alone.view(np.uint64))
-                assert np.array_equal(rows[:, px.size :].view(np.uint64), tail.view(np.uint64))
-                assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+            rows = field_points_per_entry(cfg, entries, qx, qy)
+            # equal bits: equal values, NaN positions and signs of zero
+            assert np.array_equal(rows[:, : px.size].view(np.uint64), alone.view(np.uint64))
+            assert np.array_equal(rows[:, px.size :].view(np.uint64), tail.view(np.uint64))
+            assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
 
 
 def test_grid_and_cut_in_one_call_match_the_reference_point_by_point():
@@ -1196,9 +1113,11 @@ def test_no_obstacles_give_an_empty_result_without_evaluating(monkeypatch):
     cfg = UlaConfig(1024, 1.07e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
     px, py = np.linspace(-0.3, 0.3, 6400), np.linspace(0.1, 1.0, 6400)
-    # a call with one obstacle or none that went on to run its chunks would
-    # ask for worker threads
-    monkeypatch.setattr(ulabeam.field, "_workers", lambda: None)
+    # a call that went on to evaluate would put its points in chunk order
+    def refuse(*args):
+        raise AssertionError("a chunk was run")
+
+    monkeypatch.setattr(ulabeam.field, "_chunk_order", refuse)
     rows = field_points_per_entry(cfg, (), px, py)
     assert rows.shape == (0, 6400) and rows.dtype == complex
     with pytest.raises(ValueError):
