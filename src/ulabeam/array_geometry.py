@@ -11,6 +11,7 @@ Each obstacle class answers its own geometry (``contains``, ``shadow``,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,7 @@ class UlaConfig:
     carrier_freq: float
 
     def __post_init__(self) -> None:
-        if int(self.n_elements) != self.n_elements or self.n_elements < 2:
+        if not isinstance(self.n_elements, numbers.Integral) or self.n_elements < 2:
             raise ParameterError("n_elements must be an integer >= 2", "n_elements")
         if not (self.carrier_freq > 0 and math.isfinite(self.carrier_freq)):
             raise ParameterError("carrier_freq must be positive and finite", "carrier_freq")

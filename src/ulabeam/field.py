@@ -92,22 +92,21 @@ element is not a positive normal float (nearer than about 1e-154 m,
 where y^2 can underflow to 0 above an element), so every r and 1 / r is
 positive and finite.
 
-Points are processed in chunks of step points. A chunk holds uv and
+Every call processes its points in chunks of step = ``_CHUNK_PAIRS`` // N
+points, 16,384 pairs, whatever its obstacle count. A chunk holds uv and
 ``spare`` (r, reused for t, and 1 / r side by side), each of step x 2N
-float64 values, and in a call with several obstacles a third buffer
-of that size for the copy. Every pass of the identity runs on contiguous
-arrays (t^2 and 1 + t^2 in the two halves of uv, U and V in spare), and
-two copies then put U and V side by side: the passes that wrote into
-uv's interleaved rows took twice as long. A call with one
-obstacle, or free space (every ``simulate``), runs step =
-``_CHUNK_PAIRS`` // N points, 32,768 pairs: uv and spare are 512 KB
-each, 1 MB in all, within a 2 MB L2 cache. A call with several
-obstacles also holds the copy, so it runs half as many points, and its
-three arrays stay within 768 KB. Each chunk pays a fixed cost on top of
-its arithmetic, in Python and small numpy calls that hold the GIL; at
-32,768 pairs a grid pays it half as often as at 16,384, which was
-measured faster at 80 x 80 and at 300 x 300. 65,536 pairs ran slower
-and raised peak memory, and so did 32,768 pairs for several obstacles.
+float64 values, 256 KB, and in a call with several obstacles a third
+buffer of that size for the copy: at most 768 KB, within a 2 MB L2
+cache. Every pass of the identity runs on contiguous arrays (t^2 and
+1 + t^2 in the two halves of uv, U and V in spare), and two copies then
+put U and V side by side: the passes that wrote into uv's interleaved
+rows took twice as long. Each chunk pays a fixed cost on top of its
+arithmetic, in Python and small numpy calls, so chunks are not made
+smaller. 65,536 pairs ran slower and raised peak memory. 32,768 pairs
+raised ``compare``'s peak memory by 1.6%; on one-obstacle grids of
+1,024 elements they took 4% to 6% less kernel time at 80 x 80 and 4% to
+14% less at 300 x 300 (2-vCPU Xeon, NumPy 2.4), too little for the
+benchmark's 80 x 80 ``simulate`` to resolve.
 
 Within a chunk, (x - x_n)^2 is taken once per column: a run of
 consecutive points of equal x in chunk order. ``grid_nodes`` and the
@@ -132,12 +131,7 @@ The kernel runs on the calling thread and starts no thread. A second
 thread gains only while the GIL is released, and much of a chunk holds
 it: each obstacle's per-row run zeroing is a Python loop, and
 ``np.vecdot`` keeps the GIL unless one call makes more than 500 dot
-products (a one-obstacle chunk of 1,024 elements makes 64). On a 2-vCPU
-Xeon (NumPy 2.4), the benchmark's 80 x 80 grids ran as fast on the
-calling thread as on a pool of one thread per CPU, in 6% less peak
-memory. On 300 x 300 grids of 1,024 elements the pool was 0.95x to
-1.1x as fast behind an obstacle, and 1.2x in free space (470 against
-590 ms).
+products (a one-obstacle chunk of 1,024 elements makes 32).
 
 uv, spare and (several obstacles) the copy are allocated once per call
 and sliced to each chunk's rows. Allocated per chunk at 32,768 pairs,
@@ -157,6 +151,7 @@ non-finite values map to 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,9 +174,8 @@ __all__ = [
     "write_field_pgm",
 ]
 
-# Point-element pairs per chunk of a call with one obstacle; a call with
-# several runs half as many (see the module docstring).
-_CHUNK_PAIRS = 32_768
+# Point-element pairs per chunk of every call (see the module docstring).
+_CHUNK_PAIRS = 16_384
 
 
 @dataclass(frozen=True)
@@ -368,26 +362,21 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
     if not entries:
         return np.empty((0, px.shape[0]), dtype=complex)
     k = cfg.wavenumber()
-    # Entries are grouped by obstacle; each group reduces against the stacked
-    # weight rows of its entries, two per entry.
-    obstacles, members = [], []
+    # Entries are grouped by obstacle, in first-seen order; each group reduces
+    # against the stacked weight rows of its entries, two per entry.
+    groups: dict = {}
     for t, (_, obstacle) in enumerate(entries):
-        if obstacle not in obstacles:
-            obstacles.append(obstacle)
-            members.append([])
-        members[obstacles.index(obstacle)].append(t)
+        groups.setdefault(obstacle, []).append(t)
     distinct = {id(exc): exc for exc, _ in entries}
     weights = {key: _weights(exc) for key, exc in distinct.items()}
-    stacks = [np.concatenate([weights[id(entries[t][0])] for t in ts]) for ts in members]
+    stacks = [np.concatenate([weights[id(entries[t][0])] for t in ts]) for ts in groups.values()]
     # Chunks cut the first size points in chunk order.
     order, pairs = _chunk_order(px, py)
     size = order.size - pairs
     qx, qy = px[order], py[order]
     # Free space hides no element and has no runs.
-    runs = [None if obstacle is None else _blocked_runs(obstacle, xs, qx, qy) for obstacle in obstacles]
-    last = len(runs) - 1
-    # A chunk holds uv and spare; several obstacles add a copy of uv.
-    step = max(1, _CHUNK_PAIRS // (n if len(obstacles) == 1 else 2 * n))
+    runs = [None if obstacle is None else _blocked_runs(obstacle, xs, qx, qy) for obstacle in groups]
+    step = max(1, _CHUNK_PAIRS // n)
     # Consecutive points of equal x in chunk order form a column; column[i]
     # is point i's, column_x the columns' x. A chunk squares x - x_n once
     # per column it holds.
@@ -401,12 +390,11 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
     # and sliced to each chunk's rows (see the module docstring).
     rows = min(step, size)
     uv_rows, spare_rows = np.empty((rows, 2, n)), np.empty((rows, 2, n))
-    copy = np.empty((rows, 2, n)) if len(obstacles) > 1 else None
+    copy = np.empty((rows, 2, n)) if len(groups) > 1 else None
     for start in range(0, size, step):
         stop = min(start + step, size)
         # The chunk's first paired points are representatives.
         m, paired = stop - start, max(0, min(stop, pairs) - start)
-        cpy = qy[start:stop]
         # uv holds U = cos(k r) / r and V = sin(k r) / r, side by side in
         # each row; spare holds r, then t = tan(k r / 2), then V, and 1 / r,
         # then q, then U, and last the partners' uv.
@@ -418,7 +406,7 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
         dx2 = np.subtract.outer(cols, xs, out=q[: cols.size])
         dx2 *= dx2
         np.take(dx2, column[start:stop] - first, axis=0, out=r, mode="clip")
-        r += (cpy * cpy)[:, np.newaxis]
+        r += (qy[start:stop] ** 2)[:, np.newaxis]
         np.sqrt(r, out=r)
         np.divide(1.0, r, out=q)
         t = np.tan(np.multiply(r, 0.5 * k, out=r), out=r)
@@ -439,11 +427,11 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
             spare[:paired] = uv[:paired, :, ::-1]
             blocks.append((spare[:paired], slice(size + start, size + start + paired)))
         for block, points in blocks:
-            for j, (run, ts) in enumerate(zip(runs, members)):
+            for j, (run, ts) in enumerate(zip(runs, groups.values())):
                 hidden = () if run is None else _nonempty_runs(run[0][points], run[1][points])
                 # An obstacle with another after it zeroes its runs in a copy.
                 seen = block
-                if hidden and j < last:
+                if hidden and j < len(runs) - 1:
                     seen = copy[: block.shape[0]]
                     seen[...] = block
                 for i, a, b in hidden:
@@ -455,7 +443,7 @@ def field_points_per_entry(cfg: UlaConfig, entries, px: np.ndarray, py: np.ndarr
                 ordered.imag[ts, points] = sums[:, 1::2].T
     out = np.empty_like(ordered)
     out[:, order] = ordered
-    for obstacle, ts in zip(obstacles, members):
+    for obstacle, ts in groups.items():
         if obstacle is not None:
             out[np.ix_(ts, obstacle.contains(px, py))] = complex(np.nan, np.nan)
     return out
@@ -480,6 +468,8 @@ def field_grid(
     obstacle: RectObstacle | CircleObstacle | None = None,
 ) -> FieldGrid:
     """Field on a regular nx-by-ny grid, checked before it is computed; obstacle-interior nodes become NaN."""
+    if not (isinstance(nx, numbers.Integral) and isinstance(ny, numbers.Integral)):
+        raise ValueError("nx and ny must be integers")
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be >= 2")
     if x_range[1] <= x_range[0] or y_range[1] <= y_range[0]:
@@ -502,13 +492,14 @@ def line_cut(
     Returns (distance, amplitude) pairs at `samples` uniform distances.
     Interior samples carry NaN amplitude.
     """
+    if not isinstance(samples, numbers.Integral):
+        raise ValueError("samples must be an integer")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if not d_max_plot > 0:
         raise ValueError("d_max_plot must be positive")
     d = d_max_plot * np.arange(1, samples + 1) / samples
-    px = d * math.sin(theta_a)
-    py = d * math.cos(theta_a)
+    px, py = d * math.sin(theta_a), d * math.cos(theta_a)
     vals = field_points_per_entry(cfg, ((exc, obstacle),), px, py)[0]
     return list(zip(d.tolist(), np.hypot(vals.real, vals.imag).tolist()))
 

@@ -12,6 +12,7 @@ of every entry in one call of ``field.field_points_per_entry``.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -45,6 +46,8 @@ class ErrorBox:
             if not getattr(self, name) > 0:
                 raise ParameterError("half-widths must be positive", name)
         for name in ("nx", "ny"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ParameterError("samples per axis must be an integer", name)
             if getattr(self, name) < 2:
                 raise ParameterError("at least 2 samples per axis", name)
 
@@ -99,6 +102,8 @@ def empirical_cdf(values, levels: int) -> list[tuple[float, float]]:
     vals = np.sort(np.asarray(values, dtype=float))
     if vals.size == 0:
         raise ValueError("values must be non-empty")
+    if not isinstance(levels, numbers.Integral):
+        raise ValueError("levels must be an integer")
     if levels < 2:
         raise ValueError("levels must be >= 2")
     q = np.linspace(0.0, float(vals[-1]), levels)

@@ -711,6 +711,7 @@ PARAMETER_ERRORS = [
     (lambda: AvoidanceScenario(Point2(1e-101, 1.0), _SCENE_RECT, UlaConfig(3, 1e101, 140e9)), ("user.x", "n_elements", "spacing")),
     (lambda: ErrorBox(Point2(0.0, 1.0), 0.1, 0.0), ("half_width_y",)),
     (lambda: ErrorBox(Point2(0.0, 1.0), 0.1, 0.1, nx=1), ("nx",)),
+    (lambda: ErrorBox(Point2(0.0, 1.0), 0.1, 0.1, ny=2.5), ("ny",)),
 ]
 
 

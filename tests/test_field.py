@@ -659,8 +659,8 @@ CHUNK_CASES = (
 
 def _chunk_case_grid(obstacle) -> np.ndarray:
     # 1024 elements on a 31 x 23 grid: 368 points in no pair or representing
-    # one, so 12 chunks at the default chunk size (23 in _chunk_case_rows,
-    # whose call holds several obstacles)
+    # one, so 23 chunks at the default chunk size, as in _chunk_case_rows,
+    # whose call holds several obstacles
     cfg = UlaConfig(1024, 1.07e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
     return field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 31, 23, obstacle).values

@@ -26,6 +26,10 @@ Proves:
   focused beam across the four frozen obstacle positions.
 - empirical_cdf reproduces hand-computed step functions, is monotone,
   ends at 1, and rejects degenerate input.
+- Every sample count (UlaConfig's n_elements, ErrorBox's nx, field_grid's
+  ny, line_cut's samples, empirical_cdf's levels) must be an integer, a
+  numpy integer included; a non-integral value raises a ValueError that
+  names the parameter.
 - write_cdf_csv emits an exact, reproducible text format.
 """
 
@@ -46,9 +50,11 @@ from ulabeam import (
     bessel_phases,
     empirical_cdf,
     field_at,
+    field_grid,
     field_points_per_entry,
     focusing_excitation,
     gaussian_excitation,
+    line_cut,
     mean_amplitude,
     normalize_power,
     plan_excitation,
@@ -295,6 +301,31 @@ def test_empirical_cdf_rejects_degenerate_input():
         empirical_cdf([], levels=4)
     with pytest.raises(ValueError, match="levels"):
         empirical_cdf([1.0, 2.0], levels=1)
+
+
+# The array and beam of the count checks: 8 elements, about half-wavelength spacing.
+COUNT_CFG = UlaConfig(8, 1.07e-3, 140e9)
+COUNT_EXC = gaussian_excitation(COUNT_CFG, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message, params",
+    [
+        (lambda count: UlaConfig(count, 1.07e-3, 140e9), "n_elements must be an integer >= 2", ("n_elements",)),
+        (lambda count: ErrorBox(USER, nx=count), "samples per axis must be an integer", ("nx",)),
+        (lambda count: field_grid(COUNT_CFG, COUNT_EXC, (-0.1, 0.1), (0.5, 1.0), 3, count), "nx and ny must be integers", None),
+        (lambda count: line_cut(COUNT_CFG, COUNT_EXC, 0.0, 1.0, count), "samples must be an integer", None),
+        (lambda count: empirical_cdf([1.0, 2.0], count), "levels must be an integer", None),
+    ],
+    ids=["UlaConfig.n_elements", "ErrorBox.nx", "field_grid.ny", "line_cut.samples", "empirical_cdf.levels"],
+)
+def test_counts_must_be_integers(call, message, params):
+    for count in (2.5, 4.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match=message) as err:
+            call(count)
+        assert getattr(err.value, "params", None) == params
+    # numpy integers are integers
+    call(np.int64(4))
 
 
 def test_write_cdf_csv_golden(tmp_path):
