@@ -26,7 +26,7 @@ from .bessel import BesselDesign, bessel_phases, max_spacing, min_elements, prop
 from .curving import AvoidanceScenario, plan_excitation, plan_with_fallback
 from .field import field_grid, focusing_excitation, gaussian_excitation, line_cut, normalize_power
 from .field import write_columns, write_field_csv, write_field_pgm
-from .metrics import ErrorBox, empirical_cdf, mean_amplitude, scenario_amplitudes, write_cdf_csv
+from .metrics import ErrorBox, empirical_cdf, scenario_amplitudes, write_cdf_csv
 
 __all__ = ["main"]
 
@@ -148,10 +148,13 @@ def _integer(v, ctx: str) -> int:
     return v
 
 
-def _sample_count(v, ctx: str) -> int:
+def _count(v, ctx: str, most=math.inf) -> int:
+    """A size the user gives: an integer from 2 to most."""
     count = _integer(v, ctx)
     if count < 2:
         raise UsageError(f"{ctx} must be >= 2")
+    if count > most:
+        raise UsageError(f"{ctx} must be at most {most}")
     return count
 
 
@@ -170,7 +173,10 @@ def _parse_array(node) -> tuple[UlaConfig, _Keys]:
     _no_extra(d, "array")
     keys = _Keys(renames={"spacing_m": ("carrier_freq_hz",)} if mode == "half_wavelength" else {})
     with keys:
-        return UlaConfig(n_elements=n, spacing=spacing, carrier_freq=freq), keys
+        cfg = UlaConfig(n_elements=n, spacing=spacing, carrier_freq=freq)
+    # Every excitation holds a few floats per element; UlaConfig checks n >= 2.
+    _count(n, "array.n_elements", most=1_000_000)
+    return cfg, keys
 
 
 def _parse_user(node) -> Point2:
@@ -239,8 +245,10 @@ def _parse_grid(node) -> tuple[tuple[float, float], tuple[float, float], int, in
 
     xr = _range("x_range")
     yr = _range("y_range")
-    nx = _sample_count(_pop(d, "nx", "grid"), "grid.nx")
-    ny = _sample_count(_pop(d, "ny", "grid"), "grid.ny")
+    if not yr[0] > 0:
+        raise UsageError("grid.y_range must lie strictly in front of the array (y > 0)")
+    nx = _count(_pop(d, "nx", "grid"), "grid.nx")
+    ny = _count(_pop(d, "ny", "grid"), "grid.ny")
     _no_extra(d, "grid")
     return xr, yr, nx, ny
 
@@ -258,6 +266,8 @@ def _parse_error_box(node, user: Point2) -> ErrorBox:
         _no_extra(d, "error_box")
     with _Keys():
         box = ErrorBox(center=user, **given)
+    # compare evaluates the box once for every (beam, obstacle) entry
+    _count(box.nx * box.ny, "error_box.nx * error_box.ny", most=100_000)
     if not user.y - box.half_width_y > 0:
         raise UsageError("error_box.half_width_y must be less than user.y: the box must lie in front of the array")
     return box
@@ -453,6 +463,8 @@ def cmd_simulate(scenario: dict, out: str, grid_override, line_cut_spec) -> int:
     x_range, y_range, nx, ny = scenario["grid"]
     if grid_override is not None:
         nx, ny = grid_override
+    # field_grid and its writers hold about 200 bytes per node
+    _count(nx * ny, "grid.nx * grid.ny" if grid_override is None else "--grid: nx * ny", most=1_000_000)
     beam, obstacle = scenario["beam"], scenario["obstacle"]
     exc, plan = _beam_excitation(cfg, user, beam, obstacle, scenario["power_budget"], scenario["keys"], out)
     # The cut runs before the grid and both before any file is written, so an
@@ -522,7 +534,7 @@ def cmd_compare(scenario: dict, out: str, levels: int) -> int:
                 raise UsageError(f"every error_box sample lies inside obstacles[{j}]")
             if math.isnan(point):
                 raise UsageError(f"user lies inside obstacles[{j}]")
-            rows.append((label, f"scenario_{j}", point, mean_amplitude(box_amps)))
+            rows.append((label, f"scenario_{j}", point, float(box_amps.mean())))
         cdfs.append((label, empirical_cdf(np.concatenate(amps[own]), levels)))
     for label, pairs in cdfs:
         write_cdf_csv(pairs, os.path.join(out, f"cdf_{label}.csv"))
@@ -584,12 +596,10 @@ def main(argv=None) -> int:
             grid_override = cut = None
             if args.grid is not None:
                 grid_override = _flag_pair(args.grid, "grid", int, int)
-                if min(grid_override) < 2:
-                    raise UsageError("--grid: nx and ny must be >= 2")
+                _count(min(grid_override), "--grid: nx and ny")
             if args.line_cut is not None:
                 cut = _flag_pair(args.line_cut, "line-cut", float, int)
-                if cut[1] < 2:
-                    raise UsageError("--line-cut: samples must be >= 2")
+                _count(cut[1], "--line-cut: samples", most=1_000_000)
                 if not cut[0] > 0:
                     raise UsageError("--line-cut: distance must be positive")
                 # line_cut scales the distance by samples before it divides.
@@ -597,12 +607,8 @@ def main(argv=None) -> int:
                     raise UsageError("--line-cut: distance times samples must be finite")
             return cmd_simulate(scenario, args.out, grid_override, cut)
         if args.command == "compare":
-            if args.levels < 2:
-                raise UsageError("--levels must be >= 2")
             # empirical_cdf holds one float and one pair per level
-            if args.levels > 1_000_000:
-                raise UsageError("--levels must be at most 1000000")
-            return cmd_compare(scenario, args.out, args.levels)
+            return cmd_compare(scenario, args.out, _count(args.levels, "--levels", most=1_000_000))
         return cmd_optimize(scenario, args.out)
     except PlanNotSolved as e:
         print(f"optimizer did not produce a beam: {e}", file=sys.stderr)

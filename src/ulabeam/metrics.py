@@ -1,10 +1,10 @@
 """Intensity statistics under positioning uncertainty.
 
-Point amplitude at the user, the amplitudes over a positioning error box
-and their mean, and empirical CDFs of amplitudes pooled across obstacle
-scenarios. The box is sampled on ``field.grid_nodes``, the lattice of
-``field_grid``, so the metrics are reproducible; samples falling inside
-an obstacle are excluded.
+Point amplitude at the user, the amplitudes over a positioning error box,
+and empirical CDFs of amplitudes pooled across obstacle scenarios. The
+box is sampled on ``field.grid_nodes``, the lattice of ``field_grid``, so
+the metrics are reproducible; samples falling inside an obstacle are
+excluded.
 ``scenario_amplitudes`` takes the array and a list of (excitation,
 obstacle) entries of one power budget, and evaluates the user and the box
 of every entry in one call of ``field.field_points_per_entry``.
@@ -24,7 +24,6 @@ from .field import Excitation, field_at, field_points_per_entry, grid_nodes, wri
 __all__ = [
     "ErrorBox",
     "amplitude_at_user",
-    "mean_amplitude",
     "scenario_amplitudes",
     "empirical_cdf",
     "write_cdf_csv",
@@ -84,13 +83,6 @@ def scenario_amplitudes(
     values = field_points_per_entry(cfg, entries, np.append(px, box.center.x), np.append(py, box.center.y))
     amps = np.hypot(values.real, values.imag)
     return amps[:, -1].tolist(), [row[np.isfinite(row)] for row in amps[:, :-1]]
-
-
-def mean_amplitude(amps: np.ndarray) -> float:
-    """Mean of one box's amplitudes from scenario_amplitudes; raises if it has none."""
-    if amps.size == 0:
-        raise ValueError("every box sample lies inside the obstacle")
-    return float(amps.mean())
 
 
 def empirical_cdf(values, levels: int) -> list[tuple[float, float]]:

@@ -37,9 +37,16 @@ Proves:
   whose distance to an element overflows, or points nearer than about
   1e-154 m to an element, exits 2 and writes no file; so does a compare
   whose user or box holds such a point. A grid size below 2, a range
-  that does not increase or an invalid line cut exits 2 with a message
-  naming its grid key or flag before the field kernel runs, and writes
-  no file; a bad cut is reported before a grid that starts at y = 0.
+  that does not increase, a grid that starts at or behind the array or
+  an invalid line cut exits 2 with a message naming its grid key or flag
+  before the field kernel runs, and writes no file; a bad cut is
+  reported before a grid that would fail in the kernel.
+- Every size the CLI reads is an integer from 2 to a bound: grid and
+  error-box node counts (after any --grid), line-cut samples, --levels
+  and array.n_elements. A size over its bound exits 2 naming its key or
+  flag before any field is computed; an oversized file grid that --grid
+  replaces runs. array: 5, a user.x that is a list and a curving
+  design_obstacle of type none exit 2 naming their key.
 - compare emits one row per beam and obstacle plus a CDF file per beam;
   the focused beam tops the free-space column, a fully blocking wall
   zeroes the point amplitude, and the user and every error box are
@@ -621,8 +628,16 @@ INVALID_SIMULATE = {
     # the farthest sample's d_max_plot * samples would overflow, or d is inf
     "overflowing_cut": ({}, ["--line-cut=1e308,4"], "--line-cut: distance times samples must be finite"),
     "infinite_cut": ({}, ["--line-cut=inf,4"], "--line-cut: distance times samples must be finite"),
-    # the cut is checked before the grid's first row, at y = 0, reaches the kernel
-    "bad_cut_and_grid_from_zero": ({"y_range": [0.0, 1.6]}, ["--line-cut=1.5,1"], "--line-cut: samples must be >= 2"),
+    # the cut is checked before a grid that parses reaches the kernel, where
+    # its farthest row's y**2 overflows
+    "bad_cut_and_overflowing_grid": ({"y_range": [0.02, 1.0e160]}, ["--line-cut=1.5,1"], "--line-cut: samples must be >= 2"),
+    "grid_from_zero": ({"y_range": [0.0, 1.6]}, [], "grid.y_range must lie strictly in front of the array (y > 0)"),
+    # node counts are bounded after any --grid override
+    "too_many_nodes": ({"nx": 1001, "ny": 1000}, [], "grid.nx * grid.ny must be at most 1000000"),
+    "too_many_flag_nodes": ({}, ["--grid=1000,1001"], "--grid: nx * ny must be at most 1000000"),
+    "too_many_cut_samples": ({}, ["--line-cut=1.5,1000001"], "--line-cut: samples must be at most 1000000"),
+    # distance times samples would raise OverflowError converting samples to a float
+    "astronomical_cut_samples": ({}, [f"--line-cut=1e-300,{10**400}"], "--line-cut: samples must be at most 1000000"),
 }
 
 
@@ -641,6 +656,61 @@ def test_invalid_simulate_never_reaches_the_kernel(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == f"error: {message}\n"
     # a grid rejected when the scenario is parsed leaves no output directory
     assert list(out.glob("*")) == []
+
+
+def test_oversized_file_grid_replaced_by_the_grid_flag_runs(tmp_path):
+    data = yaml.safe_load((SCENARIOS / "smoke_two_element.yaml").read_text())
+    data["grid"].update(nx=2000, ny=1000)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", write_scenario(tmp_path, data), "--out", str(out), "--grid", "3,3"]) == 0
+    assert json.loads((out / "simulate.json").read_text())["nx"] == 3
+    assert len((out / "field.csv").read_text().splitlines()) == 1 + 3 * 3
+
+
+def test_count_takes_integers_from_2_to_its_bound():
+    assert ulabeam.cli._count(2, "n", most=3) == 2
+    assert ulabeam.cli._count(3, "n", most=3) == 3
+    assert ulabeam.cli._count(10**400, "n") == 10**400
+    for value, message in ((True, "n must be an integer"), (2.0, "n must be an integer"), (1, "n must be >= 2"), (4, "n must be at most 3")):
+        with pytest.raises(ulabeam.cli.UsageError, match=f"^{message}$"):
+            ulabeam.cli._count(value, "n", most=3)
+
+
+# Scenario values rejected by key when the scenario is parsed, the kernel
+# patched to raise: (shipped scenario, change, message). A size goes one
+# above its bound.
+REJECTED_WHEN_PARSED = {
+    "array_not_a_mapping": ("self_healing_cuboid", lambda d: d.update(array=5), "array must be a mapping"),
+    "user_x_a_list": ("self_healing_cuboid", lambda d: d["user"].update(x=[1.0]), "user.x must be a number"),
+    "too_many_elements": (
+        "self_healing_cuboid",
+        lambda d: d["array"].update(n_elements=1_000_001),
+        "array.n_elements must be at most 1000000",
+    ),
+    "too_many_box_nodes": (
+        "compare_four_positions",
+        lambda d: d["error_box"].update(nx=1001, ny=100),
+        "error_box.nx * error_box.ny must be at most 100000",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_WHEN_PARSED, ids=list(REJECTED_WHEN_PARSED))
+def test_rejected_when_parsed_never_reaches_the_kernel(tmp_path, monkeypatch, capsys, case):
+    name, change, message = REJECTED_WHEN_PARSED[case]
+
+    def no_kernel(*args):
+        raise AssertionError("the field was computed")
+
+    monkeypatch.setattr(ulabeam.field, "field_points_per_entry", no_kernel)
+    monkeypatch.setattr(ulabeam.metrics, "field_points_per_entry", no_kernel)
+    data = yaml.safe_load((SCENARIOS / f"{name}.yaml").read_text())
+    change(data)
+    command = "compare" if "beams" in data else "simulate"
+    out = tmp_path / "out"
+    assert main([command, "--scenario", write_scenario(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # A beam or obstacle value out of range exits 2 by a message that names its
@@ -663,6 +733,11 @@ NAMED_RANGES = {
         {"type": "curving", "design_obstacle": {**_RECT, "x_r1": -0.2}},
         {"type": "none"},
         "beam.design_obstacle.x_r1, beam.design_obstacle.x_r2: require x_r1 > x_r2",
+    ),
+    "design_obstacle_none": (
+        {"type": "curving", "design_obstacle": {"type": "none"}},
+        {"type": "none"},
+        "beam.design_obstacle cannot be of type none",
     ),
 }
 

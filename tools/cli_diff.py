@@ -67,9 +67,16 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   compare on a 64-element scene whose Bessel beam has ``theta_deg`` 20
   and ``alpha_deg`` 75 (not steerable), and optimize on the two-beam
   planner scene with the user at y = 0.5 m, before the obstacle's far
-  edge, and at ``w`` 1e101.
+  edge, and at ``w`` 1e101;
+- simulate on ``bessel_axis`` with 64 elements on a grid whose
+  ``y_range`` starts at 0, and on ``self_healing_cuboid`` with
+  ``--line-cut=1.5,1`` on a grid whose ``y_range`` reaches 1e160 m, whose
+  y**2 overflows in the kernel (the cut is reported first);
+- optimize and synthesize on a 64-element curving scene whose user is
+  almost in line with the array (x 3,200 m, y 9 m): optimize solves the
+  plan, and synthesize cannot build it.
 
-With the seven shipped scenarios that makes 98 runs.
+With the seven shipped scenarios that makes 102 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -152,6 +159,15 @@ PLANNER = {
     "no_secondary": (0.0, 1.0, (0.30, -0.10, 0.10, 0.50), 2.0),
     "clamped_secondary": (0.07, 0.86, (0.0, -0.04, 0.46, 0.57), 1.0),
 }
+# A user almost in line with the array, on 64 elements: the plan is solved,
+# but its phases find no tangent for element 0 (ROADMAP item 10).
+IN_LINE_USER = (
+    3199.69380069604,
+    8.956016591784554,
+    (-0.04655037364984701, -0.0925950333537483, 3.606079547795165, 6.182321646193966),
+    1.4560008356132104,
+    64,
+)
 
 
 # Extreme scenes: label -> (command, (user x, user y, rect, w, N, explicit
@@ -428,6 +444,12 @@ def runs(tree: Path) -> dict[str, tuple[str, list[str]]]:
     out["compare non-steerable bessel"] = (steered.replace("    theta_deg: 0.0\n    alpha", "    theta_deg: 20.0\n    alpha"), ["compare"])
     out["optimize obstacle beyond the user"] = (planner_scene(0.0, 0.5, PLANNER["two_beam"][2], 1.0), ["optimize"])
     out["optimize w of 1e101"] = (planner_scene(*PLANNER["two_beam"][:3], 1e101), ["optimize"])
+    # a grid from y = 0, named by its key; a bad cut reported before a grid that fails in the kernel
+    out["simulate grid from y = 0"] = (small_axis.replace("y_range: [0.02, 2.0]", "y_range: [0.0, 2.0]"), ["simulate"])
+    overflowing = cuboid_text.replace("y_range: [0.02, 1.6]", "y_range: [0.02, 1.0e+160]")
+    out["simulate --line-cut=1.5,1 overflowing grid"] = (overflowing, ["simulate", "--line-cut=1.5,1"])
+    for command in ("optimize", "synthesize"):
+        out[f"{command} in_line_user"] = (planner_scene(*IN_LINE_USER), [command])
     return out
 
 def environment(tree: Path) -> dict:
