@@ -75,7 +75,6 @@ Proves:
   eight scenes whose exit-2 message once named no key. In both sets an
   exit 2 names a scenario key or flag, or is one of five listed messages
   about a derived quantity.
-- Repeated runs produce byte-identical data files.
 - The JSON reports keep their key sets: the plan in optimize.json
   (solved two-beam, unnecessary, infeasible), analyze.json (rect and
   circle self-heal, non-steerable) and the beam, obstacle and user echo
@@ -931,27 +930,6 @@ def test_compare_input_validation(tmp_path):
     data["error_box"] = {"half_width_x": math.inf, "half_width_y": 0.1}
     path = write_scenario(tmp_path, data)
     assert main(["compare", "--scenario", path, "--out", str(tmp_path)]) == 2
-
-
-def test_repeated_runs_are_byte_identical(tmp_path):
-    out1, out2 = tmp_path / "one", tmp_path / "two"
-    for out in (out1, out2):
-        rc = main(["synthesize", "--scenario", str(SCENARIOS / "curving_centered_cuboid.yaml"), "--out", str(out)])
-        assert rc == 0
-        rc = main(
-            [
-                "simulate",
-                "--scenario",
-                str(SCENARIOS / "smoke_two_element.yaml"),
-                "--out",
-                str(out),
-                "--line-cut",
-                "0.4,8",
-            ]
-        )
-        assert rc == 0
-    for name in ("excitation.csv", "curving.json", "field.csv", "field.pgm", "simulate.json", "linecut.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 # -- report key sets --------------------------------------------------------

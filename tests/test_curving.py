@@ -22,6 +22,10 @@ Proves:
    unnecessary classification
  - a two-beam plan keeps disjoint element sets and splits the power
    budget evenly; the secondary's cut stops where the primary's ends
+ - each planner scene of tools/cli_diff.py reaches the plan status,
+   message and deciding curvature sign that its label names, and with
+   the tool's infeasible scene they reach all six returns of
+   plan_with_fallback
  - optimize takes curvature sign +1 or -1 and nothing else
  - on 5,000 sweep scenes, a solve that reaches the pinned problem reports
    zero curvature after aperture projection exactly when its snapped cut,
@@ -31,7 +35,11 @@ Proves:
    vertex even when no objective value compares
 """
 
+import ast
+import importlib.util
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +58,8 @@ from ulabeam import (
     plan_excitation,
     plan_with_fallback,
 )
+import ulabeam.curving
+from ulabeam.cli import load_scenario
 from ulabeam.curving import _best_vertex
 from oracles import (
     grid_search,
@@ -438,6 +448,67 @@ def test_far_obstacle_plan_keeps_full_aperture(cfg1024):
     assert sol.curvature_sign == -1
     assert_allclose(sol.trajectory.beta, -1.09531315905, rtol=1e-9)
     assert int(sol.active_elements.sum()) == 1024
+
+
+STRAIGHT = "optimal curvature is zero; a straight beam already clears the obstacle"
+FALLBACK = "positive curvature failed; negative curvature used"
+TWO_BEAM = "primary plus reverse-curvature secondary"
+NO_SECONDARY = "no reverse-curvature secondary for the remaining elements"
+FULL_ARRAY = "primary uses the full array"
+BOTH_FAILED = "both curvature signs failed (positive: infeasible, negative: infeasible)"
+# Per scene of tools/cli_diff.py: the plan's status and message, and the
+# curvature sign of the solve that returned its primary, which decided it.
+CLI_DIFF_PLANS = {
+    "negative_fallback": ("solved", FALLBACK, -1),
+    "unnecessary": ("unnecessary", STRAIGHT, -1),
+    "two_beam": ("solved", TWO_BEAM, 1),
+    "far_obstacle": ("solved", FALLBACK, -1),
+    "no_secondary": ("solved", NO_SECONDARY, 1),
+    "clamped_secondary": ("solved", TWO_BEAM, 1),
+    "positive_unnecessary": ("unnecessary", STRAIGHT, 1),
+    "full_array_primary": ("solved", FULL_ARRAY, 1),
+    "infeasible_curving": ("infeasible", BOTH_FAILED, 1),
+}
+# One outcome of each return of plan_with_fallback, in source order.
+PLAN_RETURNS = [
+    ("unnecessary", STRAIGHT, 1),
+    ("solved", FULL_ARRAY, 1),
+    ("solved", NO_SECONDARY, 1),
+    ("solved", TWO_BEAM, 1),
+    ("solved", FALLBACK, -1),
+    ("infeasible", BOTH_FAILED, 1),
+]
+
+
+def test_cli_diff_planner_scenes_reach_every_plan_return(tmp_path, monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py"
+    spec = importlib.util.spec_from_file_location("standalone_cli_diff", path)
+    cli_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_diff)
+    # the curvature sign of each solve, by its result's identity
+    signs = {}
+    solve = ulabeam.curving.optimize
+
+    def recording(s, sign, limit=math.inf):
+        result = solve(s, sign, limit)
+        signs[id(result)] = sign
+        return result
+
+    monkeypatch.setattr(ulabeam.curving, "optimize", recording)
+    scenes = {label: cli_diff.planner_scene(*scene) for label, scene in cli_diff.PLANNER.items()}
+    scenes["infeasible_curving"] = cli_diff.INFEASIBLE
+    reached = {}
+    for label, text in scenes.items():
+        scene = tmp_path / f"{label}.yaml"
+        scene.write_text(text, encoding="utf-8")
+        parsed = load_scenario(str(scene))
+        s = AvoidanceScenario(parsed["user"], parsed["obstacle"], parsed["cfg"], parsed["beam"]["w"])
+        plan = plan_with_fallback(s)
+        reached[label] = (plan.status, plan.message, signs[id(plan.primary)])
+    assert reached == CLI_DIFF_PLANS
+    source = ast.parse(inspect.getsource(plan_with_fallback))
+    assert sum(isinstance(node, ast.Return) for node in ast.walk(source)) == len(PLAN_RETURNS)
+    assert set(PLAN_RETURNS) <= set(reached.values())
 
 
 PINNED_ZERO = "optimal curvature is zero after aperture projection; a straight beam suffices"

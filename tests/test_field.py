@@ -26,22 +26,30 @@ Proves:
  - every shipped simulate scene matches the element-by-element oracle sum
    to 1e-12 of sum(gamma / r)
  - CSV / PGM serialization produces frozen bytes and survives a round trip
- - grid evaluation is bitwise identical under any chunk size, and so is a
-   call with an entry per obstacle, row by row; the kernel starts no thread
- - each row of a per-obstacle evaluation equals, bit for bit, the field under
-   that obstacle alone, for random arrays, 1-4 obstacles and chunk sizes,
-   and matches the element-by-element oracle to 1e-12 of sum(gamma / r);
-   an obstacle whose runs another obstacle's copy zeroed first, and a last
-   obstacle after one that hid every element, see none of those zeros
- - the kernel, chunk by chunk, equals bit for bit a dense reference that
-   follows its arithmetic on the whole pair matrix at once, with inactive
-   and zero-magnitude elements and walls that hide the whole aperture;
-   with no entries it returns an empty (0, M) result at once
- - each row of a call with 1-5 (excitation, obstacle) entries, sharing
-   excitations, obstacles, both or neither, equals bit for bit the dense
-   reference and the call with that entry alone, for chunk sizes, and
-   matches the element-by-element oracle; with no points every row is
-   empty, of shape (entries, 0)
+ - each row of a call with 1-6 (excitation, obstacle) entries equals, bit
+   for bit and at chunk sizes from one pair to the whole call, a dense
+   reference that follows the kernel's arithmetic on the whole pair
+   matrix at once; so do the call with that entry alone, the call on the
+   points without their mirrors and the call on the mirrors alone. Cases:
+   random arrays; excitations with undriven elements or none, mirror-
+   symmetric or not; 1-4 obstacles (rects, circles, free space and walls
+   that hide the whole aperture); entries that share excitations,
+   obstacles, both or neither; points with the exact mirror (-x, y) of
+   each appended, and duplicate points. Points equal up to the sign of x
+   pair at least once; a point above a wall carries the bits of a
+   zero-magnitude excitation; every row matches the element-by-element
+   oracle to 1e-12 of sum(gamma / r). Fixed cases: an obstacle whose runs
+   another obstacle's copy zeroed first, a last obstacle after one that
+   hid every element, undriven elements with an excitation that drives
+   none and a wall that hides a point inside a circle, no points (every
+   row empty, of shape (entries, 0)) and points that see no driven element
+ - with no entries the kernel returns an empty (0, M) result at once
+ - one call of 1,024 elements on a grid and a steered cut, over at least
+   4 chunks, under a rect, under a rect and a circle, and under a rect, a
+   circle and free space, equals the dense reference bit for bit at
+   chunk sizes 1, 7 and the default; its grid part is field_grid's bit
+   for bit, interior points are NaN, every other point is bit for bit
+   the call with that point alone, and the kernel starts no thread
  - points whose squared distance to an element overflows are rejected by
    every caller, and so are points nearer than about 1e-154 m to an
    element: exactly those where some pair's squared distance is not a
@@ -57,16 +65,6 @@ Proves:
  - the amplitude np.hypot(re, im) equals Python's complex abs bit for bit
    over +-0, subnormal, huge, infinite and NaN parts, on arrays (NaN as
    NaN; inf where Python's abs overflows)
- - appending the exact mirror (-x, y) of every point, which the kernel
-   pairs with it to share one trig evaluation, leaves every original row
-   bit for bit that of the call without them, and the mirrors those of a
-   call on their own and of the dense reference, for chunk sizes, array
-   sizes, obstacle mixes, duplicate points and undriven sets that are
-   mirror-symmetric or not, points that see no driven element included
- - a grid and a steered cut through an obstacle in one call, under one
-   obstacle and under two, equal the dense reference bit for bit at chunk
-   sizes 1, 7 and the default; interior points are NaN and every other
-   point is bit for bit the call with that point alone
 """
 
 import csv
@@ -657,50 +655,6 @@ CHUNK_CASES = (
 )
 
 
-def _chunk_case_grid(obstacle) -> np.ndarray:
-    # 1024 elements on a 31 x 23 grid: 368 points in no pair or representing
-    # one, so 23 chunks at the default chunk size, as in _chunk_case_rows,
-    # whose call holds several obstacles
-    cfg = UlaConfig(1024, 1.07e-3, 140e9)
-    exc = gaussian_excitation(cfg, 5 * DEG)
-    return field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 31, 23, obstacle).values
-
-
-def _chunk_case_rows() -> np.ndarray:
-    """_chunk_case_grid for every case, from one call with an entry per case."""
-    cfg = UlaConfig(1024, 1.07e-3, 140e9)
-    exc = gaussian_excitation(cfg, 5 * DEG)
-    _, _, px, py = grid_nodes((-0.3, 0.3), (0.1, 1.0), 31, 23)
-    entries = [(exc, obstacle) for obstacle in CHUNK_CASES]
-    return field_points_per_entry(cfg, entries, px, py).reshape(-1, 31, 23)
-
-
-def test_chunked_grid_evaluation_is_bitwise_stable(monkeypatch):
-    # a reintroduced thread pool fails here
-    def refuse(thread):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    cfg = UlaConfig(16, 1.1e-3, 140e9)
-    exc = gaussian_excitation(cfg, 5 * DEG)
-    obstacle = RectObstacle(0.05, -0.05, 0.2, 0.4)
-    whole = field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 11, 13, obstacle)
-    defaults = [_chunk_case_grid(case) for case in CHUNK_CASES]
-    assert 31 * 23 * 1024 >= 4 * ulabeam.field._CHUNK_PAIRS
-    # one call with an entry per case, several obstacles over 23 chunks
-    for row, default in zip(_chunk_case_rows(), defaults):
-        assert np.array_equal(default, row, equal_nan=True)
-    monkeypatch.setattr(ulabeam.field, "_CHUNK_PAIRS", 7)
-    pieces = field_grid(cfg, exc, (-0.3, 0.3), (0.1, 1.0), 11, 13, obstacle)
-    finite = np.isfinite(whole.values)
-    assert np.array_equal(whole.values[finite], pieces.values[finite])
-    assert np.array_equal(finite, np.isfinite(pieces.values))
-    for case, default in zip(CHUNK_CASES, defaults):
-        assert np.array_equal(default, _chunk_case_grid(case), equal_nan=True)
-    for row, default in zip(_chunk_case_rows(), defaults):
-        assert np.array_equal(default, row, equal_nan=True)
-
-
 def test_field_points_matches_field_at():
     cfg = UlaConfig(33, 9e-3, 140e9)
     exc = gaussian_excitation(cfg, 5 * DEG)
@@ -774,56 +728,6 @@ def per_obstacle_case(draw):
     return cfg, exc, obstacles, px, py, hidden
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(per_obstacle_case())
-# two rects that hide different runs of the same points, then free space:
-# each obstacle must see the chunk's rows without an earlier one's zeros
-@example(
-    (
-        UlaConfig(16, 1e-3, 140e9),
-        Excitation(np.linspace(1.0, 0.25, 16), np.linspace(-2.0, 2.0, 16)),
-        [RectObstacle(0.004, -0.002, 0.1, 0.2), RectObstacle(0.001, -0.005, 0.3, 0.35), None],
-        np.array([0.0, 0.001, -0.003, 0.003, -0.002]),
-        np.array([1.0, 0.8, 0.9, 0.9, 1.5]),
-        [],
-    )
-)
-# a wall that hides every element, then a rect that hides a few
-@example(
-    (
-        UlaConfig(16, 1e-3, 140e9),
-        Excitation(np.linspace(1.0, 0.25, 16), np.linspace(-2.0, 2.0, 16)),
-        [RectObstacle(1.0, -1.0, 0.05, 0.1), RectObstacle(0.004, -0.002, 0.3, 0.4)],
-        np.array([0.0, 0.001, -0.003, 0.003, 0.2]),
-        np.array([1.0, 0.8, 0.9, 0.9, 0.07]),
-        [(0, 0), (0, 1), (0, 2), (0, 3)],
-    )
-)
-def test_per_obstacle_rows_match_single_obstacle_calls(case):
-    cfg, exc, obstacles, px, py, hidden = case
-    singles = [field_points_per_entry(cfg, ((exc, obstacle),), px, py)[0] for obstacle in obstacles]
-    default = ulabeam.field._CHUNK_PAIRS
-    with pytest.MonkeyPatch.context() as mp:
-        for chunk_pairs in (1, 7, default, 65_536, 10**9):
-            mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
-            rows = field_points_per_entry(cfg, [(exc, obstacle) for obstacle in obstacles], px, py)
-            assert rows.shape == (len(obstacles), px.size)
-            for obstacle, row, single in zip(obstacles, rows, singles):
-                alone = field_points_per_entry(cfg, ((exc, obstacle),), px, py)[0]
-                # equal bits: equal values, NaN positions and signs of zero
-                assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
-                assert np.array_equal(alone.view(np.uint64), single.view(np.uint64))
-    # A wall hides every element, so the point sums w = +0 terms: its bits,
-    # signs of zero included, are those of an excitation of zero magnitude.
-    dark = Excitation(np.zeros(cfg.n_elements), exc.phases)
-    for j, i in hidden:
-        want = field_points_per_entry(cfg, ((dark, None),), px[i : i + 1], py[i : i + 1])[0]
-        assert want[0] == 0.0
-        assert np.array_equal(singles[j][i : i + 1].view(np.uint64), want.view(np.uint64))
-    for obstacle, single in zip(obstacles, singles):
-        assert_matches_element_oracle(cfg, exc, obstacle, px, py, single)
-
-
 def assert_matches_element_oracle(cfg, exc, obstacle, px, py, values):
     """values equal the element-by-element oracle to 1e-12 of sum(gamma / r), ties aside."""
     xs, k = cfg.element_xs(), cfg.wavenumber()
@@ -843,68 +747,6 @@ def assert_matches_element_oracle(cfg, exc, obstacle, px, py, values):
     assert np.all(np.abs(values - want)[check] <= 1e-12 * scale[check] + phase_rounding)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(per_obstacle_case())
-def test_per_obstacle_rows_match_dense_reference_bit_for_bit(case):
-    cfg, exc, obstacles, px, py, _ = case
-    entries = [(exc, obstacle) for obstacle in obstacles]
-    want = dense_field(cfg.element_xs(), cfg.wavenumber(), entries, px, py)
-    with pytest.MonkeyPatch.context() as mp:
-        for chunk_pairs in (1, 7, 65_536):
-            mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
-            rows = field_points_per_entry(cfg, entries, px, py)
-            # equal bits: equal values, NaN positions and signs of zero
-            assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
-            for entry, row in zip(entries, want):
-                alone = field_points_per_entry(cfg, [entry], px, py)[0]
-                assert np.array_equal(alone.view(np.uint64), row.view(np.uint64))
-
-
-@st.composite
-def entries_case(draw):
-    """An array, 1-5 (excitation, obstacle) entries and points to evaluate.
-
-    The entries draw from one to three excitations and from the obstacles
-    and points of per_obstacle_case, so two entries may share their
-    excitation, their obstacle, both or neither.
-    """
-    cfg, exc, obstacles, px, py, _ = draw(per_obstacle_case())
-    excitations = [exc, *(random_excitation(draw, cfg.n_elements) for _ in range(draw(st.integers(0, 2))))]
-    count = draw(st.integers(1, 5))
-    entries = [(draw(st.sampled_from(excitations)), draw(st.sampled_from(obstacles))) for _ in range(count)]
-    return cfg, entries, px, py
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(entries_case())
-# no points: every row is empty
-@example(
-    (
-        UlaConfig(4, 1e-3, 140e9),
-        [(Excitation(np.ones(4), np.zeros(4)), obstacle) for obstacle in (RectObstacle(0.1, -0.1, 0.2, 0.4), None)],
-        np.empty(0),
-        np.empty(0),
-    )
-)
-def test_entry_rows_match_dense_reference_and_single_entry_calls(case):
-    cfg, entries, px, py = case
-    want = dense_field(cfg.element_xs(), cfg.wavenumber(), entries, px, py)
-    singles = [field_points_per_entry(cfg, [entry], px, py)[0] for entry in entries]
-    default = ulabeam.field._CHUNK_PAIRS
-    with pytest.MonkeyPatch.context() as mp:
-        for chunk_pairs in (1, 7, default):
-            mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
-            rows = field_points_per_entry(cfg, entries, px, py)
-            assert rows.shape == (len(entries), px.size)
-            # equal bits: equal values, NaN positions and signs of zero
-            assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
-            for entry, row, single in zip(entries, rows, singles):
-                alone = field_points_per_entry(cfg, [entry], px, py)[0]
-                assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
-                assert np.array_equal(alone.view(np.uint64), single.view(np.uint64))
-    for (exc, obstacle), single in zip(entries, singles):
-        assert_matches_element_oracle(cfg, exc, obstacle, px, py, single)
-
 
 def mirrored_silence(exc: Excitation) -> Excitation:
     """exc with every element undriven whose mirror image is undriven."""
@@ -912,86 +754,192 @@ def mirrored_silence(exc: Excitation) -> Excitation:
     return Excitation(np.where(silent | silent[::-1], 0.0, exc.magnitudes), exc.phases)
 
 
+def mirrored(cfg, entries, px, py, hidden=()):
+    """A mirrored_case value: the points, then the exact mirror (-x, y) of each point off x = 0."""
+    px, py = np.array(px, dtype=float), np.array(py, dtype=float)
+    off_axis = px != 0.0
+    return cfg, entries, px, py, np.concatenate((px, -px[off_axis])), np.concatenate((py, py[off_axis])), list(hidden)
+
+
 @st.composite
 def mirrored_case(draw):
-    """entries_case with the exact mirror (-x, y) of every point off x = 0 appended.
+    """An array, 1-6 (excitation, obstacle) entries and points with their mirrors.
 
-    The undriven elements of the excitations are mirror-symmetric or
-    drawn at random (usually not); a few points may appear twice.
+    The entries hold every obstacle of per_obstacle_case once and up to two
+    of them again, each with one of one to three excitations, so two
+    entries may share their excitation, their obstacle, both or neither.
+    The undriven elements of the excitations are mirror-symmetric or drawn
+    at random (usually not). The points are per_obstacle_case's; the exact
+    mirror (-x, y) of every point off x = 0 is appended, and a few points
+    may appear twice. Returns (cfg, entries, px, py, qx, qy, hidden): px,
+    py the points, qx, qy all points evaluated, and hidden the points above
+    walls as (entry index, point index) pairs.
     """
-    cfg, entries, px, py = draw(entries_case())
+    cfg, exc, obstacles, px, py, above_walls = draw(per_obstacle_case())
+    excitations = [exc, *(random_excitation(draw, cfg.n_elements) for _ in range(draw(st.integers(0, 2))))]
     if draw(st.booleans()):
-        entries = [(mirrored_silence(exc), obstacle) for exc, obstacle in entries]
-    off_axis = px != 0.0
-    qx, qy = np.concatenate((px, -px[off_axis])), np.concatenate((py, py[off_axis]))
+        excitations = [mirrored_silence(e) for e in excitations]
+    # every obstacle once, then up to two more
+    picks = [*range(len(obstacles)), *draw(st.lists(st.integers(0, len(obstacles) - 1), max_size=2))]
+    entries = [(draw(st.sampled_from(excitations)), obstacles[j]) for j in picks]
+    hidden = [(t, i) for t, j in enumerate(picks) for wall, i in above_walls if wall == j]
+    cfg, entries, px, py, qx, qy, hidden = mirrored(cfg, entries, px, py, hidden)
     twice = draw(st.lists(st.integers(0, qx.size - 1), max_size=3))
-    return cfg, entries, px, py, np.append(qx, qx[twice]), np.append(qy, qy[twice])
+    return cfg, entries, px, py, np.append(qx, qx[twice]), np.append(qy, qy[twice]), hidden
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(mirrored_case())
-# the left three of eight elements driven, and a slab that hides them from
-# points near the axis: those see no driven element under the slab, but
-# all of them in free space, and their mirrors are hidden too
-@example(
-    (
-        UlaConfig(8, 1e-3, 140e9),
-        [
-            (Excitation([1.0, 0.5, 0.25, 0, 0, 0, 0, 0], [0.3, -1.0, 2.0, 0, 0, 0, 0, 0]), obstacle)
-            for obstacle in (RectObstacle(-0.0009, -1.0, 0.001, 0.01), None)
-        ],
-        np.array([0.01, 0.002, 0.3, -0.004]),
-        np.array([1.0, 0.5, 0.05, 0.02]),
-        np.array([0.01, 0.002, 0.3, -0.004, -0.01, -0.002, -0.3, 0.004]),
-        np.array([1.0, 0.5, 0.05, 0.02, 1.0, 0.5, 0.05, 0.02]),
-    )
-)
-def test_mirrored_points_keep_the_bits_of_the_call_without_them(case):
-    cfg, entries, px, py, qx, qy = case
-    alone = field_points_per_entry(cfg, entries, px, py)
-    # the appended points, evaluated on their own
-    tail = field_points_per_entry(cfg, entries, qx[px.size :], qy[px.size :])
+def assert_entry_rows_keep_their_bits(case):
+    """A mirrored_case's rows equal the dense reference, one-entry calls and calls on parts of the points."""
+    cfg, entries, px, py, qx, qy, hidden = case
     want = dense_field(cfg.element_xs(), cfg.wavenumber(), entries, qx, qy)
     # points equal up to the sign of x pair at least once
     assert ulabeam.field._mirror_pairs(qx, qy)[0].size >= len({(abs(x), y) for x, y in zip(px, py) if x != 0})
     with pytest.MonkeyPatch.context() as mp:
-        for chunk_pairs in (1, 7, 16_384, 10**9):
+        for chunk_pairs in (1, 7, 16_384, 65_536, 10**9):
             mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
             rows = field_points_per_entry(cfg, entries, qx, qy)
+            assert rows.shape == (len(entries), qx.size)
             # equal bits: equal values, NaN positions and signs of zero
-            assert np.array_equal(rows[:, : px.size].view(np.uint64), alone.view(np.uint64))
-            assert np.array_equal(rows[:, px.size :].view(np.uint64), tail.view(np.uint64))
             assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+    # each entry alone, the points without their mirrors and the appended points alone
+    for entry, row in zip(entries, rows):
+        alone = field_points_per_entry(cfg, [entry], qx, qy)[0]
+        assert np.array_equal(alone.view(np.uint64), row.view(np.uint64))
+    for points in (slice(None, px.size), slice(px.size, None)):
+        part = field_points_per_entry(cfg, entries, qx[points], qy[points])
+        assert np.array_equal(part.view(np.uint64), rows[:, points].view(np.uint64))
+    # A wall hides every element, so the point sums w = +0 terms: its bits,
+    # signs of zero included, are those of an excitation of zero magnitude.
+    dark = Excitation(np.zeros(cfg.n_elements), np.zeros(cfg.n_elements))
+    for t, i in hidden:
+        zero = field_points_per_entry(cfg, ((dark, None),), qx[i : i + 1], qy[i : i + 1])[0]
+        assert zero[0] == 0.0
+        assert np.array_equal(rows[t, i : i + 1].view(np.uint64), zero.view(np.uint64))
+    for (exc, obstacle), row in zip(entries, rows):
+        assert_matches_element_oracle(cfg, exc, obstacle, qx, qy, row)
 
 
-def test_grid_and_cut_in_one_call_match_the_reference_point_by_point():
-    # A grid's chunks share one x or a few, a steered cut's x all differ, and
-    # the chunk of the grid's x = 0 column holds cut points too; the cut
-    # crosses the rect.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mirrored_case())
+# no points: every row is empty
+@example(
+    mirrored(
+        UlaConfig(4, 1e-3, 140e9),
+        [(Excitation(np.ones(4), np.zeros(4)), obstacle) for obstacle in (RectObstacle(0.1, -0.1, 0.2, 0.4), None)],
+        [],
+        [],
+    )
+)
+def test_entry_rows_match_dense_reference_and_single_entry_calls(case):
+    assert_entry_rows_keep_their_bits(case)
+
+
+def test_per_obstacle_rows_match_single_obstacle_calls():
+    exc = Excitation(np.linspace(1.0, 0.25, 16), np.linspace(-2.0, 2.0, 16))
+    # two rects that hide different runs of the same points, then free space:
+    # each obstacle must see the chunk's rows without an earlier one's zeros
+    obstacles = (RectObstacle(0.004, -0.002, 0.1, 0.2), RectObstacle(0.001, -0.005, 0.3, 0.35), None)
+    assert_entry_rows_keep_their_bits(
+        mirrored(
+            UlaConfig(16, 1e-3, 140e9),
+            [(exc, obstacle) for obstacle in obstacles],
+            [0.0, 0.001, -0.003, 0.003, -0.002],
+            [1.0, 0.8, 0.9, 0.9, 1.5],
+        )
+    )
+    # a wall that hides every element, then a rect that hides a few
+    obstacles = (RectObstacle(1.0, -1.0, 0.05, 0.1), RectObstacle(0.004, -0.002, 0.3, 0.4))
+    assert_entry_rows_keep_their_bits(
+        mirrored(
+            UlaConfig(16, 1e-3, 140e9),
+            [(exc, obstacle) for obstacle in obstacles],
+            [0.0, 0.001, -0.003, 0.003, 0.2],
+            [1.0, 0.8, 0.9, 0.9, 0.07],
+            [(0, 0), (0, 1), (0, 2), (0, 3)],
+        )
+    )
+
+
+def test_per_obstacle_rows_match_dense_reference_bit_for_bit():
+    # undriven elements, an excitation that drives none, a wall that hides
+    # the whole aperture from four points, one of them inside a circle
+    exc = Excitation(np.where(np.arange(16) % 5 == 2, 0.0, np.linspace(0.3, 1.0, 16)), np.linspace(-1.0, 3.0, 16))
+    silent = Excitation(np.zeros(16), np.zeros(16))
+    obstacles = (RectObstacle(1.0, -1.0, 0.2, 0.25), CircleObstacle(Point2(0.002, 0.5), 0.01), None)
+    assert_entry_rows_keep_their_bits(
+        mirrored(
+            UlaConfig(16, 1e-3, 140e9),
+            [*((exc, obstacle) for obstacle in obstacles), (silent, None)],
+            [0.0, 0.004, -0.01, 0.002, 0.3],
+            [0.4, 0.6, 0.7, 0.5, 0.1],
+            [(0, 0), (0, 1), (0, 2), (0, 3)],
+        )
+    )
+
+
+def test_mirrored_points_keep_the_bits_of_the_call_without_them():
+    # the left three of eight elements driven, and a slab that hides them from
+    # points near the axis: those see no driven element under the slab, but
+    # all of them in free space, and their mirrors are hidden too
+    exc = Excitation([1.0, 0.5, 0.25, 0, 0, 0, 0, 0], [0.3, -1.0, 2.0, 0, 0, 0, 0, 0])
+    assert_entry_rows_keep_their_bits(
+        mirrored(
+            UlaConfig(8, 1e-3, 140e9),
+            [(exc, obstacle) for obstacle in (RectObstacle(-0.0009, -1.0, 0.001, 0.01), None)],
+            [0.01, 0.002, 0.3, -0.004],
+            [1.0, 0.5, 0.05, 0.02],
+        )
+    )
+
+
+def assert_grid_and_cut_match_reference(obstacles):
+    """Check one 1,024-element call on a grid and a steered cut point by point; return the cut's points."""
     cfg = UlaConfig(1024, 1.07e-3, 140e9)
     exc = gaussian_excitation(cfg, 10 * DEG)
-    _, _, gx, gy = grid_nodes((-0.3, 0.3), (0.05, 1.0), 21, 17)
+    grid = ((-0.3, 0.3), (0.05, 1.0), 21, 17)
+    _, _, gx, gy = grid_nodes(*grid)
     d = 1.2 * np.arange(1, 41) / 40
     px = np.concatenate((gx, d * math.sin(10 * DEG)))
     py = np.concatenate((gy, d * math.cos(10 * DEG)))
-    rect, circle = RectObstacle(0.12, 0.02, 0.3, 0.6), CircleObstacle(Point2(-0.1, 0.5), 0.08)
     default = ulabeam.field._CHUNK_PAIRS
-    for obstacles in ((rect,), (rect, circle)):
-        entries = [(exc, obstacle) for obstacle in obstacles]
-        want = dense_field(cfg.element_xs(), cfg.wavenumber(), entries, px, py)
-        inside = np.array([inside_obstacle(obstacle, px, py) for obstacle in obstacles])
-        assert inside[0, gx.size :].sum() >= 10 and inside[-1, : gx.size].any()
-        with pytest.MonkeyPatch.context() as mp:
-            for chunk_pairs in (1, 7, default):
-                mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
-                rows = field_points_per_entry(cfg, entries, px, py)
-                # equal bits: equal values, NaN positions and signs of zero
-                assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+    # at least 4 chunks at the default size: partners ride in their representatives' chunks
+    assert (px.size - ulabeam.field._mirror_pairs(px, py)[0].size) * cfg.n_elements >= 4 * default
+    entries = [(exc, obstacle) for obstacle in obstacles]
+    want = dense_field(cfg.element_xs(), cfg.wavenumber(), entries, px, py)
+    inside = np.array([inside_obstacle(obstacle, px, py) for obstacle in obstacles])
+    assert all(inside[j, : gx.size].any() for j, obstacle in enumerate(obstacles) if obstacle is not None)
+    with pytest.MonkeyPatch.context() as mp:
+        # a reintroduced thread pool fails here
+        mp.setattr(threading.Thread, "start", lambda thread: pytest.fail("a thread was started"))
+        for chunk_pairs in (1, 7, default):
+            mp.setattr(ulabeam.field, "_CHUNK_PAIRS", chunk_pairs)
+            rows = field_points_per_entry(cfg, entries, px, py)
+            # equal bits: equal values, NaN positions and signs of zero
+            assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+        for obstacle, row in zip(obstacles, rows):
+            values = field_grid(cfg, exc, *grid, obstacle).values.ravel()
+            assert np.array_equal(values.view(np.uint64), row[: gx.size].view(np.uint64))
         assert np.all(np.isnan(rows[inside]))
         for i in range(px.size):
             alone = field_points_per_entry(cfg, entries, px[i : i + 1], py[i : i + 1])[:, 0]
             outside = ~inside[:, i]
             assert np.array_equal(rows[outside, i].view(np.uint64), alone[outside].view(np.uint64))
+    return px[gx.size :], py[gx.size :]
+
+
+def test_grid_and_cut_in_one_call_match_the_reference_point_by_point():
+    # A grid's chunks share one x or a few, a steered cut's x all differ, and
+    # the chunk of the grid's x = 0 column holds cut points too.
+    rect, circle = RectObstacle(0.12, 0.02, 0.3, 0.6), CircleObstacle(Point2(-0.1, 0.5), 0.08)
+    cx, cy = assert_grid_and_cut_match_reference((rect,))
+    # the cut crosses the rect
+    assert inside_obstacle(rect, cx, cy).sum() >= 10
+    assert_grid_and_cut_match_reference((rect, circle))
+
+
+def test_chunked_grid_evaluation_is_bitwise_stable():
+    # several obstacles and free space in one call over at least 4 chunks
+    assert_grid_and_cut_match_reference(CHUNK_CASES)
 
 
 def test_point_whose_distance_overflows_is_rejected():

@@ -10,11 +10,16 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   with ``--line-cut 1.5,200``;
 - a curving scene whose obstacle hides the whole aperture, through
   synthesize, simulate, optimize and compare (the plan is infeasible);
-- six curving scenes on 1,024 elements, one per planner outcome,
-  through optimize and synthesize: the negative-curvature fallback, an
-  unnecessary plan, a two-beam plan, a far obstacle that keeps the full
-  aperture, a primary with no reverse-curvature secondary, and a two-beam
-  plan whose secondary's cut is bounded where the primary's ends;
+- eight curving scenes on 1,024 elements through optimize and
+  synthesize, which with the infeasible scene above reach all six
+  returns of the planner (``plan_with_fallback``): the negative-curvature
+  fallback; an unnecessary plan decided by the negative curvature (the
+  positive one is infeasible); a two-beam plan; a far obstacle, which the
+  negative-curvature fallback clears on the whole array; a primary with
+  no reverse-curvature secondary; a two-beam plan whose secondary's cut
+  is bounded where the primary's ends; an unnecessary plan decided by the
+  positive curvature; and a positive-curvature primary that uses the
+  full array;
 - eight scenes of extreme but finite numbers, each through the command
   that once exited 1 or warned on it: optimize on a user 1e160 m away,
   on a 2-element array 8e300 m apart, on a user 6.7e160 m to the side
@@ -76,7 +81,7 @@ Each tree is a checkout of this repository (``src/ulabeam`` and
   almost in line with the array (x 3,200 m, y 9 m): optimize solves the
   plan, and synthesize cannot build it.
 
-With the seven shipped scenarios that makes 102 runs.
+With the seven shipped scenarios that makes 106 runs.
 
 Every run is a fresh ``python -m ulabeam.cli`` process with the tree's
 ``src`` on ``PYTHONPATH``, in its own working directory, with the scenario
@@ -158,6 +163,18 @@ PLANNER = {
     "far_obstacle": (0.0, 1.0, (-1.86, -2.14, 0.10, 0.57), 1.0),
     "no_secondary": (0.0, 1.0, (0.30, -0.10, 0.10, 0.50), 2.0),
     "clamped_secondary": (0.07, 0.86, (0.0, -0.04, 0.46, 0.57), 1.0),
+    "positive_unnecessary": (
+        -0.46922913407961575,
+        0.351005966668638,
+        (0.6745831984132615, 0.033572577358564226, 0.1211082881317152, 0.21358156447904164),
+        0.231298062317091,
+    ),
+    "full_array_primary": (
+        -0.3296809196857353,
+        1.22593343693787,
+        (0.8457464093940377, 0.22113796415125297, 0.45980786270665025, 0.9726945645125373),
+        2.3772944614055542,
+    ),
 }
 # A user almost in line with the array, on 64 elements: the plan is solved,
 # but its phases find no tangent for element 0 (ROADMAP item 10).
